@@ -172,7 +172,8 @@ def run_general(
 
         r_star = tau
         for j, content in enumerate(aux_contents, start=1):
-            assert isinstance(content, SmallInt)
+            if not isinstance(content, SmallInt):
+                raise AssertionError(f"aux cell returned {content!r}, not a SmallInt")
             if content.value != s_int + 1:
                 r_star = (j - 1) * s_int + content.value
                 break

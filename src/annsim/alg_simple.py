@@ -97,9 +97,8 @@ def run_simple(
                 r_star = r
                 break
         new_l, new_u = grid[r_star - 1], grid[r_star]
-        assert new_u - new_l <= (state.u - state.l) / state.tau + 1 + 1e-9, (
-            "window shrank too little"
-        )
+        if new_u - new_l > (state.u - state.l) / state.tau + 1 + 1e-9:
+            raise AssertionError("window shrank too little")
         state.l, state.u = new_l, new_u
         shrinks += 1
 

@@ -10,11 +10,15 @@ that the sketching kernels consume.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch
+
+# The point file format: fixed-width lowercase hex, most-significant nibble first.
+_HEX_DIGITS = re.compile("[0-9a-f]*")
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,8 @@ class Point:
     @classmethod
     def from_hex(cls, text: str, dim: int) -> "Point":
         digits = (dim + 3) // 4
-        if len(text) != digits:
-            raise ValueError(f"expected {digits} hex digits for dimension {dim}")
+        if len(text) != digits or not _HEX_DIGITS.fullmatch(text):
+            raise ValueError(f"expected {digits} lowercase hex digits for dimension {dim}")
         return cls(dim, int(text, 16))
 
 

@@ -92,6 +92,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("trials must be >= 1")
     if cfg.repeat < 1:
         raise ConfigError("repeat factor must be >= 1")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2^64)")
     if cfg.n < 1 or cfg.d < 2:
         raise ConfigError("need n >= 1 and d >= 2")
     if cfg.d < 64 and cfg.n > 2**cfg.d:

@@ -193,13 +193,23 @@ def sketch_apply(matrix: SketchMatrix, p: Point) -> SketchVector:
 
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
-    """Sketch bits of every database point: (n, rows) uint8."""
+    """Sketch bits of every database point: (n, rows) uint8.
+
+    Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
+    many words is the parity of the XOR of the per-word ANDs. Each row
+    therefore gathers only its nonzero words from a word-major copy of the
+    database, folds them with XOR, and takes one popcount per point; sparse
+    high-scale rows cost in proportion to their nonzero words.
+    """
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
+    words = np.ascontiguousarray(db.packed.T)
     out = np.empty((db.n, matrix.rows), dtype=np.uint8)
-    for r in range(matrix.rows):
-        ones = np.bitwise_count(db.packed & matrix.packed[r]).sum(axis=1)
-        out[:, r] = (ones & np.uint64(1)).astype(np.uint8)
+    for r, row in enumerate(matrix.packed):
+        nz = np.flatnonzero(row)
+        masked = words[nz]
+        masked &= row[nz, None]
+        out[:, r] = np.bitwise_count(np.bitwise_xor.reduce(masked, axis=0)) & 1
     return out
 
 

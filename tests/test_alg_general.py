@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from annsim import probe_engine
 from annsim.alg_general import (
     build_group_addresses,
     override_params,
@@ -16,6 +17,7 @@ from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_
 from annsim.probe_engine import close_session, open_session
 from annsim.randomness import coin_for_trial
 from annsim.search_common import SearchTrace, scale_grid
+from annsim.tables import EMPTY, KIND_AUX, cell_content
 
 from conftest import make_instance, make_params
 
@@ -309,3 +311,20 @@ class TestBudgets:
             except AssumptionViolated:
                 continue
         assert raised
+
+
+class TestInvariantChecks:
+    """No bare `assert` here: test_alg_simple's
+    test_invariant_checks_survive_python_O reruns this class under -O."""
+
+    def test_aux_content_must_be_small_int(self, monkeypatch):
+        def no_aux_tables(db, coin, params, address, *args, **kw):
+            if address.kind == KIND_AUX:
+                return EMPTY
+            return cell_content(db, coin, params, address, *args, **kw)
+
+        monkeypatch.setattr(probe_engine, "cell_content", no_aux_tables)
+        db, x = make_instance(n=64, d=4096)
+        params = make_params(n=64, d=4096, k=8)
+        with pytest.raises(AssertionError, match="not a SmallInt"):
+            run_one(db, x, params, override_params(2, 4))

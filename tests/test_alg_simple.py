@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from annsim import alg_simple, probe_engine
 from annsim.alg_simple import probe_bound_simple, run_simple, tau_simple
 from annsim.core import Point, hamming_dist
 from annsim.errors import AssumptionViolated
@@ -8,6 +13,7 @@ from annsim.oracle import check_assumption1, exact_nn, exact_sets
 from annsim.probe_engine import close_session, open_session
 from annsim.randomness import coin_for_trial
 from annsim.search_common import SearchTrace
+from annsim.tables import EMPTY
 
 from conftest import make_instance, make_params
 
@@ -185,3 +191,35 @@ class TestAssumptionViolationSurfaces:
                 assert not check_assumption1(sets)
                 break
         assert raised
+
+
+class TestInvariantChecks:
+    """The search's internal checks raise explicitly, so `python -O` keeps them.
+
+    Each test forces its check to fail by monkeypatching. No bare `assert`
+    here: test_invariant_checks_survive_python_O reruns this class under -O.
+    """
+
+    def test_window_shrink_check(self, monkeypatch):
+        # Every cell reads EMPTY, so r* = tau and the new window is the grid's
+        # last slot; a grid that puts all of (l, u] in that slot shrinks nothing.
+        monkeypatch.setattr(probe_engine, "cell_content", lambda *args, **kw: EMPTY)
+        monkeypatch.setattr(
+            alg_simple, "scale_grid", lambda l, u, tau: [l] * tau + [u]
+        )
+        db, x = make_instance(n=16, d=4096)
+        params = make_params(n=16, d=4096, k=2)
+        with pytest.raises(AssertionError, match="window shrank too little"):
+            run_one(db, x, params)
+
+
+def test_invariant_checks_survive_python_O():
+    here = Path(__file__).resolve().parent
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here / 'test_alg_simple.py'}::TestInvariantChecks",
+         f"{here / 'test_alg_general.py'}::TestInvariantChecks"],
+        capture_output=True, text=True, timeout=300, cwd=here.parent,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "2 passed" in res.stdout

@@ -62,6 +62,22 @@ class TestPoint:
         assert p.to_hex() == "abc"
         assert Point.from_hex("abc", 12) == p
 
+    @given(st.integers(1, 300).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, 2**d - 1))))
+    def test_hex_roundtrip_any_width(self, dim_value):
+        dim, value = dim_value
+        p = Point(dim, value)
+        assert Point.from_hex(p.to_hex(), dim) == p
+
+    @pytest.mark.parametrize("text, dim", [
+        ("0x1f", 16), ("+0ab", 16), ("-0ab", 16), ("1_f", 12), (" ab", 12),
+        ("ABC", 12), ("abC", 12), ("\u0661\u0662\u0663", 12), ("abcd", 12), ("ab", 12),
+        ("fff", 9),
+    ])
+    def test_from_hex_rejects_noncanonical(self, text, dim):
+        with pytest.raises(ValueError):
+            Point.from_hex(text, dim)
+
     def test_hex_width(self):
         assert Point(9, 1).to_hex() == "001"
 
@@ -140,6 +156,13 @@ class TestDatabase:
         assert text.splitlines()[1] == "000"
         loaded = load_database(str(path))
         assert loaded.points == db.points
+
+    @pytest.mark.parametrize("line", ["0x1f", "+01f", "01_f", "001F"])
+    def test_load_rejects_noncanonical_hex(self, tmp_path, line):
+        path = tmp_path / "db.txt"
+        path.write_text(f"d=16 n=2\n0000\n{line}\n")
+        with pytest.raises(ValueError, match="hex digits"):
+            load_database(str(path))
 
     def test_load_rejects_bad_count(self, tmp_path):
         path = tmp_path / "db.txt"

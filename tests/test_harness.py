@@ -62,6 +62,11 @@ class TestRunExperiment:
                 dataset=DatasetSpec("planted", plant_dist=5, plant_gap=20)
             ))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            run_experiment(small_cfg(seed=seed))
+
     def test_near_requires_lambda(self):
         with pytest.raises(ConfigError):
             run_experiment(small_cfg(algo="near", k=1))
@@ -168,6 +173,15 @@ class TestCli:
         )
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_code(self, seed):
+        res = self.run_cli(
+            "run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4",
+            "--k", "1", "--trials", "1", "--seed", seed,
+        )
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["config error: seed must lie in [0, 2^64)"]
 
     def test_selftest_command(self):
         res = self.run_cli("selftest")

@@ -1,5 +1,7 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from annsim import randomness
 from annsim.randomness import (
     PublicCoin,
     Stream,
@@ -44,6 +46,41 @@ class TestGeneratorIdentity:
         for r in range(9):
             row = bernoulli_block(int(keys[r]), 0, 130, 0.25)
             assert (mat[r] == row).all()
+
+
+class TestBernoulliMatrixBlocks:
+    """bernoulli_matrix evaluates its streams in column blocks; every block
+    boundary and the ragged tail must give the same bits as one row at a time."""
+
+    @staticmethod
+    def block_width(rows: int) -> int:
+        return randomness._BLOCK_BYTES // (8 * rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(1, 320),
+        blocks=st.integers(0, 3),
+        tail=st.integers(0, 70),
+        p=st.sampled_from([0.0, 2.0**-20, 0.25, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(rows=1, blocks=2, tail=5, p=0.25, seed=1)
+    @example(rows=300, blocks=3, tail=17, p=2.0**-20, seed=2)
+    @example(rows=300, blocks=2, tail=1, p=1.0, seed=3)
+    @example(rows=64, blocks=1, tail=0, p=0.0, seed=4)
+    def test_rows_match_bernoulli_block(self, rows, blocks, tail, p, seed):
+        count = blocks * self.block_width(rows) + tail
+        keys = absorb_block(seed, np.arange(rows, dtype=np.uint64))
+        mat = bernoulli_matrix(keys, count, p)
+        assert mat.shape == (rows, count) and mat.dtype == np.uint8
+        for r in range(rows):
+            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, p))
+
+    def test_extreme_rates(self):
+        keys = absorb_block(5, np.arange(3, dtype=np.uint64))
+        count = self.block_width(3) + 9
+        assert not bernoulli_matrix(keys, count, 0.0).any()
+        assert bernoulli_matrix(keys, count, 1.0).all()
 
 
 class TestCoinDerivation:

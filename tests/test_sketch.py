@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from annsim.core import Point
 from annsim.errors import DimensionMismatch
+from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import coin_for_trial
 from annsim.sketch import (
     SketchMatrix,
@@ -157,6 +159,47 @@ class TestSketchApply:
         batch = sketch_apply_batch(m, db)
         for i, p in enumerate(db.points):
             assert batch[i].tolist() == sketch_apply(m, p).bit_array().tolist()
+
+
+class TestSketchApplyBatchDifferential:
+    """sketch_apply_batch (word-major XOR fold over each row's nonzero words)
+    against the oracle's dense-matmul route and the per-point kernel."""
+
+    @staticmethod
+    def check(n, d, scale, rows, seed):
+        db, _ = make_instance(n=n, d=d, seed=seed)
+        m = derive_matrix(coin_for_trial(seed, 0, 0), "main", scale, rows, d, 2.0)
+        batch = sketch_apply_batch(m, db)
+        assert batch.shape == (n, rows) and batch.dtype == np.uint8
+        want = _parity_product(_db_bits(db), m.bits_matrix())
+        assert np.array_equal(batch, want)
+        for i, p in enumerate(db.points):
+            assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
+        return m
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(8, 400),
+        scale=st.integers(0, 12),
+        rows=st.integers(1, 24),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=1, d=130, scale=0, rows=8, seed=7)
+    @example(n=17, d=64, scale=1, rows=5, seed=8)
+    @example(n=33, d=333, scale=12, rows=24, seed=9)
+    def test_matches_oracle_and_single(self, n, d, scale, rows, seed):
+        self.check(n, d, scale, rows, seed)
+
+    def test_rows_of_every_density(self):
+        # At d = 1000 and scale 9 (rate 1/2048) most rows are all zero and
+        # the rest touch only a few of the 16 words.
+        m = self.check(n=20, d=1000, scale=9, rows=48, seed=11)
+        nonzero_words = np.count_nonzero(m.packed, axis=1)
+        assert (nonzero_words == 0).any()
+        assert ((nonzero_words > 0) & (nonzero_words < m.packed.shape[1])).any()
+        dense = self.check(n=20, d=1000, scale=0, rows=8, seed=11)
+        assert (np.count_nonzero(dense.packed, axis=1) == dense.packed.shape[1]).all()
 
 
 def _bits_of(p: Point):
