@@ -3,7 +3,7 @@
 Points are fixed-width d-bit vectors stored bit-packed in a Python integer
 (coordinate j is bit j), with zero-padding above coordinate d-1 enforced as an
 invariant so equality and hashing are canonical. A database is an ordered
-collection of n distinct points together with a packed uint64 matrix view
+collection of n distinct points together with a packed uint64 matrix
 that the sketching kernels consume.
 """
 
@@ -78,8 +78,10 @@ def hamming_dist(p: Point, q: Point) -> int:
 class Database:
     """Ordered collection of n distinct points of one dimension.
 
-    Immutable after construction; the packed matrix view is shared by the
-    sketching kernels. A small per-instance memo of database sketch bits is
+    Immutable after construction. The points' 64-bit words are stored once,
+    word-major as `words` (word w of every point is contiguous, which is what
+    the sketching kernels read); `packed` is the point-major view of the
+    same array. A small per-instance memo of database sketch bits is
     maintained by the tables module; it caches pure functions of
     (database, coin, scale) only, so logical immutability is preserved.
     """
@@ -96,8 +98,12 @@ class Database:
         self.points = pts
         self.dim = dim
         self.n = len(pts)
-        self.packed = np.stack([p.packed() for p in pts])
-        self.packed.flags.writeable = False
+        nbytes = 8 * ((dim + 63) // 64)
+        raw = b"".join(p.value.to_bytes(nbytes, "little") for p in pts)
+        # One word-major array, (nwords, n); `packed` is its (n, nwords) view.
+        self.words = np.frombuffer(raw, dtype=np.uint64).reshape(self.n, -1).T.copy()
+        self.words.flags.writeable = False
+        self.packed = self.words.T
         self._sketch_memo: dict = {}
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ configurations produce byte-identical output.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -94,6 +95,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("repeat factor must be >= 1")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must lie in [0, 2^64)")
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg.jobs <= cpus:
+        raise ConfigError(f"jobs must lie in [1, {cpus}] (the cpu count)")
     if cfg.n < 1 or cfg.d < 2:
         raise ConfigError("need n >= 1 and d >= 2")
     if cfg.d < 64 and cfg.n > 2**cfg.d:
@@ -130,20 +134,29 @@ def general_for(cfg: ExperimentConfig) -> GeneralParams | None:
     return params_general(cfg.k, cfg.c, cfg.d, params.alpha)
 
 
-def _random_value(stream: Stream, d: int) -> int:
+def _random_values(stream: Stream, d: int, count: int) -> list[int]:
+    """The next `count` d-bit values, each from ceil(d/64) consecutive words."""
     nwords = (d + 63) // 64
-    value = int.from_bytes(stream.words(nwords).tobytes(), "little")
-    return value & ((1 << d) - 1)
+    raw = stream.words(count * nwords).tobytes()
+    nbytes = 8 * nwords
+    mask = (1 << d) - 1
+    return [int.from_bytes(raw[i : i + nbytes], "little") & mask for i in range(0, len(raw), nbytes)]
 
 
 def gen_database(n: int, d: int, dataset: DatasetSpec, seed: int) -> tuple[Database, Point]:
-    """Draw one (database, query) instance from the seeded stream."""
+    """Draw one (database, query) instance from the seeded stream.
+
+    Candidate values are drawn one block at a time, exactly as many as are
+    still needed, so a rejected value costs one more (smaller) block and the
+    stream is consumed in the same order as one value at a time.
+    """
     if d < 64 and n > 2**d:
         raise ConfigError("n distinct points do not fit in the cube")
     stream = Stream(PublicCoin(seed & ((1 << 64) - 1)).stream_key(TAG_DATA))
-    x = Point(d, _random_value(stream, d))
+    x = Point(d, _random_values(stream, d, 1)[0])
     values: list[int] = []
     seen: set[int] = set()
+    gap, limit = -1, None  # reject values within `gap` of x; give up after `limit` draws
     if dataset.kind == "planted":
         flips = stream.distinct_indices(dataset.plant_dist, d)
         planted = x.value
@@ -151,27 +164,20 @@ def gen_database(n: int, d: int, dataset: DatasetSpec, seed: int) -> tuple[Datab
             planted ^= 1 << j
         values.append(planted)
         seen.add(planted)
-        attempts = 0
-        while len(values) < n:
-            v = _random_value(stream, d)
-            attempts += 1
-            if attempts > 10000 * n:
-                raise ConfigError("could not sample enough far points; gap too large")
-            if v in seen:
-                continue
-            if (v ^ x.value).bit_count() <= dataset.plant_gap:
-                continue
-            seen.add(v)
-            values.append(v)
+        gap, limit = dataset.plant_gap, 10000 * n
     elif d <= 24 and n > 2 ** (d - 1):
         # Dense regime: shuffle the whole cube instead of rejection sampling.
         values = stream.shuffled(list(range(2**d)))[:n]
-    else:
-        while len(values) < n:
-            v = _random_value(stream, d)
-            if v not in seen:
-                seen.add(v)
-                values.append(v)
+    attempts = 0
+    while len(values) < n:
+        for v in _random_values(stream, d, n - len(values)):
+            attempts += 1
+            if limit is not None and attempts > limit:
+                raise ConfigError("could not sample enough far points; gap too large")
+            if v in seen or (gap >= 0 and (v ^ x.value).bit_count() <= gap):
+                continue
+            seen.add(v)
+            values.append(v)
     db = Database([Point(d, v) for v in stream.shuffled(values)])
     return db, x
 

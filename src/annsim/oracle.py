@@ -38,13 +38,16 @@ def is_gamma_approx(x: Point, db: Database, z: Point, gamma: float) -> bool:
 
 
 def _parity_product(point_bits: np.ndarray, matrix_bits: np.ndarray) -> np.ndarray:
-    """GF(2) products via a dense float32 matmul (exact for d < 2^24)."""
-    counts = point_bits.astype(np.float32) @ matrix_bits.T.astype(np.float32)
+    """GF(2) products via a dense float32 matmul (exact for d < 2^24).
+
+    Each operand is cast to float32 once; float32 point bits are used as given.
+    """
+    counts = point_bits.astype(np.float32, copy=False) @ matrix_bits.T.astype(np.float32)
     return counts.astype(np.int64) & 1
 
 
 def _db_bits(db: Database) -> np.ndarray:
-    raw = db.packed.view(np.uint8).reshape(db.n, -1)
+    raw = np.ascontiguousarray(db.packed).view(np.uint8).reshape(db.n, -1)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, : db.dim]
 
 
@@ -75,21 +78,21 @@ class ScaleSets:
             frozenset(i for i, h in enumerate(dists) if h <= params.ball_radius(sc))
             for sc in range(self.top + 2)
         ]
-        db_bits = _db_bits(db)
-        x_bits = unpack_bits(x.value, x.dim)
+        # Database rows then the query, as float32 once for every product.
+        self._bits = np.vstack([_db_bits(db), unpack_bits(x.value, x.dim)]).astype(np.float32)
         self.approx: list[frozenset[int]] = []
         for sc in range(self.top + 1):
             matrix = derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
-            mbits = matrix.bits_matrix()
-            sketches = _parity_product(db_bits, mbits)
-            qsketch = _parity_product(x_bits[None, :], mbits)[0]
-            sk_dists = np.count_nonzero(sketches != qsketch, axis=1)
+            sk_dists = self._sketch_dists(matrix)
             thr = main_threshold(params, sc)
             self.approx.append(frozenset(np.nonzero(sk_dists <= thr)[0].tolist()))
-        self._db_bits = db_bits
-        self._x_bits = x_bits
         self._aux_dists: dict[int, np.ndarray] = {}
         self._refined: dict[tuple[int, int], frozenset[int]] = {}
+
+    def _sketch_dists(self, matrix) -> np.ndarray:
+        """Sketch distance from the query to every database point under `matrix`."""
+        sketches = _parity_product(self._bits, matrix.bits_matrix())
+        return np.count_nonzero(sketches[:-1] != sketches[-1], axis=1)
 
     def ball(self, i: int) -> frozenset[int]:
         """Exact ball of radius alpha^i (index top+1 covers the whole base)."""
@@ -105,10 +108,7 @@ class ScaleSets:
         if cached is None:
             rows = self.params.r_aux(self.s_real)
             matrix = derive_matrix(self.coin, "aux", j, rows, self.db.dim, self.params.alpha)
-            mbits = matrix.bits_matrix()
-            sketches = _parity_product(self._db_bits, mbits)
-            qsketch = _parity_product(self._x_bits[None, :], mbits)[0]
-            cached = np.count_nonzero(sketches != qsketch, axis=1)
+            cached = self._sketch_dists(matrix)
             self._aux_dists[j] = cached
         return cached
 

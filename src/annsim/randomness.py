@@ -91,25 +91,29 @@ def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
 
     Row i is bit-identical to bernoulli_block(keys[i], 0, count, p). Every
     word is a pure function of (key, counter), so the streams are evaluated
-    one cache-sized column block at a time in two reused scratch buffers,
-    and each block's comparison is written straight into the result.
+    one cache-sized column block at a time in reused scratch buffers: each
+    block starts as one scalar add onto the block of first counters, and
+    (w >> 11) < thr is tested as w < thr << 11, straight into a bool result.
     """
-    thr = _threshold(p)
+    thr = int(_threshold(p))
     rows = len(keys)
-    out = np.empty((rows, count), dtype=np.uint8)
+    out = np.empty((rows, count), dtype=np.bool_)
+    if thr == 1 << 53:  # p >= 1: every word passes, and thr << 11 overflows
+        out.fill(True)
+        return out.view(np.uint8)
+    cut = np.uint64(thr << 11)
     width = max(1, min(count, _BLOCK_BYTES // (8 * max(rows, 1))))
-    scratch = np.empty(rows * width, dtype=np.uint64)
-    tmp = np.empty_like(scratch)
-    row_keys = keys.astype(np.uint64)[:, None]
     steps = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    base = keys.astype(np.uint64)[:, None] + steps
+    scratch = np.empty(base.size, dtype=np.uint64)
+    tmp = np.empty_like(scratch)
     for start in range(0, count, width):
         w = min(width, count - start)
         x = scratch[: rows * w].reshape(rows, w)
-        np.add(row_keys, steps[:w] + np.uint64((start * _GOLDEN) & _MASK64), out=x)
+        np.add(base[:, :w], np.uint64((start * _GOLDEN) & _MASK64), out=x)
         _finalize(x, tmp[: rows * w].reshape(rows, w))
-        np.right_shift(x, np.uint64(11), out=x)
-        np.less(x, thr, out=out[:, start : start + w])
-    return out
+        np.less(x, cut, out=out[:, start : start + w])
+    return out.view(np.uint8)
 
 
 def _threshold(p: float) -> np.uint64:

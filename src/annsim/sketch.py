@@ -197,13 +197,13 @@ def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
     many words is the parity of the XOR of the per-word ANDs. Each row
-    therefore gathers only its nonzero words from a word-major copy of the
-    database, folds them with XOR, and takes one popcount per point; sparse
+    therefore gathers only its nonzero words from the database's word-major
+    array (`db.words`), folds them with XOR, and takes one popcount per point; sparse
     high-scale rows cost in proportion to their nonzero words.
     """
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
-    words = np.ascontiguousarray(db.packed.T)
+    words = db.words
     out = np.empty((db.n, matrix.rows), dtype=np.uint8)
     for r, row in enumerate(matrix.packed):
         nz = np.flatnonzero(row)

@@ -146,6 +146,18 @@ def _candidate_mask(
     return dists <= main_threshold(params, scale)
 
 
+def _refinement_mask(
+    db: Database, coin: PublicCoin, params: Params, scale: int, sk: SketchVector, s_real: float
+) -> np.ndarray:
+    """Boolean mask of points whose scale-`scale` auxiliary sketch is near `sk`."""
+    rows = params.r_aux(s_real)
+    if sk.nbits != rows:
+        raise DimensionMismatch(f"aux sketch has {sk.nbits} bits, expected {rows}")
+    bits = db_sketch_bits(db, coin, params, "aux", scale, rows)
+    dists = np.count_nonzero(bits != sk.bit_array(), axis=1)
+    return dists <= aux_threshold(params, scale, s_real)
+
+
 def main_cell(
     db: Database, coin: PublicCoin, params: Params, scale: int, addr: SketchVector
 ) -> CellContent:
@@ -180,13 +192,8 @@ def aux_cell(
     """
     cand = _candidate_mask(db, coin, params, scale, subtable)
     csize = int(np.count_nonzero(cand))
-    rows = params.r_aux(s_real)
     for r, (aux_scale, sk) in enumerate(zip(aux.scales, aux.sketches), start=1):
-        if sk.nbits != rows:
-            raise DimensionMismatch(f"aux sketch has {sk.nbits} bits, expected {rows}")
-        bits = db_sketch_bits(db, coin, params, "aux", aux_scale, rows)
-        dists = np.count_nonzero(bits != sk.bit_array(), axis=1)
-        refined = cand & (dists <= aux_threshold(params, aux_scale, s_real))
+        refined = cand & _refinement_mask(db, coin, params, aux_scale, sk, s_real)
         if not fraction_at_most(int(np.count_nonzero(refined)), csize, db.n, s_real):
             return SmallInt(r)
     return SmallInt(s_int + 1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +147,17 @@ class TestDatabase:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Database([])
+
+    @given(st.integers(1, 200).flatmap(
+        lambda d: st.tuples(st.just(d), st.sets(st.integers(0, 2**d - 1), min_size=1, max_size=20))
+    ))
+    def test_packed_matches_per_point_words(self, dim_values):
+        dim, values = dim_values
+        db = Database([Point(dim, v) for v in sorted(values)])
+        want = np.stack([p.packed() for p in db.points])
+        assert db.packed.dtype == np.uint64 and np.array_equal(db.packed, want)
+        assert db.words.flags.c_contiguous and np.array_equal(db.words, want.T)
+        assert not db.packed.flags.writeable and not db.words.flags.writeable
 
     def test_file_roundtrip(self, tmp_path):
         db = Database([Point(12, v) for v in (0, 0xABC, 0x123, 0xFFF)])

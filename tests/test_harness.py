@@ -1,9 +1,13 @@
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from annsim.core import hamming_dist
+from annsim import harness
+from annsim.cli import _config_from_args, build_parser, main
+from annsim.core import Point, hamming_dist
 from annsim.errors import ConfigError
 from annsim.harness import (
     CSV_HEADER,
@@ -16,8 +20,10 @@ from annsim.harness import (
     run_experiment,
     selftest,
     summarize,
+    validate_config,
     write_csv,
 )
+from annsim.randomness import TAG_DATA, PublicCoin, Stream
 
 
 class TestGenDatabase:
@@ -40,6 +46,91 @@ class TestGenDatabase:
     def test_infeasible_rejected(self):
         with pytest.raises(ConfigError):
             gen_database(32, 4, DatasetSpec(), seed=0)
+
+
+def reference_database(n, d, dataset, seed):
+    """gen_database drawn one point at a time: one Stream.words call per value."""
+    stream = Stream(PublicCoin(seed).stream_key(TAG_DATA))
+
+    def value():
+        words = stream.words((d + 63) // 64)
+        return int.from_bytes(words.tobytes(), "little") & ((1 << d) - 1)
+
+    x = value()
+    values, seen = [], set()
+    if dataset.kind == "planted":
+        planted = x
+        for j in stream.distinct_indices(dataset.plant_dist, d):
+            planted ^= 1 << j
+        values, seen = [planted], {planted}
+        for _ in range(10000 * n):
+            if len(values) == n:
+                break
+            v = value()
+            if v not in seen and (v ^ x).bit_count() > dataset.plant_gap:
+                seen.add(v)
+                values.append(v)
+        else:
+            raise ConfigError("could not sample enough far points; gap too large")
+    elif d <= 24 and n > 2 ** (d - 1):
+        values = stream.shuffled(list(range(2**d)))[:n]
+    while len(values) < n:
+        v = value()
+        if v not in seen:
+            seen.add(v)
+            values.append(v)
+    return stream.shuffled(values), x
+
+
+class TestGenDatabaseDifferential:
+    """gen_database draws each batch of still-needed values in one block;
+    the points, their order and the query must equal a per-point draw."""
+
+    @staticmethod
+    def check(n, d, dataset, seed):
+        db, x = gen_database(n, d, dataset, seed)
+        values, xv = reference_database(n, d, dataset, seed)
+        assert x == Point(d, xv)
+        assert [p.value for p in db.points] == values
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(2, 300),
+        seed=st.integers(0, 2**64 - 1),
+        planted=st.booleans(),
+        data=st.data(),
+    )
+    @example(n=20, d=6, seed=3, planted=False, data=None)  # many duplicate rejections
+    @example(n=16, d=4, seed=3, planted=False, data=None)  # dense regime
+    @example(n=30, d=130, seed=9, planted=False, data=None)
+    def test_matches_per_point_draw(self, n, d, seed, planted, data):
+        assume(d >= 64 or n <= 2**d)
+        dataset = DatasetSpec()
+        if planted:
+            # Gaps up to d/2 - 2 reject up to about half the uniform draws.
+            assume(d >= 16)
+            dist = data.draw(st.integers(0, 6))
+            gap = data.draw(st.integers(dist, d // 2 - 2))
+            dataset = DatasetSpec("planted", plant_dist=dist, plant_gap=gap)
+        self.check(n, d, dataset, seed)
+
+    @pytest.mark.parametrize("n,d,gap,seed", [
+        (40, 16, 10, 1),  # only about 1 in 5 uniform 16-bit values lies past distance 10
+        (40, 16, 10, 2),
+        (12, 8, 2, 4),  # 8-bit values: duplicates are rejected too
+    ])
+    def test_planted_rejections(self, n, d, gap, seed):
+        self.check(n, d, DatasetSpec("planted", plant_dist=1, plant_gap=gap), seed)
+
+    def test_too_few_far_points_is_a_config_error(self):
+        # Only the complement of x lies past distance 7 in the 8-cube.
+        dataset = DatasetSpec("planted", plant_dist=0, plant_gap=7)
+        with pytest.raises(ConfigError, match="could not sample enough far points"):
+            gen_database(3, 8, dataset, seed=5)
+        with pytest.raises(ConfigError):
+            reference_database(3, 8, dataset, seed=5)
+        self.check(2, 8, dataset, seed=5)
 
 
 def small_cfg(**kw):
@@ -106,6 +197,15 @@ class TestRunExperiment:
             assert r.rounds_used <= cfg.k
             # boosted candidate can only improve on any single repetition
             assert r.returned_dist >= r.exact_dist or r.returned_dist == -1
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            validate_config(small_cfg(jobs=jobs))
+
+    def test_jobs_up_to_cpu_count_accepted(self):
+        validate_config(small_cfg(jobs=1))
+        validate_config(small_cfg(jobs=os.cpu_count() or 1))
 
     def test_parallel_jobs_match_sequential(self):
         seq = run_experiment(small_cfg(trials=6, jobs=1))
@@ -182,6 +282,22 @@ class TestCli:
         )
         assert res.returncode == 2
         assert res.stderr.splitlines() == ["config error: seed must lie in [0, 2^64)"]
+
+    @pytest.mark.parametrize("jobs", ["0", str((os.cpu_count() or 1) + 1)])
+    def test_jobs_out_of_range_exit_code(self, jobs, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        argv = ["run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4",
+                "--k", "1", "--trials", "1", "--seed", "1", "--jobs", jobs]
+        with pytest.raises(ConfigError, match="jobs"):
+            validate_config(_config_from_args(build_parser().parse_args(argv)))
+        assert main(argv) == 2
+        cpus = os.cpu_count() or 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: jobs must lie in [1, {cpus}] (the cpu count)"
+        ]
 
     def test_selftest_command(self):
         res = self.run_cli("selftest")

@@ -58,16 +58,18 @@ class TestBernoulliMatrixBlocks:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        rows=st.integers(1, 320),
+        rows=st.integers(1, 336),
         blocks=st.integers(0, 3),
         tail=st.integers(0, 70),
-        p=st.sampled_from([0.0, 2.0**-20, 0.25, 1.0]),
+        p=st.sampled_from([0.0, 2.0**-20, 0.25, 1.0 - 2.0**-53, 1.0]),
         seed=st.integers(0, 2**64 - 1),
     )
     @example(rows=1, blocks=2, tail=5, p=0.25, seed=1)
     @example(rows=300, blocks=3, tail=17, p=2.0**-20, seed=2)
     @example(rows=300, blocks=2, tail=1, p=1.0, seed=3)
     @example(rows=64, blocks=1, tail=0, p=0.0, seed=4)
+    @example(rows=336, blocks=2, tail=3, p=1.0 - 2.0**-53, seed=5)
+    @example(rows=7, blocks=0, tail=1, p=0.25, seed=6)
     def test_rows_match_bernoulli_block(self, rows, blocks, tail, p, seed):
         count = blocks * self.block_width(rows) + tail
         keys = absorb_block(seed, np.arange(rows, dtype=np.uint64))
@@ -81,6 +83,21 @@ class TestBernoulliMatrixBlocks:
         count = self.block_width(3) + 9
         assert not bernoulli_matrix(keys, count, 0.0).any()
         assert bernoulli_matrix(keys, count, 1.0).all()
+
+    def test_cut_compares_the_top_53_bits(self):
+        # w < thr << 11 must equal (w >> 11) < thr exactly at the cut: a
+        # word whose top 53 bits equal thr fails even with low bits zero,
+        # and one whose top 53 bits are thr - 1 passes even with all low
+        # bits set. Streams whose first word sits on either side of the
+        # boundary pin the comparison's direction and width.
+        keys = absorb_block(11, np.arange(64, dtype=np.uint64))
+        words = np.array([raw64(int(k), 0) for k in keys], dtype=np.uint64)
+        for r, w in enumerate(words):
+            top = int(w) >> 11
+            for thr in (top, top + 1):
+                p = thr / 2.0**53
+                got = bernoulli_matrix(keys[r : r + 1], 1, p)[0, 0]
+                assert got == (thr > top) == bernoulli_block(int(keys[r]), 0, 1, p)[0]
 
 
 class TestCoinDerivation:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from annsim.core import Database, Params, Point
-from annsim.randomness import coin_for_trial
+from annsim.harness import DatasetSpec, gen_database
+from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.search_common import query_sketch
-from annsim.sketch import SketchVector, main_threshold, sketch_apply
+from annsim.sketch import SketchVector, derive_matrix, main_threshold, sketch_apply
 from annsim.tables import (
     EMPTY,
     KIND_MEMBER_EXACT,
@@ -12,6 +14,8 @@ from annsim.tables import (
     AuxAddress,
     DataPoint,
     SmallInt,
+    _candidate_mask,
+    _refinement_mask,
     aux_cell,
     main_cell,
     membership_cell,
@@ -206,6 +210,37 @@ class TestAuxCell:
         sets = exact_sets(x, db, coin, params, s_real=2.0)
         assert content == SmallInt(oracle_slot(sets, top, scales, 2.0, 3))
         assert content == SmallInt(2)
+
+
+class TestTablesMatchOracle:
+    """The table route (packed sketch kernels, memoized per database) and the
+    oracle route (dense float32 matmul over unpacked bits) build the same
+    candidate and refinement sets on random small instances."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(2, 300),
+        gamma=st.sampled_from([2.0, 4.0]),
+        s_real=st.sampled_from([1.0, 2.0, 3.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=40, d=130, gamma=4.0, s_real=2.0, seed=1)
+    @example(n=1, d=2, gamma=2.0, s_real=1.0, seed=2)
+    def test_candidate_and_refined_sets(self, n, d, gamma, s_real, seed):
+        assume(d >= 64 or n <= 2**d)
+        db, x = gen_database(n, d, DatasetSpec(), seed)
+        coin = PublicCoin(seed)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=8.0, c2=8.0)
+        sets = exact_sets(x, db, coin, params, s_real=s_real)
+        rows = params.r_aux(s_real)
+        for i in range(params.scale_count + 1):
+            mask = _candidate_mask(db, coin, params, i, query_sketch(coin, params, x, i))
+            assert frozenset(np.flatnonzero(mask).tolist()) == sets.sketch_ball(i)
+            for j in range(i + 1):
+                sk = sketch_apply(derive_matrix(coin, "aux", j, rows, d, params.alpha), x)
+                refined = mask & _refinement_mask(db, coin, params, j, sk, s_real)
+                assert frozenset(np.flatnonzero(refined).tolist()) == sets.refined(i, j)
 
 
 class TestAuxAddress:
