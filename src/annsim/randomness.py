@@ -94,6 +94,10 @@ def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
     one cache-sized column block at a time in reused scratch buffers: each
     block starts as one scalar add onto the block of first counters, and
     (w >> 11) < thr is tested as w < thr << 11, straight into a bool result.
+
+    The finalizer's last step, w = x ^ (x >> 31), leaves bits 33..63 of x as
+    they are, so when the cut is a multiple of 2^33 (every power-of-two rate
+    down to 2^-31) w < cut holds exactly when x < cut, and the step is skipped.
     """
     thr = int(_threshold(p))
     rows = len(keys)
@@ -102,6 +106,7 @@ def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
         out.fill(True)
         return out.view(np.uint8)
     cut = np.uint64(thr << 11)
+    mix = _mix if (thr << 11) % (1 << 33) == 0 else _finalize
     width = max(1, min(count, _BLOCK_BYTES // (8 * max(rows, 1))))
     steps = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     base = keys.astype(np.uint64)[:, None] + steps
@@ -111,7 +116,7 @@ def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
         w = min(width, count - start)
         x = scratch[: rows * w].reshape(rows, w)
         np.add(base[:, :w], np.uint64((start * _GOLDEN) & _MASK64), out=x)
-        _finalize(x, tmp[: rows * w].reshape(rows, w))
+        mix(x, tmp[: rows * w].reshape(rows, w))
         np.less(x, cut, out=out[:, start : start + w])
     return out.view(np.uint8)
 
@@ -121,12 +126,18 @@ def _threshold(p: float) -> np.uint64:
     return np.uint64(min(max(int(p * (1 << 53)), 0), 1 << 53))
 
 
-def _finalize(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied to uint64 `x` in place; `tmp` is scratch of x's shape."""
+def _mix(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The finalizer's two xorshift-multiply rounds, in place; `tmp` is scratch of x's shape."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(x, np.uint64(shift), out=tmp)
         np.bitwise_xor(x, tmp, out=x)
         np.multiply(x, np.uint64(mix), out=x)
+    return x
+
+
+def _finalize(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied to uint64 `x` in place; `tmp` is scratch of x's shape."""
+    _mix(x, tmp)
     np.right_shift(x, np.uint64(31), out=tmp)
     np.bitwise_xor(x, tmp, out=x)
     return x

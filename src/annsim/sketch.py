@@ -150,11 +150,14 @@ def derive_matrix(
         raise ValueError("rows must be >= 1")
     if role not in ("main", "aux"):
         raise ValueError(f"unknown sketch role {role!r}")
-    key = (coin.seed, role, scale, rows, dim, alpha)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        _touch(key)
-        return cached
+    cache = _COIN_MATRICES.get(coin.seed)
+    if cache is None:  # a new coin: the old coin's matrices are never read again
+        _COIN_MATRICES.clear()
+        cache = _COIN_MATRICES[coin.seed] = {}
+    key = (role, scale, rows, dim, alpha)
+    matrix = cache.get(key)
+    if matrix is not None:
+        return matrix
     rate = bernoulli_rate(alpha, scale)
     nwords = (dim + 63) // 64
     pad = nwords * 64 - dim
@@ -164,23 +167,14 @@ def derive_matrix(
     packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
     packed.flags.writeable = False
     matrix = SketchMatrix(role=role, scale=scale, rows=rows, dim=dim, rate=rate, packed=packed)
-    _MATRIX_CACHE[key] = matrix
-    _evict()
+    cache[key] = matrix
     return matrix
 
 
-# Tiny insertion-ordered cache; matrices at high dimension are ~0.5 MB each.
-_MATRIX_CACHE: dict = {}
-_MATRIX_CACHE_LIMIT = 96
-
-
-def _touch(key) -> None:
-    _MATRIX_CACHE[key] = _MATRIX_CACHE.pop(key)
-
-
-def _evict() -> None:
-    while len(_MATRIX_CACHE) > _MATRIX_CACHE_LIMIT:
-        _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
+# The matrices of the current coin only, as {coin seed: {(role, scale, rows,
+# dim, alpha): matrix}}. A trial's search, tables and oracle share one coin
+# and each trial draws a new one, so older coins' matrices are dropped.
+_COIN_MATRICES: dict[int, dict] = {}
 
 
 def sketch_apply(matrix: SketchMatrix, p: Point) -> SketchVector:
@@ -196,21 +190,49 @@ def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
     """Sketch bits of every database point: (n, rows) uint8.
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
-    many words is the parity of the XOR of the per-word ANDs. Each row
-    therefore gathers only its nonzero words from the database's word-major
-    array (`db.words`), folds them with XOR, and takes one popcount per point; sparse
-    high-scale rows cost in proportion to their nonzero words.
+    many words is the parity of the XOR of the per-word ANDs, to which zero
+    words add nothing. A dense row (at least half its words nonzero) ANDs
+    the whole word-major database array (`db.words`) into one reused buffer
+    and XOR-folds it. The other nonzero rows are taken in order of their
+    nonzero-word count, in chunks of about `_CHUNK_WORDS` gathered words:
+    each row's nonzero word indices come first, padded with indices of its
+    zero words to the chunk's longest row, so a chunk is one gather, one AND
+    and one XOR fold of a (rows, longest, n) block. All-zero rows give 0.
     """
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
-    words = db.words
-    out = np.empty((db.n, matrix.rows), dtype=np.uint8)
-    for r, row in enumerate(matrix.packed):
-        nz = np.flatnonzero(row)
-        masked = words[nz]
-        masked &= row[nz, None]
-        out[:, r] = np.bitwise_count(np.bitwise_xor.reduce(masked, axis=0)) & 1
-    return out
+    words, packed = db.words, matrix.packed
+    nonzero = np.count_nonzero(packed, axis=1)
+    dense = 2 * nonzero >= packed.shape[1]
+    out = np.zeros((matrix.rows, db.n), dtype=np.uint8)
+    buf = np.empty_like(words)
+    fold = np.empty(db.n, dtype=np.uint64)
+    for r in np.flatnonzero(dense):
+        np.bitwise_and(words, packed[r, :, None], out=buf)
+        np.bitwise_xor.reduce(buf, axis=0, out=fold)
+        np.bitwise_and(np.bitwise_count(fold), 1, out=out[r])
+    sparse = np.flatnonzero(~dense & (nonzero > 0))
+    sparse = sparse[np.argsort(nonzero[sparse], kind="stable")]
+    counts = nonzero[sparse]
+    rows = packed[sparse]
+    cols = np.argsort(rows == 0, axis=1, kind="stable")  # nonzero words first
+    per_point = max(1, _CHUNK_WORDS // db.n)
+    lo = 0
+    while lo < len(sparse):
+        # counts ascend, so a chunk ending at row j gathers (j - lo + 1) * counts[j] words per point
+        fits = np.arange(1, len(sparse) - lo + 1) * counts[lo:]
+        hi = lo + max(1, int(np.searchsorted(fits, per_point, side="right")))
+        chunk_cols = cols[lo:hi, : counts[hi - 1]]
+        gathered = words[chunk_cols]
+        gathered &= np.take_along_axis(rows[lo:hi], chunk_cols, axis=1)[:, :, None]
+        folded = np.bitwise_xor.reduce(gathered, axis=1)
+        out[sparse[lo:hi]] = np.bitwise_count(folded) & 1
+        lo = hi
+    return np.ascontiguousarray(out.T)
+
+
+# Words gathered per chunk of sparse rows: 512 KB of uint64, inside L2.
+_CHUNK_WORDS = 1 << 16
 
 
 def _vector_from_bits(bits: np.ndarray) -> SketchVector:

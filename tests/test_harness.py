@@ -7,8 +7,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from annsim import harness
 from annsim.cli import _config_from_args, build_parser, main
+from annsim.alg_general import run_general
+from annsim.alg_simple import run_simple
 from annsim.core import Point, hamming_dist
-from annsim.errors import ConfigError
+from annsim.errors import AssumptionViolated, ConfigError
 from annsim.harness import (
     CSV_HEADER,
     DatasetSpec,
@@ -23,7 +25,9 @@ from annsim.harness import (
     validate_config,
     write_csv,
 )
-from annsim.randomness import TAG_DATA, PublicCoin, Stream
+from annsim.near_search import run_near
+from annsim.probe_engine import ProbeSession
+from annsim.randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
 
 
 class TestGenDatabase:
@@ -207,7 +211,9 @@ class TestRunExperiment:
         validate_config(small_cfg(jobs=1))
         validate_config(small_cfg(jobs=os.cpu_count() or 1))
 
-    def test_parallel_jobs_match_sequential(self):
+    def test_parallel_jobs_match_sequential(self, monkeypatch):
+        # Two workers pass the --jobs cap whatever the host's cpu count is.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         seq = run_experiment(small_cfg(trials=6, jobs=1))
         par = run_experiment(small_cfg(trials=6, jobs=2))
         assert csv_lines(seq) == csv_lines(par)
@@ -224,6 +230,56 @@ class TestRunExperiment:
         for r in recs:
             assert r.probes_total == 1
             assert r.rounds_used == 1
+
+
+class TestTranscriptInvariants:
+    """Every search, on any small instance, keeps the cost model's rules:
+    distinct addresses within a round, at most k rounds, and at most
+    `probe_bound` probes."""
+
+    # The phased search spends up to two rounds per phase, and validation does
+    # not yet reject an override whose phases need more than k rounds, so
+    # general runs draw k from 5 to 8, enough for two phases at d <= 160.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        algo_k=st.one_of(
+            st.tuples(st.sampled_from(["simple", "near"]), st.integers(1, 6)),
+            st.tuples(st.just("general"), st.integers(5, 8)),
+        ),
+        n=st.integers(1, 40),
+        d=st.integers(8, 160),
+        override=st.sampled_from([(1, 2), (2, 4), (3, 2)]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(algo_k=("general", 5), n=40, d=160, override=(1, 2), seed=1)
+    @example(algo_k=("simple", 1), n=1, d=8, override=(1, 2), seed=2)
+    @example(algo_k=("near", 1), n=7, d=33, override=(1, 2), seed=3)
+    def test_rounds_probes_and_distinct_addresses(self, algo_k, n, d, override, seed):
+        algo, k = algo_k
+        cfg = small_cfg(algo=algo, n=n, d=d, k=k, seed=seed, c1=8.0, c2=8.0,
+                        override=override if algo == "general" else None,
+                        lam=4.0 if algo == "near" else 0.0)
+        validate_config(cfg)
+        params, gp = harness.params_for(cfg), harness.general_for(cfg)
+        db, x = gen_database(n, d, cfg.dataset, seed=PublicCoin(seed).stream_key(TAG_DATA, 0))
+        session = ProbeSession(db, coin_for_trial(seed, 0, 0), k, params,
+                               s_int=gp.s_int if gp else None, s_real=gp.s_real if gp else None)
+        try:
+            if algo == "simple":
+                run_simple(x, session, params)
+            elif algo == "general":
+                run_general(x, session, params, gp)
+            else:
+                run_near(x, cfg.lam, session, params)
+        except AssumptionViolated:
+            pass
+        transcript = session.close()
+        assert 1 <= transcript.rounds_used <= k
+        for batch in transcript.rounds:
+            addresses = [addr for addr, _ in batch]
+            assert len(set(addresses)) == len(addresses) > 0
+        assert transcript.probes_total == sum(len(b) for b in transcript.rounds)
+        assert transcript.probes_total <= probe_bound(cfg)
 
 
 class TestSummarize:

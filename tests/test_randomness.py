@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from annsim import randomness
@@ -14,6 +15,8 @@ from annsim.randomness import (
     raw64_block,
     splitmix64,
 )
+
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class TestGeneratorIdentity:
@@ -98,6 +101,81 @@ class TestBernoulliMatrixBlocks:
                 p = thr / 2.0**53
                 got = bernoulli_matrix(keys[r : r + 1], 1, p)[0, 0]
                 assert got == (thr > top) == bernoulli_block(int(keys[r]), 0, 1, p)[0]
+
+
+class TestFinalizerSkip:
+    """bernoulli_matrix drops the finalizer's last xorshift, w = x ^ (x >> 31),
+    when the cut thr << 11 is a multiple of 2^33: w and x agree on bits 33..63,
+    so they fall on the same side of such a cut."""
+
+    @pytest.mark.parametrize("cut", [2**33, 2**34, 3 * 2**33, 2**53, 2**63, 2**64 - 2**33,
+                                     0x9E3779B9 << 33, 0x7FFFFFFF << 33])
+    def test_rule_at_cuts_that_are_multiples_of_2_to_33(self, cut):
+        for x in (cut - 1, cut, cut + 2**33 - 1, cut + 2**33):
+            x &= 2**64 - 1
+            w = x ^ (x >> 31)
+            assert (w < cut) == (x < cut), hex(x)
+
+    def test_rule_fails_off_the_multiples(self):
+        # At a cut with any of its low 33 bits set, some word lands on the
+        # other side once the last step is applied.
+        cut = 2**40 + 2**8
+        x = 2**40
+        assert (x < cut) != ((x ^ (x >> 31)) < cut)
+
+    @pytest.mark.parametrize("k", range(2, 32))
+    def test_power_of_two_rates_match_bernoulli_block(self, k):
+        rows = 5
+        count = randomness._BLOCK_BYTES // (8 * rows) + 37
+        keys = absorb_block(1000 + k, np.arange(rows, dtype=np.uint64))
+        mat = bernoulli_matrix(keys, count, 2.0**-k)
+        for r in range(rows):
+            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, 2.0**-k))
+
+    @pytest.mark.parametrize("p", [0.3, 1 / 12, 0.25 + 2.0**-40, 2.0**-31 * 3, 2.0**-32, 1e-12])
+    def test_other_rates_match_bernoulli_block(self, p):
+        rows = 4
+        count = randomness._BLOCK_BYTES // (8 * rows) + 11
+        keys = absorb_block(77, np.arange(rows, dtype=np.uint64))
+        mat = bernoulli_matrix(keys, count, p)
+        for r in range(rows):
+            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, p))
+
+    def test_cut_one_bit_off_the_rule(self):
+        # Cuts that are multiples of 2^32 but not of 2^33: when bit 63 of x is
+        # set, the last step flips bit 32, so x and w straddle a cut that
+        # shares x's bits 33..63 and has bit 32 set.
+        keys = absorb_block(29, np.arange(64, dtype=np.uint64))
+        straddled = 0
+        for key in keys:
+            first = np.array([(int(key) + _GOLDEN) % 2**64], dtype=np.uint64)
+            x = int(randomness._mix(first, np.empty_like(first))[0])
+            if not x >> 63:
+                continue
+            cut = (x >> 33) << 33 | 1 << 32
+            p = (cut >> 11) / 2.0**53
+            want = bernoulli_block(int(key), 0, 1, p)[0]
+            assert want != (x < cut)
+            assert bernoulli_matrix(np.array([key]), 1, p)[0, 0] == want
+            straddled += 1
+        assert straddled > 10
+
+    def test_cut_between_the_last_two_steps(self):
+        # A word whose value before and after the last xorshift straddles the
+        # cut: only the full finalizer gets it right, and such a cut is never
+        # a multiple of 2^33.
+        keys = absorb_block(23, np.arange(32, dtype=np.uint64))
+        for key in keys:
+            w = raw64(int(key), 0)
+            first = np.array([(int(key) + _GOLDEN) % 2**64], dtype=np.uint64)
+            x = int(randomness._mix(first, np.empty_like(first))[0])
+            assert x ^ (x >> 31) == w
+            thr = max(w, x) >> 11
+            assert (thr << 11) % 2**33 != 0
+            p = thr / 2.0**53
+            want = bernoulli_block(int(key), 0, 1, p)[0]
+            assert want == (w < thr << 11)
+            assert bernoulli_matrix(np.array([key]), 1, p)[0, 0] == want
 
 
 class TestCoinDerivation:

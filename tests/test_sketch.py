@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from annsim import sketch
 from annsim.core import Point
 from annsim.errors import DimensionMismatch
 from annsim.oracle import _db_bits, _parity_product
@@ -200,6 +202,95 @@ class TestSketchApplyBatchDifferential:
         assert ((nonzero_words > 0) & (nonzero_words < m.packed.shape[1])).any()
         dense = self.check(n=20, d=1000, scale=0, rows=8, seed=11)
         assert (np.count_nonzero(dense.packed, axis=1) == dense.packed.shape[1]).all()
+
+
+class TestSketchApplyBatchRowKinds:
+    """Matrices built row by row from dense, sparse and all-zero rows, so that
+    both access patterns of sketch_apply_batch and its chunking of sparse rows
+    are exercised at every mix, against the oracle route and the per-point
+    kernel."""
+
+    @staticmethod
+    def mixed_matrix(kinds: list[str], d: int, seed: int) -> SketchMatrix:
+        rng = np.random.default_rng(seed)
+        nwords = (d + 63) // 64
+        packed = np.zeros((len(kinds), nwords), dtype=np.uint64)
+        for r, kind in enumerate(kinds):
+            if kind == "zero":
+                continue
+            nz = {
+                "dense": nwords,
+                "half": (nwords + 1) // 2,
+                "sparse": max(1, rng.integers(0, (nwords + 1) // 2)),
+                "one": 1,
+            }[kind]
+            cols = rng.choice(nwords, size=nz, replace=False)
+            packed[r, cols] = rng.integers(1, 2**64, size=nz, dtype=np.uint64)
+        if d % 64:
+            packed[:, -1] &= np.uint64((1 << (d % 64)) - 1)
+            # a masked word that came out zero would change the row's kind
+            packed[(packed == 0).all(axis=1) & (np.array(kinds) != "zero"), 0] = 1
+        return SketchMatrix(role="main", scale=0, rows=len(kinds), dim=d, rate=0.0, packed=packed)
+
+    @staticmethod
+    def check(m: SketchMatrix, db) -> None:
+        batch = sketch_apply_batch(m, db)
+        assert batch.shape == (db.n, m.rows) and batch.dtype == np.uint8
+        assert np.array_equal(batch, _parity_product(_db_bits(db), m.bits_matrix()))
+        for i, p in enumerate(db.points):
+            assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(5, 700),
+        kinds=st.lists(st.sampled_from(["dense", "half", "sparse", "one", "zero"]),
+                       min_size=1, max_size=20),
+        chunk_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=1, d=700, kinds=["sparse", "zero", "dense", "one", "sparse"], chunk_rows=1, seed=1)
+    @example(n=5, d=130, kinds=["one", "one", "zero", "one", "half", "one"], chunk_rows=2, seed=2)
+    @example(n=3, d=64, kinds=["zero", "zero"], chunk_rows=1, seed=3)
+    def test_matches_oracle_and_single(self, n, d, kinds, chunk_rows, seed):
+        db, _ = make_instance(n=n, d=d, seed=seed % 1000)
+        m = self.mixed_matrix(kinds, d, seed)
+        # Chunks hold about `chunk_rows` one-word rows, so sparse rows split
+        # across several chunks.
+        with mock.patch.object(sketch, "_CHUNK_WORDS", chunk_rows * n):
+            self.check(m, db)
+        self.check(m, db)
+
+    def test_sparse_rows_split_across_chunks_at_full_chunk_size(self):
+        # 300 points: a default chunk holds 218 row words per point, so these
+        # 90 rows of 1 to 7 nonzero words (of 16) span two chunks or more.
+        db, _ = make_instance(n=300, d=1000, seed=4)
+        m = self.mixed_matrix(["sparse"] * 90 + ["dense", "zero"], 1000, 4)
+        per_row = np.count_nonzero(m.packed, axis=1)
+        assert per_row[:90].sum() * db.n > sketch._CHUNK_WORDS
+        self.check(m, db)
+
+
+class TestMatrixCache:
+    """derive_matrix keeps only the current coin's matrices."""
+
+    def test_same_coin_returns_the_same_object(self):
+        coin = coin_for_trial(31, 0, 0)
+        a = derive_matrix(coin, "main", 2, 8, 200, 2.0)
+        assert derive_matrix(coin, "main", 2, 8, 200, 2.0) is a
+        assert derive_matrix(coin_for_trial(31, 0, 0), "main", 2, 8, 200, 2.0) is a
+        assert derive_matrix(coin, "aux", 2, 8, 200, 2.0) is not a
+
+    def test_new_coin_evicts_the_old_coins_matrices(self):
+        old, new = coin_for_trial(31, 1, 0), coin_for_trial(31, 2, 0)
+        a = derive_matrix(old, "main", 1, 8, 200, 2.0)
+        b = derive_matrix(new, "main", 1, 8, 200, 2.0)
+        assert list(sketch._COIN_MATRICES) == [new.seed]
+        assert all(m is not a for m in sketch._COIN_MATRICES[new.seed].values())
+        again = derive_matrix(old, "main", 1, 8, 200, 2.0)
+        assert again is not a and np.array_equal(again.packed, a.packed)
+        assert list(sketch._COIN_MATRICES) == [old.seed]
+        assert derive_matrix(new, "main", 1, 8, 200, 2.0) is not b
 
 
 def _bits_of(p: Point):
