@@ -14,10 +14,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .alg_general import GeneralParams, override_params, params_general, probe_bound_general, run_general
 from .alg_simple import probe_bound_simple, run_simple
 from .core import Database, Params, Point, hamming_dist
-from .errors import AssumptionViolated, ConfigError
+from .errors import AssumptionViolated, ConfigError, RoundBudgetExceeded
 from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from .probe_engine import open_session
@@ -229,6 +231,13 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
                 candidate = answer.point
         except AssumptionViolated:
             candidate = None
+        except RoundBudgetExceeded as exc:
+            # Only the general search can run out: each of its phases can take
+            # two rounds, and an override (s, tau) is not sized to k.
+            raise ConfigError(
+                f"round budget k={cfg.k} ran out in trial {trial}: "
+                "the search's phases need more rounds; raise --k"
+            ) from exc
         transcript = session.close()
         probes_sum += transcript.probes_total
         rounds_max = max(rounds_max, transcript.rounds_used)
@@ -423,11 +432,24 @@ def selftest(verbose: bool = True) -> bool:
         if not ok:
             failures.append(name)
 
+    from .randomness import bernoulli_matrix, bernoulli_matrix_numpy, generator_path
     from .sketch import derive_matrix
     from .tables import EMPTY, main_cell
     from .search_common import query_sketch
 
+    # The numpy fallback is a supported path, not a failure; a loaded C kernel
+    # must give the numpy kernel's bits.
+    path = generator_path()
+    if verbose:
+        print(f"  generator: {path}")
     coin = coin_for_trial(1234, 0, 0)
+    if path == "native":
+        keys = coin.row_keys("main", 0, 9)
+        check(
+            "native generator matches the numpy kernel",
+            all(np.array_equal(bernoulli_matrix(keys, 130, p), bernoulli_matrix_numpy(keys, 130, p))
+                for p in (0.25, 0.3)),
+        )
     m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     check("matrix derivation is deterministic", (m1.packed == m2.packed).all())

@@ -1,11 +1,12 @@
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from annsim import harness
+from annsim import harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
 from annsim.alg_general import run_general
 from annsim.alg_simple import run_simple
@@ -303,6 +304,28 @@ class TestSelftest:
     def test_passes(self, capsys):
         assert selftest(verbose=False)
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_reports_and_checks_the_native_generator(self, capsys):
+        assert selftest(verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert "  generator: native" in lines
+        assert "  ok  native generator matches the numpy kernel" in lines
+
+    def test_numpy_fallback_is_reported_not_failed(self, capsys, monkeypatch):
+        monkeypatch.setattr(randomness, "_native", (None, "numpy (no C compiler: cc is not on PATH)"))
+        assert selftest(verbose=True)
+        out = capsys.readouterr().out
+        assert "  generator: numpy (no C compiler: cc is not on PATH)\n" in out
+        assert "native generator" not in out
+
+    def test_a_wrong_native_generator_fails(self, capsys, monkeypatch):
+        def all_zero(keys, rows, count, cut, out):
+            out.fill(0)
+
+        monkeypatch.setattr(randomness, "_native", (all_zero, "native"))
+        assert not selftest(verbose=True)
+        assert "  FAIL  native generator matches the numpy kernel" in capsys.readouterr().out.splitlines()
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -353,6 +376,18 @@ class TestCli:
         cpus = os.cpu_count() or 1
         assert capsys.readouterr().err.splitlines() == [
             f"config error: jobs must lie in [1, {cpus}] (the cpu count)"
+        ]
+
+    def test_round_budget_too_small_for_the_phases_exit_code(self):
+        res = self.run_cli(
+            "run", "--algo", "general", "--n", "16", "--d", "64", "--gamma", "4",
+            "--k", "1", "--override-s", "1", "--override-tau", "2", "--trials", "1",
+            "--seed", "0",
+        )
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            "config error: round budget k=1 ran out in trial 0: "
+            "the search's phases need more rounds; raise --k"
         ]
 
     def test_selftest_command(self):

@@ -1,6 +1,12 @@
+import json
+import shutil
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import randomness
 from annsim.randomness import (
@@ -59,7 +65,10 @@ class TestBernoulliMatrixBlocks:
     def block_width(rows: int) -> int:
         return randomness._BLOCK_BYTES // (8 * rows)
 
-    @settings(max_examples=25, deadline=None)
+    # TestBernoulliMatrixBlocksNumpy runs this method too, under another class;
+    # the examples are valid for both kernels, so that is not a hazard here.
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(
         rows=st.integers(1, 336),
         blocks=st.integers(0, 3),
@@ -101,6 +110,18 @@ class TestBernoulliMatrixBlocks:
                 p = thr / 2.0**53
                 got = bernoulli_matrix(keys[r : r + 1], 1, p)[0, 0]
                 assert got == (thr > top) == bernoulli_block(int(keys[r]), 0, 1, p)[0]
+
+    def test_a_word_equal_to_the_cut_fails(self):
+        # Streams whose first word has its low 11 bits clear, at the rate
+        # whose cut is that word: the comparison is strict, so the bit is 0.
+        keys = absorb_block(13, np.arange(1 << 14, dtype=np.uint64))
+        words = randomness._finalize(keys + np.uint64(_GOLDEN), np.empty_like(keys))
+        exact = keys[(words & np.uint64(0x7FF)) == 0]
+        assert len(exact) > 0
+        for key in exact:
+            p = (raw64(int(key), 0) >> 11) / 2.0**53
+            assert bernoulli_block(int(key), 0, 1, p)[0] == 0
+            assert bernoulli_matrix(np.array([key]), 3, p)[0, 0] == 0
 
 
 class TestFinalizerSkip:
@@ -176,6 +197,97 @@ class TestFinalizerSkip:
             want = bernoulli_block(int(key), 0, 1, p)[0]
             assert want == (w < thr << 11)
             assert bernoulli_matrix(np.array([key]), 1, p)[0, 0] == want
+
+
+@pytest.fixture(scope="class")
+def numpy_kernel():
+    """Switch the native kernel off for one class: bernoulli_matrix then runs
+    its numpy kernel. Class-scoped, so hypothesis tests may use it."""
+    saved = randomness._native
+    randomness._native = (None, "numpy (switched off by the test)")
+    yield
+    randomness._native = saved
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestGeneratorIdentityNumpy(TestGeneratorIdentity):
+    """TestGeneratorIdentity on the numpy kernel."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestBernoulliMatrixBlocksNumpy(TestBernoulliMatrixBlocks):
+    """TestBernoulliMatrixBlocks on the numpy kernel."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestFinalizerSkipNumpy(TestFinalizerSkip):
+    """TestFinalizerSkip on the numpy kernel."""
+
+
+class TestNativeKernel:
+    """bernoulli_matrix builds its C twin on first use and falls back to the
+    numpy kernel, with the same bits, wherever that build fails."""
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_native_kernel_loads_where_cc_exists(self):
+        # Without this, a broken build would quietly send the classes above
+        # and their Numpy twins through the same numpy kernel.
+        assert randomness.generator_path() == "native"
+
+    @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing"])
+    def test_failed_build_falls_back_to_the_same_bits(self, breakage, monkeypatch, tmp_path):
+        monkeypatch.setattr(randomness, "_native", None)
+        if breakage == "no cc on PATH":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        elif breakage == "compile error":
+            monkeypatch.setattr(randomness, "_C_SOURCE", "#error no kernel here\n")
+        else:
+            monkeypatch.setattr(randomness, "_C_SOURCE", "int not_the_kernel;\n")
+        keys = absorb_block(99, np.arange(6, dtype=np.uint64))
+        for p in (0.25, 0.3, 1.0):
+            mat = bernoulli_matrix(keys, 300, p)
+            for r in range(6):
+                assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, 300, p))
+        assert randomness.generator_path().startswith("numpy (")
+        assert randomness._native[0] is None
+
+    def test_import_and_validation_build_nothing(self):
+        # set-up time (import plus validate_config) must not pay for the build:
+        # no process starts and no shared library loads until the first matrix.
+        code = textwrap.dedent("""
+            import ctypes, json, subprocess
+            events = []
+            def spy(name, real):
+                def wrapper(self, *args, **kwargs):
+                    events.append(name)
+                    return real(self, *args, **kwargs)
+                return wrapper
+            subprocess.Popen.__init__ = spy("process", subprocess.Popen.__init__)
+            ctypes.CDLL.__init__ = spy("library", ctypes.CDLL.__init__)
+            import numpy as np
+            import annsim
+            from annsim import randomness
+            from annsim.harness import DatasetSpec, ExperimentConfig, validate_config
+            for cfg in (
+                ExperimentConfig(algo="simple", n=256, d=2**14, gamma=4.0, k=2, trials=100,
+                                 seed=1, c1=8.0, c2=8.0, check_assumptions=False),
+                ExperimentConfig(algo="general", n=128, d=4096, gamma=4.0, k=8, trials=100,
+                                 seed=1, override=(2, 4),
+                                 dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40)),
+            ):
+                validate_config(cfg)
+            before, built = list(events), randomness._native
+            randomness.bernoulli_matrix(np.arange(2, dtype=np.uint64), 8, 0.25)
+            print(json.dumps({"before": before, "built": built is not None,
+                              "after": events, "path": randomness.generator_path()}))
+        """)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300)
+        assert res.returncode == 0, res.stderr
+        seen = json.loads(res.stdout)
+        assert seen["before"] == [] and not seen["built"]
+        if seen["path"] == "native":  # the spies do see a build when one happens
+            assert "process" in seen["after"] and "library" in seen["after"]
 
 
 class TestCoinDerivation:
