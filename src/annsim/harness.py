@@ -432,16 +432,17 @@ def selftest(verbose: bool = True) -> bool:
         if not ok:
             failures.append(name)
 
-    from .randomness import bernoulli_matrix, bernoulli_matrix_numpy, generator_path
-    from .sketch import derive_matrix
+    from . import _native
+    from .randomness import bernoulli_matrix, bernoulli_matrix_numpy
+    from .sketch import SketchMatrix, derive_matrix, sketch_apply_batch, sketch_apply_batch_numpy
     from .tables import EMPTY, main_cell
     from .search_common import query_sketch
 
-    # The numpy fallback is a supported path, not a failure; a loaded C kernel
-    # must give the numpy kernel's bits.
-    path = generator_path()
+    # The numpy fallback is a supported path, not a failure; loaded C kernels
+    # must give the numpy kernels' bits.
+    path = _native.status()
     if verbose:
-        print(f"  generator: {path}")
+        print(f"  kernels: {path}")
     coin = coin_for_trial(1234, 0, 0)
     if path == "native":
         keys = coin.row_keys("main", 0, 9)
@@ -449,6 +450,15 @@ def selftest(verbose: bool = True) -> bool:
             "native generator matches the numpy kernel",
             all(np.array_equal(bernoulli_matrix(keys, 130, p), bernoulli_matrix_numpy(keys, 130, p))
                 for p in (0.25, 0.3)),
+        )
+        # Dense rows (scale 0), rows with few nonzero words (scale 6) and an all-zero row.
+        db, _ = gen_database(20, 300, DatasetSpec(), seed=coin.stream_key(TAG_DATA, 0))
+        packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
+                            for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
+        m = SketchMatrix(role="main", scale=0, rows=13, dim=300, rate=0.0, packed=packed)
+        check(
+            "native sketch kernel matches the numpy kernel",
+            np.array_equal(sketch_apply_batch(m, db), sketch_apply_batch_numpy(m, db)),
         )
     m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)

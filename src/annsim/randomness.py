@@ -22,10 +22,11 @@ every test tolerance in the suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -91,17 +92,17 @@ def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
     """One Bernoulli(p) row of `count` bits per stream key, as (len(keys), count) uint8.
 
     Row i is bit-identical to bernoulli_block(keys[i], 0, count, p), and
-    (w >> 11) < thr is tested as w < thr << 11. The first call in a process
-    builds the C twin of :func:`bernoulli_matrix_numpy` (see
-    :func:`generator_path`); where that cannot be built, the numpy kernel runs.
+    (w >> 11) < thr is tested as w < thr << 11. The C twin of
+    :func:`bernoulli_matrix_numpy` runs where the C kernels load (see
+    :mod:`annsim._native`); elsewhere, the numpy kernel runs.
     """
-    kernel = _native_kernel()
+    native = _native.kernels()
     thr = int(_threshold(p))
-    if kernel is None or thr == 1 << 53:  # at p >= 1, thr << 11 overflows 64 bits
+    if native is None or thr == 1 << 53:  # at p >= 1, thr << 11 overflows 64 bits
         return bernoulli_matrix_numpy(keys, count, p)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     out = np.empty((len(keys), count), dtype=np.uint8)
-    kernel(keys, len(keys), count, thr << 11, out)
+    native.bernoulli_matrix(keys, len(keys), count, thr << 11, out)
     return out
 
 
@@ -137,86 +138,6 @@ def bernoulli_matrix_numpy(keys: np.ndarray, count: int, p: float) -> np.ndarray
         mix(x, tmp[: rows * w].reshape(rows, w))
         np.less(x, cut, out=out[:, start : start + w])
     return out.view(np.uint8)
-
-
-# The C twin of bernoulli_matrix_numpy: the same words and the same test
-# against the cut, one entry at a time, with the frozen constants above.
-_C_SOURCE = r"""
-#include <stddef.h>
-#include <stdint.h>
-
-void bernoulli_matrix(const uint64_t *keys, size_t rows, size_t count,
-                      uint64_t cut, uint8_t *out)
-{
-    for (size_t r = 0; r < rows; r++, out += count)
-        for (size_t c = 0; c < count; c++) {
-            uint64_t x = keys[r] + (uint64_t)(c + 1) * %(golden)#xULL;
-            x = (x ^ (x >> 30)) * %(mix1)#xULL;
-            x = (x ^ (x >> 27)) * %(mix2)#xULL;
-            out[c] = (x ^ (x >> 31)) < cut;
-        }
-}
-""" % {"golden": _GOLDEN, "mix1": _MIX1, "mix2": _MIX2}
-
-# None until the first bernoulli_matrix call of the process; then the pair
-# (loaded C function or None, generator path as generator_path() reports it).
-_native: tuple | None = None
-
-
-def generator_path() -> str:
-    """Which kernel bernoulli_matrix runs in this process: "native", or
-    "numpy (<why the C kernel is not loaded>)". Builds the C kernel if no
-    call has yet."""
-    _native_kernel()
-    return _native[1]
-
-
-def _native_kernel():
-    global _native
-    if _native is None:
-        _native = _build_native()
-    return _native[0]
-
-
-def _build_native() -> tuple:
-    """Compile the C kernel in a private temporary directory and load it.
-
-    Nothing is kept on disk: the directory, with the source and the shared
-    library, is deleted once the library is loaded.
-    """
-    import ctypes
-    import shutil
-    import subprocess
-    import tempfile
-
-    cc = shutil.which("cc")
-    if cc is None:
-        return None, "numpy (no C compiler: cc is not on PATH)"
-    with tempfile.TemporaryDirectory(prefix="annsim-", ignore_cleanup_errors=True) as tmp:
-        src, lib = os.path.join(tmp, "bernoulli.c"), os.path.join(tmp, "bernoulli.so")
-        with open(src, "w", encoding="ascii") as fh:
-            fh.write(_C_SOURCE)
-        try:
-            built = subprocess.run([cc, "-O3", "-march=native", "-shared", "-fPIC", "-o", lib, src],
-                                   capture_output=True, text=True, timeout=120)
-        except (OSError, subprocess.SubprocessError) as exc:
-            return None, f"numpy (cc could not run: {exc})"
-        if built.returncode != 0:
-            first = (built.stderr.strip().splitlines() or ["no message"])[0]
-            return None, f"numpy (cc exited with {built.returncode}: {first})"
-        try:
-            kernel = ctypes.CDLL(lib).bernoulli_matrix
-        except (OSError, AttributeError) as exc:
-            return None, f"numpy (the C kernel did not load: {exc})"
-    kernel.argtypes = [
-        np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS"),
-        ctypes.c_size_t,
-        ctypes.c_size_t,
-        ctypes.c_uint64,
-        np.ctypeslib.ndpointer(np.uint8, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE")),
-    ]
-    kernel.restype = None
-    return kernel, "native"
 
 
 def _threshold(p: float) -> np.uint64:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .core import Database, Params, Point
 from .errors import DimensionMismatch
 from .randomness import PublicCoin, bernoulli_matrix
@@ -123,6 +124,12 @@ class SketchMatrix:
     rate: float
     packed: np.ndarray  # (rows, ceil(dim/64)) uint64, bits above dim zero
 
+    def __post_init__(self) -> None:
+        # The sketch kernels, the C one included, read exactly these words.
+        if self.packed.shape != (self.rows, (self.dim + 63) // 64):
+            raise ValueError(f"packed words {self.packed.shape} do not match "
+                             f"{self.rows} rows of dim {self.dim}")
+
     def row_bits(self, r: int) -> np.ndarray:
         raw = self.packed[r].tobytes()
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: self.dim]
@@ -188,6 +195,28 @@ def sketch_apply(matrix: SketchMatrix, p: Point) -> SketchVector:
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
     """Sketch bits of every database point: (n, rows) uint8.
+
+    Bit (j, r) is parity(row_r AND point_j). The C twin of
+    :func:`sketch_apply_batch_numpy` runs where the C kernels load (see
+    :mod:`annsim._native`): per row, it XORs the ANDs of the row's nonzero
+    words with the word-major database array (`db.words`) into one n-word
+    accumulator and writes a popcount parity per point straight into the
+    row's column. Elsewhere, the numpy kernel runs.
+    """
+    native = _native.kernels()
+    if native is None:
+        return sketch_apply_batch_numpy(matrix, db)
+    if matrix.dim != db.dim:
+        raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
+    packed = np.ascontiguousarray(matrix.packed)
+    out = np.empty((db.n, matrix.rows), dtype=np.uint8)
+    native.sketch_apply_batch(db.words, db.n, packed, matrix.rows, packed.shape[1],
+                              np.empty(db.n, dtype=np.uint64), out)
+    return out
+
+
+def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
+    """The numpy kernel of :func:`sketch_apply_batch`, and the reference for its C twin.
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
     many words is the parity of the XOR of the per-word ANDs, to which zero

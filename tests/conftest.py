@@ -1,5 +1,6 @@
 import pytest
 
+from annsim import _native
 from annsim.core import Params, Point
 from annsim.harness import DatasetSpec, gen_database
 from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
@@ -8,6 +9,17 @@ from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
 @pytest.fixture
 def coin():
     return coin_for_trial(424242, 0, 0)
+
+
+@pytest.fixture(scope="class")
+def numpy_kernel():
+    """Switch the C kernels off for one class: bernoulli_matrix and
+    sketch_apply_batch then run their numpy kernels. Class-scoped, so
+    hypothesis tests may use it."""
+    saved = _native._state
+    _native._state = (None, "numpy (switched off by the test)")
+    yield
+    _native._state = saved
 
 
 def make_params(n=32, d=64, gamma=4.0, k=2, c1=8.0, c2=8.0, **kw):

@@ -2,11 +2,13 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from annsim import harness, randomness
+from annsim import _native, harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
 from annsim.alg_general import run_general
 from annsim.alg_simple import run_simple
@@ -306,25 +308,51 @@ class TestSelftest:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_reports_and_checks_the_native_generator(self, capsys):
+        # ... and the native sketch kernel: the two load together.
         assert selftest(verbose=True)
         lines = capsys.readouterr().out.splitlines()
-        assert "  generator: native" in lines
+        assert "  kernels: native" in lines
         assert "  ok  native generator matches the numpy kernel" in lines
+        assert "  ok  native sketch kernel matches the numpy kernel" in lines
 
     def test_numpy_fallback_is_reported_not_failed(self, capsys, monkeypatch):
-        monkeypatch.setattr(randomness, "_native", (None, "numpy (no C compiler: cc is not on PATH)"))
+        monkeypatch.setattr(_native, "_state", (None, "numpy (no C compiler: cc is not on PATH)"))
         assert selftest(verbose=True)
         out = capsys.readouterr().out
-        assert "  generator: numpy (no C compiler: cc is not on PATH)\n" in out
-        assert "native generator" not in out
+        assert "  kernels: numpy (no C compiler: cc is not on PATH)\n" in out
+        assert "native" not in out.replace("kernels: numpy", "")
 
     def test_a_wrong_native_generator_fails(self, capsys, monkeypatch):
-        def all_zero(keys, rows, count, cut, out):
-            out.fill(0)
+        self.check_a_wrong_kernel_fails("generator", capsys, monkeypatch)
 
-        monkeypatch.setattr(randomness, "_native", (all_zero, "native"))
+    def test_a_wrong_native_sketch_kernel_fails(self, capsys, monkeypatch):
+        self.check_a_wrong_kernel_fails("sketch kernel", capsys, monkeypatch)
+
+    @staticmethod
+    def check_a_wrong_kernel_fails(wrong, capsys, monkeypatch):
+        def all_zero(*args):
+            args[-1].fill(0)
+
+        kernels = SimpleNamespace(bernoulli_matrix=_generator_twin, sketch_apply_batch=_sketch_twin)
+        setattr(kernels, {"generator": "bernoulli_matrix", "sketch kernel": "sketch_apply_batch"}[wrong],
+                all_zero)
+        monkeypatch.setattr(_native, "_state", (kernels, "native"))
         assert not selftest(verbose=True)
-        assert "  FAIL  native generator matches the numpy kernel" in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  FAIL  native {wrong} matches the numpy kernel" in lines
+        right = {"generator": "sketch kernel", "sketch kernel": "generator"}[wrong]
+        assert f"  ok  native {right} matches the numpy kernel" in lines
+
+
+def _generator_twin(keys, rows, count, cut, out):
+    """The C generator's answer, in its calling convention."""
+    x = keys[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(randomness._GOLDEN)
+    out[:] = randomness._finalize(x, np.empty_like(x)) < np.uint64(cut)
+
+
+def _sketch_twin(words, n, packed, rows, nwords, acc, out):
+    """The C sketch kernel's answer, in its calling convention."""
+    out[:] = (np.bitwise_count(np.bitwise_xor.reduce(words & packed[:, :, None], axis=1)) & 1).T
 
 
 class TestCli:
@@ -389,6 +417,32 @@ class TestCli:
             "config error: round budget k=1 ran out in trial 0: "
             "the search's phases need more rounds; raise --k"
         ]
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("args", [
+        ("--algo", "simple", "--n", "48", "--d", "300", "--gamma", "4", "--k", "2",
+         "--trials", "6", "--seed", "21"),
+        ("--algo", "general", "--n", "32", "--d", "200", "--gamma", "4", "--k", "4",
+         "--override-s", "2", "--override-tau", "2", "--dataset", "planted",
+         "--plant-dist", "3", "--plant-gap", "20", "--trials", "4", "--seed", "22"),
+    ], ids=["simple", "general-checked"])
+    def test_csv_bytes_do_not_depend_on_the_kernels(self, args, tmp_path):
+        # The same run on the C kernels and, with no cc on PATH, on the numpy
+        # kernels; the kernel status goes to stderr, after the run.
+        script = ("import sys; from annsim import _native; from annsim.cli import main; "
+                  "code = main(sys.argv[1:]); print(_native.status(), file=sys.stderr); "
+                  "sys.exit(code)")
+        csv = {}
+        for name, path in (("native", os.environ.get("PATH", "")), ("numpy", str(tmp_path))):
+            out = tmp_path / f"{name}.csv"
+            res = subprocess.run([sys.executable, "-c", script, "run", *args, "--out", str(out)],
+                                 capture_output=True, text=True, timeout=300,
+                                 env=dict(os.environ, PATH=path))
+            assert res.returncode == 0, res.stderr
+            assert res.stderr.splitlines()[-1].split(" ")[0] == name
+            csv[name] = out.read_bytes()
+        assert csv["native"] == csv["numpy"]
+        assert csv["native"].decode().splitlines()[0] == CSV_HEADER
 
     def test_selftest_command(self):
         res = self.run_cli("selftest")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from annsim import randomness
+from annsim import _native, randomness
+from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import (
     PublicCoin,
     Stream,
@@ -21,6 +22,9 @@ from annsim.randomness import (
     raw64_block,
     splitmix64,
 )
+from annsim.sketch import SketchMatrix, derive_matrix, sketch_apply_batch
+
+from conftest import make_instance
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -199,16 +203,6 @@ class TestFinalizerSkip:
             assert bernoulli_matrix(np.array([key]), 1, p)[0, 0] == want
 
 
-@pytest.fixture(scope="class")
-def numpy_kernel():
-    """Switch the native kernel off for one class: bernoulli_matrix then runs
-    its numpy kernel. Class-scoped, so hypothesis tests may use it."""
-    saved = randomness._native
-    randomness._native = (None, "numpy (switched off by the test)")
-    yield
-    randomness._native = saved
-
-
 @pytest.mark.usefixtures("numpy_kernel")
 class TestGeneratorIdentityNumpy(TestGeneratorIdentity):
     """TestGeneratorIdentity on the numpy kernel."""
@@ -225,31 +219,43 @@ class TestFinalizerSkipNumpy(TestFinalizerSkip):
 
 
 class TestNativeKernel:
-    """bernoulli_matrix builds its C twin on first use and falls back to the
-    numpy kernel, with the same bits, wherever that build fails."""
+    """bernoulli_matrix and sketch_apply_batch build their C twins together on
+    first use, and both fall back to their numpy kernels, with the same bits,
+    wherever that build or the load of either twin fails."""
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_native_kernel_loads_where_cc_exists(self):
         # Without this, a broken build would quietly send the classes above
-        # and their Numpy twins through the same numpy kernel.
-        assert randomness.generator_path() == "native"
+        # and their Numpy twins through the same numpy kernels.
+        assert _native.status() == "native"
 
-    @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing"])
+    @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing",
+                                          "only bernoulli_matrix"])
     def test_failed_build_falls_back_to_the_same_bits(self, breakage, monkeypatch, tmp_path):
-        monkeypatch.setattr(randomness, "_native", None)
+        monkeypatch.setattr(_native, "_state", None)
         if breakage == "no cc on PATH":
             monkeypatch.setenv("PATH", str(tmp_path))
         elif breakage == "compile error":
-            monkeypatch.setattr(randomness, "_C_SOURCE", "#error no kernel here\n")
-        else:
-            monkeypatch.setattr(randomness, "_C_SOURCE", "int not_the_kernel;\n")
+            monkeypatch.setattr(_native, "_C_SOURCE", "#error no kernel here\n")
+        elif breakage == "symbol missing":
+            monkeypatch.setattr(_native, "_C_SOURCE", "int not_the_kernel;\n")
+        else:  # a library whose generator loads but whose sketch kernel is missing
+            source = _native._C_SOURCE
+            monkeypatch.setattr(_native, "_C_SOURCE", source[: source.index("/* sketch_apply_batch")])
         keys = absorb_block(99, np.arange(6, dtype=np.uint64))
         for p in (0.25, 0.3, 1.0):
             mat = bernoulli_matrix(keys, 300, p)
             for r in range(6):
                 assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, 300, p))
-        assert randomness.generator_path().startswith("numpy (")
-        assert randomness._native[0] is None
+        db, _ = make_instance(n=20, d=300, seed=5)
+        coin = coin_for_trial(5, 0, 0)
+        packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
+                            for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
+        m = SketchMatrix(role="main", scale=0, rows=13, dim=300, rate=0.0, packed=packed)
+        assert np.array_equal(sketch_apply_batch(m, db),
+                              _parity_product(_db_bits(db), m.bits_matrix()))
+        assert _native.status().startswith("numpy (")
+        assert _native.kernels() is None
 
     def test_import_and_validation_build_nothing(self):
         # set-up time (import plus validate_config) must not pay for the build:
@@ -266,7 +272,7 @@ class TestNativeKernel:
             ctypes.CDLL.__init__ = spy("library", ctypes.CDLL.__init__)
             import numpy as np
             import annsim
-            from annsim import randomness
+            from annsim import _native, randomness
             from annsim.harness import DatasetSpec, ExperimentConfig, validate_config
             for cfg in (
                 ExperimentConfig(algo="simple", n=256, d=2**14, gamma=4.0, k=2, trials=100,
@@ -276,10 +282,10 @@ class TestNativeKernel:
                                  dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40)),
             ):
                 validate_config(cfg)
-            before, built = list(events), randomness._native
+            before, built = list(events), _native._state
             randomness.bernoulli_matrix(np.arange(2, dtype=np.uint64), 8, 0.25)
             print(json.dumps({"before": before, "built": built is not None,
-                              "after": events, "path": randomness.generator_path()}))
+                              "after": events, "path": _native.status()}))
         """)
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=300)

@@ -4,7 +4,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import sketch
 from annsim.core import Point
@@ -179,7 +179,10 @@ class TestSketchApplyBatchDifferential:
             assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
         return m
 
-    @settings(max_examples=30, deadline=None)
+    # TestSketchApplyBatchDifferentialNumpy runs this method too, under another
+    # class; the examples are valid for both kernels, so that is not a hazard here.
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(
         n=st.integers(1, 40),
         d=st.integers(8, 400),
@@ -240,7 +243,10 @@ class TestSketchApplyBatchRowKinds:
         for i, p in enumerate(db.points):
             assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
 
-    @settings(max_examples=40, deadline=None)
+    # TestSketchApplyBatchRowKindsNumpy runs this method too, under another
+    # class; the examples are valid for both kernels, so that is not a hazard here.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(
         n=st.integers(1, 30),
         d=st.integers(5, 700),
@@ -269,6 +275,25 @@ class TestSketchApplyBatchRowKinds:
         per_row = np.count_nonzero(m.packed, axis=1)
         assert per_row[:90].sum() * db.n > sketch._CHUNK_WORDS
         self.check(m, db)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestSketchApplyBatchDifferentialNumpy(TestSketchApplyBatchDifferential):
+    """TestSketchApplyBatchDifferential on the numpy kernel."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestSketchApplyBatchRowKindsNumpy(TestSketchApplyBatchRowKinds):
+    """TestSketchApplyBatchRowKinds on the numpy kernel."""
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 3), (3, 2)])
+def test_packed_words_must_match_rows_and_dim(shape):
+    # The batch kernels read rows x ceil(dim/64) words; the numpy one would
+    # sketch with a short row's first word only, the C one read past its end.
+    with pytest.raises(ValueError, match="do not match"):
+        SketchMatrix(role="main", scale=0, rows=2, dim=128, rate=0.0,
+                     packed=np.ones(shape, dtype=np.uint64))
 
 
 class TestMatrixCache:
