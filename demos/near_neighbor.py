@@ -8,13 +8,12 @@ covering lambda and answer with its content, or NO when it is empty.
 from annsim import (
     DatasetSpec,
     Params,
-    close_session,
+    ProbeSession,
     coin_for_trial,
     exact_nn,
     gen_database,
     hamming_dist,
     near_scale,
-    open_session,
     run_near,
 )
 
@@ -31,9 +30,9 @@ for group, (label, dataset) in enumerate([
     for trial in range(4):
         db, x = gen_database(n, d, dataset, seed=1000 * group + trial)
         coin = coin_for_trial(123, trial, 0)
-        session = open_session(db, coin, 1, params)
+        session = ProbeSession(db, coin, 1, params)
         answer = run_near(x, lam, session, params)
-        t = close_session(session)
+        t = session.close()
         _, true_dist = exact_nn(x, db)
         shown = "NO" if answer.is_no else f"point at distance {hamming_dist(x, answer.point)}"
         print(

@@ -15,13 +15,12 @@ then spends at most one more probe to decide how the scale window moves:
 from annsim import (
     DatasetSpec,
     Params,
+    ProbeSession,
     SearchTrace,
-    close_session,
     coin_for_trial,
     exact_nn,
     gen_database,
     hamming_dist,
-    open_session,
     override_params,
     run_general,
 )
@@ -38,10 +37,10 @@ for label, dataset, seed in [
 ]:
     db, x = gen_database(n, d, dataset, seed=PublicCoin(seed).stream_key(TAG_DATA, 0))
     coin = coin_for_trial(seed, 0, 0)
-    session = open_session(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
+    session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
     trace = SearchTrace()
     result = run_general(x, session, params, gp, trace=trace)
-    t = close_session(session)
+    t = session.close()
     _, best = exact_nn(x, db)
 
     print(f"{label}:")

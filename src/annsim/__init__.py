@@ -16,7 +16,7 @@ from .alg_general import (
     probe_bound_general,
     run_general,
 )
-from .alg_simple import SearchState, probe_bound_simple, run_simple, tau_simple
+from .alg_simple import probe_bound_simple, run_simple, tau_simple
 from .core import (
     Database,
     Params,
@@ -55,13 +55,7 @@ from .oracle import (
     exact_sets,
     is_gamma_approx,
 )
-from .probe_engine import (
-    ProbeSession,
-    ProbeTranscript,
-    close_session,
-    open_session,
-    probe_round,
-)
+from .probe_engine import ProbeSession, ProbeTranscript
 from .randomness import PublicCoin, coin_for_trial
 from .search_common import SearchTrace
 from .sketch import (
@@ -74,11 +68,8 @@ from .sketch import (
     sketch_apply,
 )
 from .tables import (
-    EMPTY,
     AuxAddress,
     CellAddress,
-    DataPoint,
-    SmallInt,
     aux_cell,
     main_cell,
     membership_cell,
@@ -93,11 +84,9 @@ __all__ = [
     "AuxAddress",
     "CellAddress",
     "ConfigError",
-    "DataPoint",
     "Database",
     "DatasetSpec",
     "DimensionMismatch",
-    "EMPTY",
     "ExperimentConfig",
     "GeneralParams",
     "InvalidRoundBudget",
@@ -110,19 +99,16 @@ __all__ = [
     "PublicCoin",
     "RoundBudgetExceeded",
     "ScaleSets",
-    "SearchState",
     "SearchTrace",
     "SessionClosed",
     "SketchMatrix",
     "SketchVector",
-    "SmallInt",
     "TrialRecord",
     "aux_cell",
     "build_group_addresses",
     "calibrate",
     "check_assumption1",
     "check_assumption2",
-    "close_session",
     "coin_for_trial",
     "decision_threshold",
     "delta_threshold",
@@ -136,12 +122,10 @@ __all__ = [
     "main_cell",
     "membership_cell",
     "near_scale",
-    "open_session",
     "override_params",
     "params_general",
     "probe_bound_general",
     "probe_bound_simple",
-    "probe_round",
     "run_experiment",
     "run_general",
     "run_near",

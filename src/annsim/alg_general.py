@@ -33,11 +33,11 @@ from .search_common import (
     completion_round,
     main_address,
     membership_addresses,
-    membership_hit,
     scale_grid,
+    search_round,
 )
 from .sketch import derive_matrix, sketch_apply
-from .tables import EMPTY, AuxAddress, CellAddress, SmallInt
+from .tables import AuxAddress, CellAddress
 
 
 @dataclass(frozen=True)
@@ -158,27 +158,18 @@ def run_general(
         aux_addrs = [
             CellAddress.aux_cell(u, top_sketch.sketch, g) for g in aux_groups
         ]
-        batch = pending + [top_sketch] + aux_addrs
-        contents = session.probe_round(batch)
-        if pending:
-            hit = membership_hit(contents)
-            if hit is not None:
-                if trace is not None:
-                    trace.early_exit = "exact" if contents[0] is not EMPTY else "near1"
-                return hit
-            contents = contents[len(pending):]
-            pending = []
-        aux_contents = contents[1:]
+        hit, contents = search_round(session, pending, [top_sketch] + aux_addrs, trace)
+        if hit is not None:
+            return hit
 
         r_star = tau
-        for j, content in enumerate(aux_contents, start=1):
-            if not isinstance(content, SmallInt):
-                raise AssertionError(f"aux cell returned {content!r}, not a SmallInt")
-            if content.value != s_int + 1:
-                r_star = (j - 1) * s_int + content.value
+        for j, slot in enumerate(contents[1:], start=1):
+            if not isinstance(slot, int):
+                raise AssertionError(f"aux cell returned {slot!r}, not a slot index")
+            if slot != s_int + 1:
+                r_star = (j - 1) * s_int + slot
                 break
 
-        case = None
         if r_star == 1:
             u = grid[1] + 1
             case = 1
@@ -186,7 +177,7 @@ def run_general(
             # One extra round: is the scale just below slot r*-1 still empty?
             below = max(l, grid[r_star - 1] - 1)
             (content_b,) = session.probe_round([main_address(session.coin, params, x, below)])
-            if content_b is EMPTY:
+            if content_b is None:
                 l = below
                 if r_star < tau:
                     u = grid[r_star] + 1

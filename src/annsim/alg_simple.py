@@ -13,8 +13,6 @@ dispose of the exact-match and distance-1 degenerate cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Params, Point, scale_count
 from .probe_engine import ProbeSession
 from .search_common import (
@@ -22,19 +20,9 @@ from .search_common import (
     completion_round,
     main_address,
     membership_addresses,
-    membership_hit,
     scale_grid,
+    search_round,
 )
-from .tables import EMPTY
-
-
-@dataclass
-class SearchState:
-    """Window of candidate scales plus the branching factor."""
-
-    l: int
-    u: int
-    tau: int
 
 
 def tau_simple(k: int, d: int, alpha: float) -> int:
@@ -70,38 +58,32 @@ def run_simple(
     if x.dim != params.d:
         raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
     k = params.k
-    state = SearchState(l=0, u=params.scale_count, tau=tau_simple(k, params.d, params.alpha))
+    l, u, tau = 0, params.scale_count, tau_simple(k, params.d, params.alpha)
     pending = membership_addresses(x)
     shrinks = 0
 
     # Shrinking rounds; capped at k-1 so the completion round always fits
     # the budget even when the tau inequality is tight.
-    while state.u - state.l >= state.tau and shrinks < k - 1:
+    while u - l >= tau and shrinks < k - 1:
         if trace is not None:
-            trace.windows.append((state.l, state.u))
-        grid = scale_grid(state.l, state.u, state.tau)
-        probe_scales = grid[1:state.tau]
-        batch = pending + [main_address(session.coin, params, x, i) for i in probe_scales]
-        contents = session.probe_round(batch)
-        if pending:
-            hit = membership_hit(contents)
-            if hit is not None:
-                if trace is not None:
-                    trace.early_exit = "exact" if contents[0] is not EMPTY else "near1"
-                return hit
-            contents = contents[len(pending):]
-            pending = []
-        r_star = state.tau
+            trace.windows.append((l, u))
+        grid = scale_grid(l, u, tau)
+        probe_scales = grid[1:tau]
+        addresses = [main_address(session.coin, params, x, i) for i in probe_scales]
+        hit, contents = search_round(session, pending, addresses, trace)
+        if hit is not None:
+            return hit
+        r_star = tau
         for r, content in enumerate(contents, start=1):
-            if content is not EMPTY:
+            if content is not None:
                 r_star = r
                 break
         new_l, new_u = grid[r_star - 1], grid[r_star]
-        if new_u - new_l > (state.u - state.l) / state.tau + 1 + 1e-9:
+        if new_u - new_l > (u - l) / tau + 1 + 1e-9:
             raise AssertionError("window shrank too little")
-        state.l, state.u = new_l, new_u
+        l, u = new_l, new_u
         shrinks += 1
 
     if trace is not None:
-        trace.final_window = (state.l, state.u)
-    return completion_round(session, x, state.l, state.u, params, pending, trace)
+        trace.final_window = (l, u)
+    return completion_round(session, x, l, u, params, pending, trace)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .core import CALIBRATED_C1, CALIBRATED_C2
 from .errors import ConfigError
 from .harness import (
     DatasetSpec,
@@ -42,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--d", type=int, required=True, help="dimension in bits")
     run.add_argument("--gamma", type=float, required=True, help="approximation ratio > 1")
     run.add_argument("--k", type=int, required=True, help="round budget")
-    run.add_argument("--c1", type=float, default=None, help="main sketch row factor")
-    run.add_argument("--c2", type=float, default=None, help="aux sketch row factor")
+    run.add_argument("--c1", type=float, default=CALIBRATED_C1, help="main sketch row factor")
+    run.add_argument("--c2", type=float, default=CALIBRATED_C2, help="aux sketch row factor")
     run.add_argument("--c", type=float, default=4.0, help="phased-search exponent constant")
     run.add_argument("--lambda", dest="lam", type=float, default=0.0,
                      help="distance budget for --algo near")
@@ -75,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    from .harness import CALIBRATED_C1, CALIBRATED_C2
-
     dataset = DatasetSpec(
         kind=args.dataset, plant_dist=args.plant_dist, plant_gap=args.plant_gap
     )
@@ -91,8 +90,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         d=args.d,
         gamma=args.gamma,
         k=args.k,
-        c1=args.c1 if args.c1 is not None else CALIBRATED_C1,
-        c2=args.c2 if args.c2 is not None else CALIBRATED_C2,
+        c1=args.c1,
+        c2=args.c2,
         c=args.c,
         dataset=dataset,
         repeat=args.repeat,

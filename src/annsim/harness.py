@@ -18,20 +18,12 @@ import numpy as np
 
 from .alg_general import GeneralParams, override_params, params_general, probe_bound_general, run_general
 from .alg_simple import probe_bound_simple, run_simple
-from .core import Database, Params, Point, hamming_dist
+from .core import CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, hamming_dist
 from .errors import AssumptionViolated, ConfigError, RoundBudgetExceeded
 from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
-from .probe_engine import open_session
+from .probe_engine import ProbeSession
 from .randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
-
-# Sketch-row factors established by `annsim calibrate --n 256 --d 128
-# --gamma 4 --seeds 200 --seed 7 --s 2 --target 0.8`: the smallest grid
-# values whose empirical sandwich rate (c1, measured 0.835) and joint
-# sandwich-and-refinement rate (c2 at s=2, measured 0.815) clear 0.8 on
-# uniform instances.
-CALIBRATED_C1 = 48.0
-CALIBRATED_C2 = 64.0
 
 CSV_HEADER = (
     "trial,seed,algo,success,probes_total,rounds_used,"
@@ -104,7 +96,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("need n >= 1 and d >= 2")
     if cfg.d < 64 and cfg.n > 2**cfg.d:
         raise ConfigError("n distinct points do not fit in the cube")
-    if cfg.algo == "near" and cfg.lam < 1:
+    if cfg.algo == "near" and not cfg.lam >= 1:  # NaN fails this too
         raise ConfigError("near search needs a distance budget --lambda >= 1")
     if cfg.dataset.kind == "planted":
         if not 0 <= cfg.dataset.plant_dist <= cfg.d:
@@ -123,7 +115,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def params_for(cfg: ExperimentConfig) -> Params:
     return Params(
         n=cfg.n, d=cfg.d, gamma=cfg.gamma, k=cfg.k,
-        c1=cfg.c1, c2=cfg.c2, c=cfg.c, seed=cfg.seed,
+        c1=cfg.c1, c2=cfg.c2, c=cfg.c,
     )
 
 
@@ -215,7 +207,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     a2_any: bool | None = None
     for rep in range(cfg.repeat):
         coin = coin_for_trial(cfg.seed, trial, rep)
-        session = open_session(
+        session = ProbeSession(
             db, coin, cfg.k, params,
             s_int=gp.s_int if gp else None,
             s_real=gp.s_real if gp else None,
@@ -382,7 +374,7 @@ def calibrate(
         data_seed = PublicCoin(seed).stream_key(TAG_DATA, i)
         db, x = gen_database(n, d, dataset, seed=data_seed)
         coin = coin_for_trial(seed, i, 0)
-        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2, seed=seed)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2)
         return db, x, coin, params
 
     c1_rates = []
@@ -435,7 +427,7 @@ def selftest(verbose: bool = True) -> bool:
     from . import _native
     from .randomness import bernoulli_matrix, bernoulli_matrix_numpy
     from .sketch import SketchMatrix, derive_matrix, sketch_apply_batch, sketch_apply_batch_numpy
-    from .tables import EMPTY, main_cell
+    from .tables import main_cell
     from .search_common import query_sketch
 
     # The numpy fallback is a supported path, not a failure; loaded C kernels
@@ -486,7 +478,7 @@ def selftest(verbose: bool = True) -> bool:
         sets = exact_sets(x, db, coin, params)
         for i in range(params.scale_count + 1):
             cell = main_cell(db, coin, params, i, query_sketch(coin, params, x, i))
-            agree &= (cell is EMPTY) == (len(sets.sketch_ball(i)) == 0)
+            agree &= (cell is None) == (len(sets.sketch_ball(i)) == 0)
     check("virtual cells agree with oracle candidate sets", agree)
 
     near_cfg = ExperimentConfig(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .core import Params, Point
 from .probe_engine import ProbeSession
 from .search_common import main_address
-from .tables import DataPoint
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,6 @@ def run_near(x: Point, lam: float, session: ProbeSession, params: Params) -> Nea
         raise ValueError("run_near needs a fresh session")
     scale = near_scale(lam, params)
     (content,) = session.probe_round([main_address(session.coin, params, x, scale)])
-    if isinstance(content, DataPoint):
-        return NearAnswer(content.point)
-    return NO
+    if content is None:
+        return NO
+    return NearAnswer(content)

@@ -12,17 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Database, Params
+from .core import Database, Params, Point
 from .errors import RoundBudgetExceeded, SessionClosed
 from .randomness import PublicCoin
-from .tables import (
-    EMPTY,
-    CellAddress,
-    CellContent,
-    DataPoint,
-    SmallInt,
-    cell_content,
-)
+from .tables import CellAddress, CellContent, cell_content
 
 
 @dataclass(frozen=True)
@@ -103,26 +96,6 @@ class ProbeSession:
         return ProbeTranscript(round_budget=self.round_budget, rounds=tuple(self._rounds))
 
 
-def open_session(
-    db: Database,
-    coin: PublicCoin,
-    k: int,
-    params: Params,
-    s_int: int | None = None,
-    s_real: float | None = None,
-) -> ProbeSession:
-    """Fresh session with round budget k against (db, coin)."""
-    return ProbeSession(db, coin, k, params, s_int=s_int, s_real=s_real)
-
-
-def probe_round(session: ProbeSession, addresses: list[CellAddress]) -> list[CellContent]:
-    return session.probe_round(addresses)
-
-
-def close_session(session: ProbeSession) -> ProbeTranscript:
-    return session.close()
-
-
 def _address_str(addr: CellAddress) -> str:
     if addr.kind == "main":
         return f"main:{addr.scale}:{addr.sketch.to_hex()}"
@@ -135,10 +108,10 @@ def _address_str(addr: CellAddress) -> str:
 
 
 def _content_str(content: CellContent) -> str:
-    if content is EMPTY:
+    if content is None:
         return "EMPTY"
-    if isinstance(content, DataPoint):
-        return f"point:{content.point.to_hex()}"
-    if isinstance(content, SmallInt):
-        return f"int:{content.value}"
+    if isinstance(content, Point):
+        return f"point:{content.to_hex()}"
+    if isinstance(content, int):
+        return f"int:{content}"
     raise TypeError(f"not a cell content: {content!r}")

@@ -70,11 +70,6 @@ def raw64_block(key: int, start: int, count: int) -> np.ndarray:
     return _finalize(x, np.empty_like(x))
 
 
-def bernoulli_block(key: int, start: int, count: int, p: float) -> np.ndarray:
-    """Bernoulli(p) bits via 53-bit uniform threshold comparison, as uint8."""
-    return ((raw64_block(key, start, count) >> np.uint64(11)) < _threshold(p)).astype(np.uint8)
-
-
 def absorb_block(key: int, values: np.ndarray) -> np.ndarray:
     """Vectorized absorb of many values into one key; matches absorb()."""
     x = np.uint64(key) ^ values.astype(np.uint64)
@@ -91,8 +86,8 @@ _BLOCK_BYTES = 1 << 18
 def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
     """One Bernoulli(p) row of `count` bits per stream key, as (len(keys), count) uint8.
 
-    Row i is bit-identical to bernoulli_block(keys[i], 0, count, p), and
-    (w >> 11) < thr is tested as w < thr << 11. The C twin of
+    Bit c of row i is 1 when w = raw64(keys[i], c) has (w >> 11) < thr,
+    thr = floor(p * 2^53), which is tested as w < thr << 11. The C twin of
     :func:`bernoulli_matrix_numpy` runs where the C kernels load (see
     :mod:`annsim._native`); elsewhere, the numpy kernel runs.
     """

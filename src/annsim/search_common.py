@@ -13,13 +13,7 @@ from .core import Params, Point
 from .errors import AssumptionViolated
 from .probe_engine import ProbeSession
 from .sketch import SketchVector, derive_matrix, sketch_apply
-from .tables import (
-    EMPTY,
-    KIND_MEMBER_EXACT,
-    KIND_MEMBER_NEAR1,
-    CellAddress,
-    DataPoint,
-)
+from .tables import KIND_MEMBER_EXACT, KIND_MEMBER_NEAR1, CellAddress, CellContent
 
 
 def scale_grid(l: int, u: int, tau: int) -> list[int]:
@@ -43,16 +37,6 @@ def membership_addresses(x: Point) -> list[CellAddress]:
     ]
 
 
-def membership_hit(contents: list) -> Point | None:
-    """Resolve the two leading membership contents; exact match wins."""
-    exact, near1 = contents[0], contents[1]
-    if isinstance(exact, DataPoint):
-        return exact.point
-    if isinstance(near1, DataPoint):
-        return near1.point
-    return None
-
-
 @dataclass
 class SearchTrace:
     """Optional instrumentation for invariant checks in tests."""
@@ -62,6 +46,30 @@ class SearchTrace:
     phases: list[dict] = field(default_factory=list)
     early_exit: str | None = None
     result_scale: int | None = None
+
+
+def search_round(
+    session: ProbeSession,
+    pending: list[CellAddress],
+    addresses: list[CellAddress],
+    trace: SearchTrace | None,
+) -> tuple[Point | None, list[CellContent]]:
+    """Send one round of `addresses` with the pending membership probes in front.
+
+    The membership probes ride along once: `pending` is emptied here. When one
+    of them hits, the hit comes back first (an exact match wins over a
+    distance-1 point) and the search is over; otherwise the hit is None.
+    The contents of `addresses` come back second, in request order.
+    """
+    contents = session.probe_round(pending + addresses)
+    if not pending:
+        return None, contents
+    pending.clear()
+    exact, near1, *contents = contents
+    hit = exact if exact is not None else near1
+    if hit is not None and trace is not None:
+        trace.early_exit = "exact" if exact is not None else "near1"
+    return hit, contents
 
 
 def completion_round(
@@ -75,25 +83,20 @@ def completion_round(
 ) -> Point:
     """Probe every scale in (l, u] in parallel; return the smallest hit.
 
-    An all-EMPTY window means the sketch sandwich failed for this coin, so
+    An all-empty window means the sketch sandwich failed for this coin, so
     the condition is surfaced as AssumptionViolated rather than guessed
     around.
     """
     scales = list(range(l + 1, u + 1))
-    batch = pending + [main_address(session.coin, params, x, i) for i in scales]
-    contents = session.probe_round(batch)
-    if pending:
-        hit = membership_hit(contents)
-        if hit is not None:
-            if trace is not None:
-                trace.early_exit = "exact" if contents[0] is not EMPTY else "near1"
-            return hit
-        contents = contents[len(pending):]
+    addresses = [main_address(session.coin, params, x, i) for i in scales]
+    hit, contents = search_round(session, pending, addresses, trace)
+    if hit is not None:
+        return hit
     for scale, content in zip(scales, contents):
-        if isinstance(content, DataPoint):
+        if content is not None:
             if trace is not None:
                 trace.result_scale = scale
-            return content.point
+            return content
     raise AssumptionViolated(
         f"no candidate in completion window ({l}, {u}]: sketch sandwich failed"
     )

@@ -107,12 +107,6 @@ class SketchVector:
         return format(self.value, f"0{(self.nbits + 3) // 4}x")
 
 
-def sketch_distance(a: SketchVector, b: SketchVector) -> int:
-    if a.nbits != b.nbits:
-        raise DimensionMismatch("sketch lengths differ")
-    return (a.value ^ b.value).bit_count()
-
-
 @dataclass(frozen=True)
 class SketchMatrix:
     """rows x dim Bernoulli bit matrix, packed 64 columns per word."""

@@ -11,18 +11,19 @@ Four address families exist:
 
 * main:  per scale i, addressed by a main-sketch vector; stores the
   lowest-index database point whose scale-i sketch is within the scale's
-  decision threshold of the address, else EMPTY.
+  decision threshold of the address, else nothing.
 * aux:   per (scale i, main-sketch j), addressed by a group descriptor of
   auxiliary sketches; stores the first group slot whose refinement set is
   a large fraction of the scale's candidate set, else s+1.
 * member_exact / member_near1: exact-set membership of the query itself /
   of its distance-1 neighborhood (a perfect-hash dictionary in spirit).
+
+A cell holds a database point, a small int (an aux slot) or nothing (None).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,35 +43,7 @@ KIND_AUX = "aux"
 KIND_MEMBER_EXACT = "member_exact"
 KIND_MEMBER_NEAR1 = "member_near1"
 
-
-class _Empty:
-    """Singleton EMPTY cell marker."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _Empty()
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    point: Point
-
-
-@dataclass(frozen=True)
-class SmallInt:
-    value: int
-
-
-CellContent = Union[DataPoint, SmallInt, _Empty]
+CellContent = Point | int | None
 
 
 @dataclass(frozen=True)
@@ -164,13 +137,13 @@ def main_cell(
     """Content of the scale-`scale` main table at address `addr`.
 
     The lowest-index database point within the scale's sketch threshold of
-    the address, or EMPTY when no point qualifies.
+    the address, or None when no point qualifies.
     """
     mask = _candidate_mask(db, coin, params, scale, addr)
     idx = int(np.argmax(mask))
     if not mask[idx]:
-        return EMPTY
-    return DataPoint(db.points[idx])
+        return None
+    return db.points[idx]
 
 
 def aux_cell(
@@ -182,7 +155,7 @@ def aux_cell(
     aux: AuxAddress,
     s_int: int,
     s_real: float,
-) -> SmallInt:
+) -> int:
     """Content of the auxiliary table at (scale, subtable)[aux].
 
     Builds the candidate set for the subtable address, refines it through
@@ -195,8 +168,8 @@ def aux_cell(
     for r, (aux_scale, sk) in enumerate(zip(aux.scales, aux.sketches), start=1):
         refined = cand & _refinement_mask(db, coin, params, aux_scale, sk, s_real)
         if not fraction_at_most(int(np.count_nonzero(refined)), csize, db.n, s_real):
-            return SmallInt(r)
-    return SmallInt(s_int + 1)
+            return r
+    return s_int + 1
 
 
 def membership_cell(db: Database, kind: str, x: Point) -> CellContent:
@@ -206,13 +179,13 @@ def membership_cell(db: Database, kind: str, x: Point) -> CellContent:
     if kind == KIND_MEMBER_EXACT:
         for p in db.points:
             if p.value == x.value:
-                return DataPoint(p)
-        return EMPTY
+                return p
+        return None
     if kind == KIND_MEMBER_NEAR1:
         for p in db.points:
             if hamming_dist(x, p) <= 1:
-                return DataPoint(p)
-        return EMPTY
+                return p
+        return None
     raise ValueError(f"not a membership kind: {kind!r}")
 
 

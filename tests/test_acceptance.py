@@ -26,7 +26,7 @@ from annsim.harness import (
     summarize,
 )
 from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
-from annsim.probe_engine import close_session, open_session
+from annsim.probe_engine import ProbeSession
 from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
 from annsim.search_common import SearchTrace
 from annsim.sketch import derive_matrix, row_collision_prob, sketch_apply
@@ -101,13 +101,13 @@ def test_criterion_2_conditional_correctness_general():
             data_seed = PublicCoin(5000 + ds_idx).stream_key(TAG_DATA, t)
             db, x = gen_database(n, d, dataset, seed=data_seed)
             coin = coin_for_trial(5000 + ds_idx, t, 0)
-            session = open_session(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
+            session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
             trace = SearchTrace()
             try:
                 result = run_general(x, session, params, gp, trace=trace)
             except AssumptionViolated:
                 result = None
-            transcript = close_session(session)
+            transcript = session.close()
             assert transcript.probes_total <= probe_bound_general(params, gp)
             assert transcript.rounds_used <= k
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
@@ -280,7 +280,7 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_oracle_cross_check():
     """Virtual main cells agree with the oracle's candidate sets everywhere."""
     from annsim.search_common import query_sketch
-    from annsim.tables import EMPTY, main_cell
+    from annsim.tables import main_cell
 
     rng = np.random.default_rng(99)
     disagreements = 0
@@ -296,7 +296,7 @@ def test_criterion_9_oracle_cross_check():
         instances += 1
         for i in range(params.scale_count + 1):
             cell = main_cell(db, coin, params, i, query_sketch(coin, params, x, i))
-            if (cell is EMPTY) != (not sets.sketch_ball(i)):
+            if (cell is None) != (not sets.sketch_ball(i)):
                 disagreements += 1
     ok = report(
         9, "oracle cross-check", disagreements == 0 and instances == 100,

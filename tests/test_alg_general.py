@@ -14,10 +14,10 @@ from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist
 from annsim.errors import AssumptionViolated, InvalidRoundBudget, RoundBudgetExceeded
 from annsim.harness import DatasetSpec
 from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
-from annsim.probe_engine import close_session, open_session
+from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 from annsim.search_common import SearchTrace, scale_grid
-from annsim.tables import EMPTY, KIND_AUX, cell_content
+from annsim.tables import KIND_AUX, cell_content
 
 from conftest import make_instance, make_params
 
@@ -77,11 +77,11 @@ class TestGroupAddresses:
         assert all(sk.nbits == rows for g in groups for sk in g.sketches)
 
 
-def run_one(db, x, params, gp, trace=None, seed_rep=(0, 0)):
-    coin = coin_for_trial(params.seed, *seed_rep)
-    session = open_session(db, coin, params.k, params, s_int=gp.s_int, s_real=gp.s_real)
+def run_one(db, x, params, gp, trace=None, seed=0):
+    coin = coin_for_trial(seed, 0, 0)
+    session = ProbeSession(db, coin, params.k, params, s_int=gp.s_int, s_real=gp.s_real)
     result = run_general(x, session, params, gp, trace=trace)
-    return result, close_session(session), coin
+    return result, session.close(), coin
 
 
 class TestSmallWindowEqualsSimpleCompletion:
@@ -91,14 +91,14 @@ class TestSmallWindowEqualsSimpleCompletion:
         # simple search issues; outputs must agree point for point.
         db, x = make_instance(n=32, d=64, seed=17)
         gp = override_params(2, 4)
-        params_g = make_params(n=32, d=64, k=8, seed=17, c1=16.0)
-        params_s = make_params(n=32, d=64, k=1, seed=17, c1=16.0)
+        params_g = make_params(n=32, d=64, k=8, c1=16.0)
+        params_s = make_params(n=32, d=64, k=1, c1=16.0)
         trace = SearchTrace()
         try:
-            got, transcript, coin = run_one(db, x, params_g, gp, trace)
+            got, transcript, coin = run_one(db, x, params_g, gp, trace, seed=17)
         except AssumptionViolated:
             got, transcript, coin = None, None, coin_for_trial(17, 0, 0)
-        session = open_session(db, coin, 1, params_s)
+        session = ProbeSession(db, coin, 1, params_s)
         try:
             want = run_simple(x, session, params_s)
         except AssumptionViolated:
@@ -127,10 +127,10 @@ class TestCaseBranches:
 
     def test_case1_skips_second_round(self):
         db, x = self.cluster_instance()
-        params = make_params(n=128, d=4096, k=8, seed=31, c1=48.0, c2=64.0)
+        params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
         gp = override_params(2, 4)
         trace = SearchTrace()
-        result, transcript, coin = run_one(db, x, params, gp, trace)
+        result, transcript, coin = run_one(db, x, params, gp, trace, seed=31)
         phase = trace.phases[0]
         assert phase["case"] == 1
         assert phase["new_window"][1] == phase["grid"][1] + 1
@@ -146,15 +146,15 @@ class TestCaseBranches:
 
     def test_case2_advances_lower_end(self):
         # Uniform points sit near d/2, far above every probed grid scale,
-        # so the second-round probe is EMPTY and the lower end advances.
+        # so the second-round probe is empty and the lower end advances.
         seen = False
         for seed in range(10):
             db, x = make_instance(n=128, d=4096, seed=seed)
-            params = make_params(n=128, d=4096, k=8, seed=seed, c1=48.0, c2=64.0)
+            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
             trace = SearchTrace()
             try:
-                run_one(db, x, params, gp, trace)
+                run_one(db, x, params, gp, trace, seed=seed)
             except AssumptionViolated:
                 continue
             for phase in trace.phases:
@@ -171,11 +171,11 @@ class TestCaseBranches:
                 n=128, d=4096, seed=seed,
                 dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40),
             )
-            params = make_params(n=128, d=4096, k=8, seed=seed, c1=48.0, c2=64.0)
+            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
             trace = SearchTrace()
             try:
-                run_one(db, x, params, gp, trace)
+                run_one(db, x, params, gp, trace, seed=seed)
             except AssumptionViolated:
                 continue
             for phase in trace.phases:
@@ -194,10 +194,10 @@ class TestConditionalCorrectness:
                 n=128, d=2**12, seed=seed,
                 dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40),
             )
-            params = make_params(n=128, d=2**12, k=8, seed=seed, c1=48.0, c2=64.0)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
             try:
-                result, transcript, coin = run_one(db, x, params, gp)
+                result, transcript, coin = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 result, coin = None, coin_for_trial(seed, 0, 0)
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
@@ -211,11 +211,11 @@ class TestConditionalCorrectness:
     def test_phase_progress_invariant(self):
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, seed=seed, c1=48.0, c2=64.0)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
             trace = SearchTrace()
             try:
-                _, _, coin = run_one(db, x, params, gp, trace)
+                _, _, coin = run_one(db, x, params, gp, trace, seed=seed)
             except AssumptionViolated:
                 continue
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
@@ -237,11 +237,11 @@ class TestWindowInvariant:
         checked = 0
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, seed=seed, c1=48.0, c2=64.0)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
             trace = SearchTrace()
             try:
-                _, _, coin = run_one(db, x, params, gp, trace)
+                _, _, coin = run_one(db, x, params, gp, trace, seed=seed)
             except AssumptionViolated:
                 continue
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
@@ -266,12 +266,12 @@ class TestAsymptoticMode:
         # tau = 2, the initial window is already below max(3 tau, k), and
         # the whole search is one completion round inside every budget.
         db, x = make_instance(n=64, d=2**16, seed=2)
-        params = make_params(n=64, d=2**16, k=41, seed=2, c1=8.0, c2=8.0)
+        params = make_params(n=64, d=2**16, k=41, c1=8.0, c2=8.0)
         gp = params_general(41, 4.0, 2**16, params.alpha)
         assert gp.mode == "asymptotic"
         trace = SearchTrace()
         try:
-            _, transcript, _ = run_one(db, x, params, gp, trace)
+            _, transcript, _ = run_one(db, x, params, gp, trace, seed=2)
         except AssumptionViolated:
             pytest.skip("sketch sandwich failed on this coin")
         assert trace.phases == []
@@ -283,10 +283,10 @@ class TestBudgets:
     def test_probe_and_round_budgets(self):
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, seed=seed, c1=24.0, c2=32.0)
+            params = make_params(n=128, d=2**12, k=8, c1=24.0, c2=32.0)
             gp = override_params(2, 4)
             try:
-                _, transcript, _ = run_one(db, x, params, gp)
+                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 continue
             assert transcript.rounds_used <= 8
@@ -299,10 +299,10 @@ class TestBudgets:
         raised = False
         for seed in range(6):
             db, x = make_instance(n=128, d=4096, seed=seed)
-            params = make_params(n=128, d=4096, k=2, seed=seed, c1=24.0, c2=32.0)
+            params = make_params(n=128, d=4096, k=2, c1=24.0, c2=32.0)
             gp = override_params(2, 4)
             coin = coin_for_trial(seed, 0, 0)
-            session = open_session(db, coin, 2, params, s_int=gp.s_int, s_real=gp.s_real)
+            session = ProbeSession(db, coin, 2, params, s_int=gp.s_int, s_real=gp.s_real)
             try:
                 run_general(x, session, params, gp)
             except RoundBudgetExceeded:
@@ -320,11 +320,11 @@ class TestInvariantChecks:
     def test_aux_content_must_be_small_int(self, monkeypatch):
         def no_aux_tables(db, coin, params, address, *args, **kw):
             if address.kind == KIND_AUX:
-                return EMPTY
+                return None
             return cell_content(db, coin, params, address, *args, **kw)
 
         monkeypatch.setattr(probe_engine, "cell_content", no_aux_tables)
         db, x = make_instance(n=64, d=4096)
         params = make_params(n=64, d=4096, k=8)
-        with pytest.raises(AssertionError, match="not a SmallInt"):
+        with pytest.raises(AssertionError, match="not a slot index"):
             run_one(db, x, params, override_params(2, 4))

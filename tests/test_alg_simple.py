@@ -10,10 +10,9 @@ from annsim.core import Point, hamming_dist
 from annsim.errors import AssumptionViolated
 from annsim.harness import DatasetSpec
 from annsim.oracle import check_assumption1, exact_nn, exact_sets
-from annsim.probe_engine import close_session, open_session
+from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 from annsim.search_common import SearchTrace
-from annsim.tables import EMPTY
 
 from conftest import make_instance, make_params
 
@@ -41,27 +40,27 @@ class TestTauSimple:
         assert tau == 2 or (tau - 1) ** k < target
 
 
-def run_one(db, x, params, trace=None):
-    coin = coin_for_trial(params.seed, 0, 0)
-    session = open_session(db, coin, params.k, params)
+def run_one(db, x, params, trace=None, seed=0):
+    coin = coin_for_trial(seed, 0, 0)
+    session = ProbeSession(db, coin, params.k, params)
     result = run_simple(x, session, params, trace=trace)
-    return result, close_session(session), coin
+    return result, session.close(), coin
 
 
 class TestDegenerateCases:
     def test_query_in_database_returns_itself(self):
         db, _ = make_instance(n=16, d=64, seed=3)
-        params = make_params(n=16, d=64, k=3, seed=3)
-        result, transcript, _ = run_one(db, db.points[7], params)
+        params = make_params(n=16, d=64, k=3)
+        result, transcript, _ = run_one(db, db.points[7], params, seed=3)
         assert result == db.points[7]
         assert transcript.rounds_used == 1
 
     def test_distance_one_neighbor_returned_immediately(self):
         db, _ = make_instance(n=16, d=64, seed=4)
-        params = make_params(n=16, d=64, k=3, seed=4)
+        params = make_params(n=16, d=64, k=3)
         x = Point(64, db.points[2].value ^ (1 << 30))
         if min(hamming_dist(x, p) for p in db.points) == 1:
-            result, transcript, _ = run_one(db, x, params)
+            result, transcript, _ = run_one(db, x, params, seed=4)
             assert hamming_dist(x, result) == 1
             assert transcript.rounds_used == 1
 
@@ -69,9 +68,9 @@ class TestDegenerateCases:
 class TestRoundStructure:
     def test_k1_is_single_completion_round(self):
         db, x = make_instance(n=16, d=256, seed=5)
-        params = make_params(n=16, d=256, k=1, seed=5)
+        params = make_params(n=16, d=256, k=1)
         trace = SearchTrace()
-        _, transcript, _ = run_one(db, x, params, trace)
+        _, transcript, _ = run_one(db, x, params, trace, seed=5)
         assert transcript.rounds_used == 1
         assert trace.windows == []  # no shrinking rounds ran
         # completion probes scales 1..I plus the two membership probes
@@ -81,10 +80,10 @@ class TestRoundStructure:
     def test_round_and_probe_budgets(self, k):
         for seed in range(6):
             db, x = make_instance(n=32, d=128, seed=seed)
-            params = make_params(n=32, d=128, k=k, seed=seed, c1=16.0)
+            params = make_params(n=32, d=128, k=k, c1=16.0)
             trace = SearchTrace()
             try:
-                _, transcript, _ = run_one(db, x, params, trace)
+                _, transcript, _ = run_one(db, x, params, trace, seed=seed)
             except AssumptionViolated:
                 continue
             assert transcript.rounds_used <= k
@@ -93,10 +92,10 @@ class TestRoundStructure:
 
     def test_gap_shrinks_per_round(self):
         db, x = make_instance(n=32, d=2**14, seed=6)
-        params = make_params(n=32, d=2**14, k=3, seed=6, c1=16.0)
+        params = make_params(n=32, d=2**14, k=3, c1=16.0)
         tau = tau_simple(3, 2**14, params.alpha)
         trace = SearchTrace()
-        run_one(db, x, params, trace)
+        run_one(db, x, params, trace, seed=6)
         windows = trace.windows + [trace.final_window]
         for (l0, u0), (l1, u1) in zip(windows, windows[1:]):
             assert u1 - l1 <= (u0 - l0) / tau + 1
@@ -111,9 +110,9 @@ class TestConditionalCorrectness:
                 n=32, d=64, seed=seed,
                 dataset=DatasetSpec("planted", plant_dist=5, plant_gap=25),
             )
-            params = make_params(n=32, d=64, k=2, seed=seed, c1=24.0)
+            params = make_params(n=32, d=64, k=2, c1=24.0)
             coin = coin_for_trial(seed, 0, 0)
-            session = open_session(db, coin, 2, params)
+            session = ProbeSession(db, coin, 2, params)
             try:
                 result = run_simple(x, session, params)
             except AssumptionViolated:
@@ -129,9 +128,9 @@ class TestConditionalCorrectness:
         for k in (1, 2, 3):
             for seed in range(12):
                 db, x = make_instance(n=64, d=128, seed=seed)
-                params = make_params(n=64, d=128, k=k, seed=seed, c1=48.0)
+                params = make_params(n=64, d=128, k=k, c1=48.0)
                 coin = coin_for_trial(seed, 0, 0)
-                session = open_session(db, coin, k, params)
+                session = ProbeSession(db, coin, k, params)
                 try:
                     result = run_simple(x, session, params)
                 except AssumptionViolated:
@@ -148,9 +147,9 @@ class TestWindowInvariant:
         checked = 0
         for seed in range(15):
             db, x = make_instance(n=64, d=2**12, seed=seed)
-            params = make_params(n=64, d=2**12, k=3, seed=seed, c1=32.0)
+            params = make_params(n=64, d=2**12, k=3, c1=32.0)
             coin = coin_for_trial(seed, 0, 0)
-            session = open_session(db, coin, 3, params)
+            session = ProbeSession(db, coin, 3, params)
             trace = SearchTrace()
             try:
                 run_simple(x, session, params, trace=trace)
@@ -173,7 +172,7 @@ class TestAssumptionViolationSurfaces:
     def test_starved_rows_raise_instead_of_guessing(self):
         # A single database point at full distance with 3-row sketches: the
         # top-scale inclusion margin is thin, so on some seed every
-        # completion cell comes back EMPTY and the failure must surface.
+        # completion cell comes back empty and the failure must surface.
         from annsim.core import Database
 
         x = Point(64, 0)
@@ -182,7 +181,7 @@ class TestAssumptionViolationSurfaces:
         raised = False
         for seed in range(60):
             coin = coin_for_trial(seed, 0, 0)
-            session = open_session(db, coin, 1, params)
+            session = ProbeSession(db, coin, 1, params)
             try:
                 run_simple(x, session, params)
             except AssumptionViolated:
@@ -201,9 +200,9 @@ class TestInvariantChecks:
     """
 
     def test_window_shrink_check(self, monkeypatch):
-        # Every cell reads EMPTY, so r* = tau and the new window is the grid's
+        # Every cell reads empty, so r* = tau and the new window is the grid's
         # last slot; a grid that puts all of (l, u] in that slot shrinks nothing.
-        monkeypatch.setattr(probe_engine, "cell_content", lambda *args, **kw: EMPTY)
+        monkeypatch.setattr(probe_engine, "cell_content", lambda *args, **kw: None)
         monkeypatch.setattr(
             alg_simple, "scale_grid", lambda l, u, tau: [l] * tau + [u]
         )

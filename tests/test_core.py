@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from annsim.core import (
+    CALIBRATED_C1,
+    CALIBRATED_C2,
     Database,
     Params,
     Point,
@@ -115,6 +119,11 @@ class TestParams:
         assert p.alpha == 2.0
         assert p.gamma == 9.0  # reported ratio keeps the caller's value
 
+    def test_defaults_are_the_calibrated_factors(self):
+        p = Params(n=256, d=128, gamma=4.0, k=1)
+        assert (p.c1, p.c2) == (CALIBRATED_C1, CALIBRATED_C2)
+        assert p.r_main == 384
+
     def test_row_counts(self):
         p = Params(n=256, d=64, gamma=4.0, k=1, c1=8.0, c2=8.0)
         assert p.r_main == 64
@@ -128,6 +137,9 @@ class TestParams:
             dict(n=4, d=64, gamma=1.0, k=1),
             dict(n=4, d=64, gamma=4.0, k=0),
             dict(n=4, d=64, gamma=4.0, k=1, c=2.0),
+            dict(n=4, d=64, gamma=4.0, k=1, c1=math.inf),
+            dict(n=4, d=64, gamma=4.0, k=1, c2=math.nan),
+            dict(n=4, d=64, gamma=4.0, k=1, c=math.nan),
         ],
     )
     def test_invalid_params(self, kw):

@@ -406,6 +406,22 @@ class TestCli:
             f"config error: jobs must lie in [1, {cpus}] (the cpu count)"
         ]
 
+    @pytest.mark.parametrize("args, message", [
+        (("--algo", "simple", "--k", "1", "--c1", "inf"), "c1, c2 and c must be finite"),
+        (("--algo", "simple", "--k", "1", "--c1", "nan"), "c1, c2 and c must be finite"),
+        (("--algo", "general", "--k", "8", "--override-s", "2", "--override-tau", "4",
+          "--c2", "inf"), "c1, c2 and c must be finite"),
+        (("--algo", "general", "--k", "30", "--c", "nan"), "c1, c2 and c must be finite"),
+        (("--algo", "near", "--k", "1", "--lambda", "nan"),
+         "near search needs a distance budget --lambda >= 1"),
+    ], ids=["c1-inf", "c1-nan", "c2-inf", "c-nan", "lambda-nan"])
+    def test_non_finite_numbers_exit_code(self, args, message):
+        res = self.run_cli("run", "--n", "8", "--d", "64", "--gamma", "4", "--trials", "2",
+                           "--seed", "0", *args)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines() == [f"config error: {message}"]
+
     def test_round_budget_too_small_for_the_phases_exit_code(self):
         res = self.run_cli(
             "run", "--algo", "general", "--n", "16", "--d", "64", "--gamma", "4",

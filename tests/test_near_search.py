@@ -4,7 +4,7 @@ from annsim.core import hamming_dist
 from annsim.harness import DatasetSpec
 from annsim.near_search import NO, near_scale, run_near
 from annsim.oracle import check_assumption1, exact_nn, exact_sets
-from annsim.probe_engine import close_session, open_session
+from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 
 from conftest import make_instance, make_params
@@ -12,9 +12,9 @@ from conftest import make_instance, make_params
 
 def run_one(db, x, lam, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
-    session = open_session(db, coin, 1, params)
+    session = ProbeSession(db, coin, 1, params)
     answer = run_near(x, lam, session, params)
-    return answer, close_session(session), coin
+    return answer, session.close(), coin
 
 
 class TestNearScale:
@@ -86,7 +86,7 @@ class TestRunNear:
         db, x = make_instance(n=16, d=64)
         params = make_params(n=16, d=64)
         coin = coin_for_trial(0, 0, 0)
-        session = open_session(db, coin, 2, params)
+        session = ProbeSession(db, coin, 2, params)
         run_near(x, 2.0, session, params)
         with pytest.raises(ValueError):
             run_near(x, 2.0, session, params)

@@ -10,7 +10,7 @@ from annsim.oracle import (
 )
 from annsim.randomness import coin_for_trial
 from annsim.search_common import query_sketch
-from annsim.tables import EMPTY, main_cell
+from annsim.tables import main_cell
 
 from conftest import make_instance, make_params, point_from_bits
 
@@ -84,9 +84,9 @@ class TestExactSets:
             sets = exact_sets(x, db, coin, params)
             for i in range(params.scale_count + 1):
                 cell = main_cell(db, coin, params, i, query_sketch(coin, params, x, i))
-                assert (cell is EMPTY) == (not sets.sketch_ball(i))
-                if cell is not EMPTY:
-                    assert db.points.index(cell.point) in sets.sketch_ball(i)
+                assert (cell is None) == (not sets.sketch_ball(i))
+                if cell is not None:
+                    assert db.points.index(cell) in sets.sketch_ball(i)
 
 
 class TestAssumption1:

@@ -1,0 +1,36 @@
+"""The package's public surface: its export list, and the demos built on it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import annsim
+
+ROOT = Path(__file__).resolve().parent.parent
+REMOVED = ["open_session", "probe_round", "close_session", "SearchState", "EMPTY",
+           "DataPoint", "SmallInt"]
+DEMOS = ["near_neighbor", "phased_search", "round_tradeoff", "sketch_separation"]
+
+
+def test_every_export_resolves_once():
+    assert len(set(annsim.__all__)) == len(annsim.__all__)
+    assert [name for name in annsim.__all__ if not hasattr(annsim, name)] == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    assert name not in annsim.__all__
+    assert not hasattr(annsim, name)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -2,10 +2,10 @@ import pytest
 
 from annsim.core import Database, Point
 from annsim.errors import RoundBudgetExceeded, SessionClosed
-from annsim.probe_engine import close_session, open_session, probe_round
+from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 from annsim.search_common import main_address, membership_addresses
-from annsim.tables import EMPTY, CellAddress, DataPoint, KIND_MEMBER_EXACT
+from annsim.tables import CellAddress, KIND_MEMBER_EXACT
 
 from conftest import make_instance, make_params
 
@@ -21,79 +21,79 @@ def setup():
 class TestSessionLifecycle:
     def test_fresh_session(self, setup):
         db, _, params, coin = setup
-        s = open_session(db, coin, 3, params)
+        s = ProbeSession(db, coin, 3, params)
         assert s.rounds_used == 0
         assert s.probes_total == 0
         assert s.round_budget == 3
 
     def test_sessions_are_independent(self, setup):
         db, x, params, coin = setup
-        s1 = open_session(db, coin, 2, params)
-        s2 = open_session(db, coin, 2, params)
-        probe_round(s1, [main_address(coin, params, x, 1)])
+        s1 = ProbeSession(db, coin, 2, params)
+        s2 = ProbeSession(db, coin, 2, params)
+        s1.probe_round([main_address(coin, params, x, 1)])
         assert s1.rounds_used == 1
         assert s2.rounds_used == 0
 
     def test_zero_budget_rejected(self, setup):
         db, _, params, coin = setup
         with pytest.raises(ValueError):
-            open_session(db, coin, 0, params)
+            ProbeSession(db, coin, 0, params)
 
     def test_close_twice_fails(self, setup):
         db, _, params, coin = setup
-        s = open_session(db, coin, 1, params)
-        close_session(s)
+        s = ProbeSession(db, coin, 1, params)
+        s.close()
         with pytest.raises(SessionClosed):
-            close_session(s)
+            s.close()
 
     def test_probe_after_close_fails(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 1, params)
-        close_session(s)
+        s = ProbeSession(db, coin, 1, params)
+        s.close()
         with pytest.raises(SessionClosed):
-            probe_round(s, [main_address(coin, params, x, 1)])
+            s.probe_round([main_address(coin, params, x, 1)])
 
 
 class TestRoundAccounting:
     def test_batch_counts(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 2, params)
+        s = ProbeSession(db, coin, 2, params)
         batch = [main_address(coin, params, x, i) for i in (1, 2, 3)]
-        contents = probe_round(s, batch)
+        contents = s.probe_round(batch)
         assert len(contents) == 3
         assert s.probes_total == 3
         assert s.rounds_used == 1
 
     def test_duplicates_coalesce(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 2, params)
+        s = ProbeSession(db, coin, 2, params)
         a = main_address(coin, params, x, 1)
         b = main_address(coin, params, x, 2)
-        contents = probe_round(s, [a, a, b])
+        contents = s.probe_round([a, a, b])
         assert s.probes_total == 2
         assert contents[0] == contents[1]
 
     def test_budget_enforced(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 2, params)
+        s = ProbeSession(db, coin, 2, params)
         addr = [main_address(coin, params, x, 1)]
-        probe_round(s, addr)
-        probe_round(s, addr)
+        s.probe_round(addr)
+        s.probe_round(addr)
         with pytest.raises(RoundBudgetExceeded):
-            probe_round(s, addr)
+            s.probe_round(addr)
 
     def test_empty_batch_rejected(self, setup):
         db, _, params, coin = setup
-        s = open_session(db, coin, 1, params)
+        s = ProbeSession(db, coin, 1, params)
         with pytest.raises(ValueError):
-            probe_round(s, [])
+            s.probe_round([])
 
     def test_contents_in_request_order(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 1, params)
+        s = ProbeSession(db, coin, 1, params)
         batch = membership_addresses(db.points[0]) + [main_address(coin, params, x, 6)]
-        contents = probe_round(s, batch)
-        assert contents[0] == DataPoint(db.points[0])  # exact membership hit
+        contents = s.probe_round(batch)
+        assert contents[0] == db.points[0]  # exact membership hit
 
     def test_aux_probe_requires_session_s(self, setup):
         db, x, params, coin = setup
@@ -101,9 +101,9 @@ class TestRoundAccounting:
 
         groups = build_group_addresses(0, 6, 3, 2, x, coin, params, 2.0)
         addr = CellAddress.aux_cell(6, main_address(coin, params, x, 6).sketch, groups[0])
-        s = open_session(db, coin, 1, params)  # no s configured
+        s = ProbeSession(db, coin, 1, params)  # no s configured
         with pytest.raises(ValueError):
-            probe_round(s, [addr])
+            s.probe_round([addr])
 
 
 class TestStructuralNonAdaptivity:
@@ -113,20 +113,20 @@ class TestStructuralNonAdaptivity:
         # round. Expressing intra-round dependence is impossible because
         # probe_round is the only read path and it consumes the whole batch.
         db, x, params, coin = setup
-        s = open_session(db, coin, 2, params)
-        first = probe_round(s, [main_address(coin, params, x, 6)])
-        dependent_scale = 1 if first[0] is EMPTY else 2
-        probe_round(s, [main_address(coin, params, x, dependent_scale)])
+        s = ProbeSession(db, coin, 2, params)
+        first = s.probe_round([main_address(coin, params, x, 6)])
+        dependent_scale = 1 if first[0] is None else 2
+        s.probe_round([main_address(coin, params, x, dependent_scale)])
         assert s.rounds_used == 2  # the dependence cost a second round
 
 
 class TestTranscript:
     def test_totals(self, setup):
         db, x, params, coin = setup
-        s = open_session(db, coin, 3, params)
-        probe_round(s, [main_address(coin, params, x, i) for i in (1, 2, 5, 6)])
-        probe_round(s, [main_address(coin, params, x, 3)])
-        t = close_session(s)
+        s = ProbeSession(db, coin, 3, params)
+        s.probe_round([main_address(coin, params, x, i) for i in (1, 2, 5, 6)])
+        s.probe_round([main_address(coin, params, x, 3)])
+        t = s.close()
         assert t.rounds_used == 2
         assert t.probes_total == 5
 
@@ -134,10 +134,10 @@ class TestTranscript:
         db, x, params, coin = setup
 
         def run():
-            s = open_session(db, coin, 2, params)
-            probe_round(s, membership_addresses(x) + [main_address(coin, params, x, 4)])
-            probe_round(s, [main_address(coin, params, x, 2)])
-            return close_session(s)
+            s = ProbeSession(db, coin, 2, params)
+            s.probe_round(membership_addresses(x) + [main_address(coin, params, x, 4)])
+            s.probe_round([main_address(coin, params, x, 2)])
+            return s.close()
 
         assert run().serialize() == run().serialize()
 
@@ -146,10 +146,10 @@ class TestTranscript:
         params = make_params(n=1, d=8, c1=0.5)  # r_main = 1 bit addresses
         coin = coin_for_trial(100, 0, 0)
         x = Point(8, 0x0F)
-        s = open_session(db, coin, 2, params)
-        probe_round(s, [CellAddress.member(KIND_MEMBER_EXACT, x)])
-        probe_round(s, [main_address(coin, params, x, 1)])
-        text = close_session(s).serialize()
+        s = ProbeSession(db, coin, 2, params)
+        s.probe_round([CellAddress.member(KIND_MEMBER_EXACT, x)])
+        s.probe_round([main_address(coin, params, x, 1)])
+        text = s.close().serialize()
         lines = text.splitlines()
         assert lines[0] == "round 1: member_exact:-:0f -> point:0f"
         assert lines[1].startswith("round 2: main:1:")

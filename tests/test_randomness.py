@@ -15,7 +15,6 @@ from annsim.randomness import (
     Stream,
     absorb,
     absorb_block,
-    bernoulli_block,
     bernoulli_matrix,
     coin_for_trial,
     raw64,
@@ -27,6 +26,14 @@ from annsim.sketch import SketchMatrix, derive_matrix, sketch_apply_batch
 from conftest import make_instance
 
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def bernoulli_block(key: int, start: int, count: int, p: float) -> np.ndarray:
+    """The generator's reference: Bernoulli(p) bits of stream words
+    start..start+count-1, each 1 when the word's top 53 bits fall below
+    floor(p * 2^53), as uint8."""
+    top53 = raw64_block(key, start, count) >> np.uint64(11)
+    return (top53 < randomness._threshold(p)).astype(np.uint8)
 
 
 class TestGeneratorIdentity:

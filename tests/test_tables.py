@@ -8,12 +8,9 @@ from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.search_common import query_sketch
 from annsim.sketch import SketchVector, derive_matrix, main_threshold, sketch_apply
 from annsim.tables import (
-    EMPTY,
     KIND_MEMBER_EXACT,
     KIND_MEMBER_NEAR1,
     AuxAddress,
-    DataPoint,
-    SmallInt,
     _candidate_mask,
     _refinement_mask,
     aux_cell,
@@ -40,7 +37,7 @@ class TestMainCell:
         x = Point(64, 0xDEADBEEF)
         db = Database([x])
         content = main_cell(db, coin, params, 2, query_sketch(coin, params, x, 2))
-        assert content == DataPoint(x)
+        assert content == x
 
     def test_lowest_index_wins_among_qualifiers(self, small):
         db, x, params, coin = small
@@ -54,9 +51,9 @@ class TestMainCell:
                 if (sv.value ^ addr.value).bit_count() <= thr
             ]
             if qualifying:
-                assert content == DataPoint(db.points[qualifying[0]])
+                assert content == db.points[qualifying[0]]
             else:
-                assert content is EMPTY
+                assert content is None
 
     def test_far_address_is_empty(self, small):
         db, _, params, coin = small
@@ -69,7 +66,7 @@ class TestMainCell:
         for i in range(db.n):
             sv = sketch_apply_scale(db, coin, params, 0, i)
             assert (sv.value ^ addr.value).bit_count() > thr
-        assert main_cell(db, coin, params, 0, addr) is EMPTY
+        assert main_cell(db, coin, params, 0, addr) is None
 
     def test_deterministic(self, small):
         db, x, params, coin = small
@@ -91,7 +88,7 @@ class TestMainCell:
             a1 = sketch_apply_scale(db, coin, params, scale, 1)
             content = main_cell(db, coin, params, scale, a1)
             d0 = (a0.value ^ a1.value).bit_count()
-            expected = DataPoint(p0) if d0 <= thr else DataPoint(p1)
+            expected = p0 if d0 <= thr else p1
             assert content == expected
 
 
@@ -105,14 +102,14 @@ def sketch_apply_scale(db, coin, params, scale, idx) -> SketchVector:
 class TestMembershipCell:
     def test_exact_member(self, small):
         db, _, params, coin = small
-        assert membership_cell(db, KIND_MEMBER_EXACT, db.points[3]) == DataPoint(db.points[3])
+        assert membership_cell(db, KIND_MEMBER_EXACT, db.points[3]) == db.points[3]
 
     def test_near1_member(self, small):
         db, _, _, _ = small
         x = Point(64, db.points[5].value ^ (1 << 17))
         content = membership_cell(db, KIND_MEMBER_NEAR1, x)
-        assert isinstance(content, DataPoint)
-        assert (content.point.value ^ x.value).bit_count() <= 1
+        assert isinstance(content, Point)
+        assert (content.value ^ x.value).bit_count() <= 1
 
     def test_near1_lowest_index(self):
         # Index 1 is at distance 1 of x while index 3 equals x: the lowest
@@ -120,7 +117,7 @@ class TestMembershipCell:
         pts = [Point(8, 0b1111), Point(8, 0b0001), Point(8, 0b1000), Point(8, 0)]
         db = Database(pts)
         x = Point(8, 0)
-        assert membership_cell(db, KIND_MEMBER_NEAR1, x) == DataPoint(pts[1])
+        assert membership_cell(db, KIND_MEMBER_NEAR1, x) == pts[1]
 
     def test_far_point_misses_both(self, small):
         db, _, _, _ = small
@@ -131,8 +128,8 @@ class TestMembershipCell:
                 x = cand
                 break
         assert x is not None, "could not build a point at distance >= 2"
-        assert membership_cell(db, KIND_MEMBER_EXACT, x) is EMPTY
-        assert membership_cell(db, KIND_MEMBER_NEAR1, x) is EMPTY
+        assert membership_cell(db, KIND_MEMBER_EXACT, x) is None
+        assert membership_cell(db, KIND_MEMBER_NEAR1, x) is None
 
 
 def make_aux(db, x, params, coin, scales, s_real):
@@ -164,7 +161,7 @@ class TestAuxCell:
         addr = SketchVector(nbits=params.r_main, value=(1 << params.r_main) - 1)
         aux = make_aux(db, x, params, coin, [1, 2], s_real=2.0)
         content = aux_cell(db, coin, params, 0, addr, aux, s_int=2, s_real=2.0)
-        assert content == SmallInt(3)
+        assert content == 3
 
     def test_full_refinement_gives_one(self, small):
         db, x, params, coin = small
@@ -175,8 +172,8 @@ class TestAuxCell:
         aux = make_aux(db, x, params, coin, [top - 1, top], s_real=2.0)
         content = aux_cell(db, coin, params, top, addr, aux, s_int=2, s_real=2.0)
         sets = exact_sets(x, db, coin, params, s_real=2.0)
-        assert content == SmallInt(oracle_slot(sets, top, [top - 1, top], 2.0, 2))
-        assert content == SmallInt(1)
+        assert content == oracle_slot(sets, top, [top - 1, top], 2.0, 2)
+        assert content == 1
 
     def test_middle_slot_selected(self, coin):
         # Crafted geometry: nobody within distance 1 (slot 1 small), a
@@ -208,8 +205,8 @@ class TestAuxCell:
         aux = make_aux(db, x, params, coin, scales, s_real=2.0)
         content = aux_cell(db, coin, params, top, addr, aux, s_int=3, s_real=2.0)
         sets = exact_sets(x, db, coin, params, s_real=2.0)
-        assert content == SmallInt(oracle_slot(sets, top, scales, 2.0, 3))
-        assert content == SmallInt(2)
+        assert content == oracle_slot(sets, top, scales, 2.0, 3)
+        assert content == 2
 
 
 class TestTablesMatchOracle:
@@ -270,9 +267,9 @@ class TestConditionalSandwich:
                 continue
             for i in range(params.scale_count + 1):
                 content = main_cell(db, coin, params, i, query_sketch(coin, params, x, i))
-                if content is not EMPTY:
+                if content is not None:
                     checked += 1
-                    assert hamming_dist(x, content.point) <= params.ball_radius(i + 1)
+                    assert hamming_dist(x, content) <= params.ball_radius(i + 1)
         assert checked > 0
 
 
