@@ -10,7 +10,15 @@ errors that vanish exponentially in the row count.
 
 import numpy as np
 
-from annsim import Point, coin_for_trial, decision_threshold, derive_matrix, row_collision_prob, sketch_apply
+from annsim import (
+    Point,
+    coin_for_trial,
+    decision_threshold,
+    derive_matrix,
+    hamming_dist,
+    row_collision_prob,
+    sketch_apply,
+)
 
 lam, alpha, d = 4.0, 2.0, 512
 scale = 2  # alpha^scale = lam
@@ -42,9 +50,9 @@ for t in range(pairs):
     far = base.copy()
     far[rng.choice(d, size=int(2 * lam + 1), replace=False)] ^= 1
 
-    sx = sketch_apply(matrix, as_point(base)).bit_array()
-    fn = np.count_nonzero(sx != sketch_apply(matrix, as_point(near)).bit_array()) / rows
-    ff = np.count_nonzero(sx != sketch_apply(matrix, as_point(far)).bit_array()) / rows
+    sx = sketch_apply(matrix, as_point(base))
+    fn = hamming_dist(sx, sketch_apply(matrix, as_point(near))) / rows
+    ff = hamming_dist(sx, sketch_apply(matrix, as_point(far))) / rows
     near_frac += fn / pairs
     far_frac += ff / pairs
     errors += (fn > thr) + (ff <= thr)

@@ -60,7 +60,6 @@ from .randomness import PublicCoin, coin_for_trial
 from .search_common import SearchTrace
 from .sketch import (
     SketchMatrix,
-    SketchVector,
     decision_threshold,
     delta_threshold,
     derive_matrix,
@@ -102,7 +101,6 @@ __all__ = [
     "SearchTrace",
     "SessionClosed",
     "SketchMatrix",
-    "SketchVector",
     "TrialRecord",
     "aux_cell",
     "build_group_addresses",

@@ -125,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     report = calibrate(
         n=args.n, d=args.d, gamma=args.gamma, seeds=args.seeds,
-        seed=args.seed, s_real=args.s, target=args.target,
+        seed=args.seed, s_real=args.s, target=args.target, out=args.out,
     )
     print(f"sandwich rate by c1 ({report.seeds} seeds):")
     for c1, rate in report.c1_rates:
@@ -135,13 +135,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"  c2={c2:<6g} rate={rate:.3f}")
     print(f"calibrated: c1={report.chosen_c1:g} c2={report.chosen_c2:g} "
           f"(target {report.target})")
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("factor,value,rate\n")
-            for c1, rate in report.c1_rates:
-                fh.write(f"c1,{c1:g},{rate}\n")
-            for c2, rate in report.c2_rates:
-                fh.write(f"c2,{c2:g},{rate}\n")
     return 0
 
 

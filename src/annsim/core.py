@@ -25,7 +25,8 @@ _HEX_DIGITS = re.compile("[0-9a-f]*")
 class Point:
     """A point of the d-dimensional Hamming cube.
 
-    `value` packs the coordinates: bit j of `value` is coordinate j.
+    `value` packs the coordinates: bit j of `value` is coordinate j. A GF(2)
+    sketch of r rows is a point of the r-dimensional cube.
     """
 
     dim: int
@@ -42,7 +43,8 @@ class Point:
 
     def packed(self) -> np.ndarray:
         """Little-endian uint64 words; bits above dim are zero."""
-        return packed_words(self.value, self.dim)
+        raw = self.value.to_bytes(8 * ((self.dim + 63) // 64), "little")
+        return np.frombuffer(raw, dtype=np.uint64).copy()
 
     def to_hex(self) -> str:
         """Lowercase hex, most-significant nibble first, ceil(dim/4) digits."""
@@ -56,9 +58,12 @@ class Point:
         return cls(dim, int(text, 16))
 
 
-def packed_words(value: int, dim: int) -> np.ndarray:
-    nwords = (dim + 63) // 64
-    return np.frombuffer(value.to_bytes(nwords * 8, "little"), dtype=np.uint64).copy()
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """(m, dim) 0/1 rows as (m, ceil(dim/64)) little-endian uint64 words, bits above dim zero."""
+    pad = -bits.shape[1] % 64
+    if pad:
+        bits = np.pad(bits, ((0, 0), (0, pad)))
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
 def unpack_bits(value: int, dim: int) -> np.ndarray:
@@ -81,9 +86,9 @@ class Database:
     Immutable after construction. The points' 64-bit words are stored once,
     word-major as `words` (word w of every point is contiguous, which is what
     the sketching kernels read); `packed` is the point-major view of the
-    same array. A small per-instance memo of database sketch bits is
+    same array. A small per-instance memo of database sketch words is
     maintained by the tables module; it caches pure functions of
-    (database, coin, scale) only, so logical immutability is preserved.
+    (database, coin, alpha, scale) only, so logical immutability is preserved.
     """
 
     def __init__(self, points: list[Point] | tuple[Point, ...]):
@@ -169,7 +174,7 @@ class Params:
             raise ValueError("n must be >= 1")
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:  # NaN fails this too
             raise ValueError("gamma must be > 1")
         if self.k < 1:
             raise ValueError("round budget k must be >= 1")

@@ -98,6 +98,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("n distinct points do not fit in the cube")
     if cfg.algo == "near" and not cfg.lam >= 1:  # NaN fails this too
         raise ConfigError("near search needs a distance budget --lambda >= 1")
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"no directory to write {cfg.out!r} into")
     if cfg.dataset.kind == "planted":
         if not 0 <= cfg.dataset.plant_dist <= cfg.d:
             raise ConfigError("plant distance must lie in [0, d]")
@@ -186,10 +188,9 @@ def probe_bound(cfg: ExperimentConfig) -> int:
     return probe_bound_general(params, general_for(cfg))
 
 
-def _near_success(x: Point, db: Database, answer_dist: int, gamma: float, lam: float) -> bool:
-    _, best = exact_nn(x, db)
+def _near_success(answer_dist: int, exact_dist: int, gamma: float, lam: float) -> bool:
     if answer_dist < 0:  # NO answer
-        return best > lam
+        return exact_dist > lam
     return answer_dist <= gamma * lam
 
 
@@ -254,7 +255,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
     _, exact_dist = exact_nn(x, db)
     if cfg.algo == "near":
-        success = _near_success(x, db, best_dist, cfg.gamma, cfg.lam)
+        success = _near_success(best_dist, exact_dist, cfg.gamma, cfg.lam)
     else:
         success = best_candidate is not None and best_dist <= cfg.gamma * exact_dist
 
@@ -361,14 +362,24 @@ def calibrate(
     c1_grid: tuple[float, ...] = (8.0, 16.0, 32.0, 48.0, 64.0, 96.0),
     c2_grid: tuple[float, ...] = (16.0, 32.0, 48.0, 64.0, 96.0),
     dataset: DatasetSpec = DatasetSpec(),
+    out: str | None = None,
 ) -> CalibrationReport:
     """Sweep the sketch-row factors and measure the assumption rates.
 
     Picks the smallest c1 whose empirical sandwich rate reaches `target`,
     then (holding it fixed) the smallest c2 whose joint rate with the
     refinement bounds reaches `target`. Rates are measured on fresh
-    (database, query, coin) triples per seed index.
+    (database, query, coin) triples per seed index. With `out`, the rates
+    are also written there as CSV.
     """
+    if seeds < 1:
+        raise ConfigError("seeds must be >= 1")
+    if not 0 < s_real < float("inf"):
+        raise ConfigError("s must be positive and finite")
+    if not 0 <= target <= 1:  # NaN fails this too
+        raise ConfigError("target must lie in [0, 1]")
+    validate_config(ExperimentConfig(algo="simple", n=n, d=d, gamma=gamma, k=1, trials=seeds,
+                                     seed=seed, dataset=dataset, out=out))
 
     def instance(i: int, c1: float, c2: float):
         data_seed = PublicCoin(seed).stream_key(TAG_DATA, i)
@@ -404,6 +415,11 @@ def calibrate(
             chosen_c2 = c2
             break
 
+    if out:
+        with open(out, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("factor,value,rate\n")
+            fh.writelines(f"c1,{c1:g},{rate}\n" for c1, rate in c1_rates)
+            fh.writelines(f"c2,{c2:g},{rate}\n" for c2, rate in c2_rates)
     return CalibrationReport(
         c1_rates=c1_rates,
         c2_rates=c2_rates,
@@ -447,7 +463,7 @@ def selftest(verbose: bool = True) -> bool:
         db, _ = gen_database(20, 300, DatasetSpec(), seed=coin.stream_key(TAG_DATA, 0))
         packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
-        m = SketchMatrix(role="main", scale=0, rows=13, dim=300, rate=0.0, packed=packed)
+        m = SketchMatrix(rows=13, dim=300, packed=packed)
         check(
             "native sketch kernel matches the numpy kernel",
             np.array_equal(sketch_apply_batch(m, db), sketch_apply_batch_numpy(m, db)),

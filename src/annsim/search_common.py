@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .core import Params, Point
 from .errors import AssumptionViolated
 from .probe_engine import ProbeSession
-from .sketch import SketchVector, derive_matrix, sketch_apply
+from .sketch import derive_matrix, sketch_apply
 from .tables import KIND_MEMBER_EXACT, KIND_MEMBER_NEAR1, CellAddress, CellContent
 
 
@@ -21,7 +21,7 @@ def scale_grid(l: int, u: int, tau: int) -> list[int]:
     return [l + (r * (u - l)) // tau for r in range(tau + 1)]
 
 
-def query_sketch(coin, params: Params, x: Point, scale: int) -> SketchVector:
+def query_sketch(coin, params: Params, x: Point, scale: int) -> Point:
     matrix = derive_matrix(coin, "main", scale, params.r_main, params.d, params.alpha)
     return sketch_apply(matrix, x)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .core import Database, Params, Point
+from .core import Database, Params, Point, pack_words
 from .errors import DimensionMismatch
 from .randomness import PublicCoin, bernoulli_matrix
 
@@ -86,36 +86,11 @@ def aux_threshold(params: Params, scale: int, s_real: float) -> float:
 
 
 @dataclass(frozen=True)
-class SketchVector:
-    """GF(2) sketch of a point: `nbits` parity bits packed into an int."""
-
-    nbits: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.nbits < 1:
-            raise ValueError("sketch must have at least one bit")
-        if not 0 <= self.value < (1 << self.nbits):
-            raise ValueError("sketch has bits set beyond its length")
-
-    def bit_array(self) -> np.ndarray:
-        nbytes = (self.nbits + 7) // 8
-        raw = np.frombuffer(self.value.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.nbits]
-
-    def to_hex(self) -> str:
-        return format(self.value, f"0{(self.nbits + 3) // 4}x")
-
-
-@dataclass(frozen=True)
 class SketchMatrix:
     """rows x dim Bernoulli bit matrix, packed 64 columns per word."""
 
-    role: str
-    scale: int
     rows: int
     dim: int
-    rate: float
     packed: np.ndarray  # (rows, ceil(dim/64)) uint64, bits above dim zero
 
     def __post_init__(self) -> None:
@@ -132,10 +107,6 @@ class SketchMatrix:
         """All entries unpacked: (rows, dim) uint8."""
         raw = self.packed.view(np.uint8).reshape(self.rows, -1)
         return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.dim]
-
-
-def bernoulli_rate(alpha: float, scale: int) -> float:
-    return 1.0 / (4.0 * alpha**scale)
 
 
 def derive_matrix(
@@ -159,15 +130,10 @@ def derive_matrix(
     matrix = cache.get(key)
     if matrix is not None:
         return matrix
-    rate = bernoulli_rate(alpha, scale)
-    nwords = (dim + 63) // 64
-    pad = nwords * 64 - dim
-    bits = bernoulli_matrix(coin.row_keys(role, scale, rows), dim, rate)
-    if pad:
-        bits = np.pad(bits, ((0, 0), (0, pad)))
-    packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    rate = 1.0 / (4.0 * alpha**scale)
+    packed = pack_words(bernoulli_matrix(coin.row_keys(role, scale, rows), dim, rate))
     packed.flags.writeable = False
-    matrix = SketchMatrix(role=role, scale=scale, rows=rows, dim=dim, rate=rate, packed=packed)
+    matrix = SketchMatrix(rows=rows, dim=dim, packed=packed)
     cache[key] = matrix
     return matrix
 
@@ -178,13 +144,13 @@ def derive_matrix(
 _COIN_MATRICES: dict[int, dict] = {}
 
 
-def sketch_apply(matrix: SketchMatrix, p: Point) -> SketchVector:
-    """GF(2) product: bit r of the output is parity(row_r AND p)."""
+def sketch_apply(matrix: SketchMatrix, p: Point) -> Point:
+    """GF(2) product, a point of the rows-dimensional cube: bit r is parity(row_r AND p)."""
     if matrix.dim != p.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs point dim {p.dim}")
     ones = np.bitwise_count(matrix.packed & p.packed()).sum(axis=1)
-    bits = (ones & np.uint64(1)).astype(np.uint8)
-    return _vector_from_bits(bits)
+    bits = np.packbits(ones & np.uint64(1), bitorder="little")
+    return Point(matrix.rows, int.from_bytes(bits.tobytes(), "little"))
 
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
@@ -256,14 +222,6 @@ def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
 
 # Words gathered per chunk of sparse rows: 512 KB of uint64, inside L2.
 _CHUNK_WORDS = 1 << 16
-
-
-def _vector_from_bits(bits: np.ndarray) -> SketchVector:
-    nbits = len(bits)
-    padded = np.zeros(((nbits + 7) // 8) * 8, dtype=np.uint8)
-    padded[:nbits] = bits
-    value = int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
-    return SketchVector(nbits=nbits, value=value)
 
 
 def empirical_density(matrix: SketchMatrix) -> float:

@@ -18,6 +18,10 @@ Four address families exist:
 * member_exact / member_near1: exact-set membership of the query itself /
   of its distance-1 neighborhood (a perfect-hash dictionary in spirit).
 
+A sketch is a Point of the rows-dimensional cube, and every family applies
+one Hamming-ball test on packed words: main and aux cells to the database's
+sketch words (`db_sketch_bits`), membership cells to `Database.packed`.
+
 A cell holds a database point, a small int (an aux slot) or nothing (None).
 """
 
@@ -27,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Database, Params, Point, fraction_at_most, hamming_dist
+from .core import Database, Params, Point, fraction_at_most, pack_words
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
 from .sketch import (
-    SketchVector,
     aux_threshold,
     derive_matrix,
     main_threshold,
@@ -57,7 +60,7 @@ class AuxAddress:
     """
 
     scales: tuple[int, ...]
-    sketches: tuple[SketchVector, ...]
+    sketches: tuple[Point, ...]
     group_bounds: tuple[int, int]
 
     def __post_init__(self) -> None:
@@ -73,16 +76,16 @@ class AuxAddress:
 class CellAddress:
     kind: str
     scale: int = -1
-    sketch: SketchVector | None = None  # main address, or the aux subtable index
+    sketch: Point | None = None  # main address, or the aux subtable index
     aux: AuxAddress | None = None
     point: Point | None = None
 
     @classmethod
-    def main(cls, scale: int, sketch: SketchVector) -> "CellAddress":
+    def main(cls, scale: int, sketch: Point) -> "CellAddress":
         return cls(kind=KIND_MAIN, scale=scale, sketch=sketch)
 
     @classmethod
-    def aux_cell(cls, scale: int, subtable: SketchVector, aux: AuxAddress) -> "CellAddress":
+    def aux_cell(cls, scale: int, subtable: Point, aux: AuxAddress) -> "CellAddress":
         return cls(kind=KIND_AUX, scale=scale, sketch=subtable, aux=aux)
 
     @classmethod
@@ -95,55 +98,63 @@ class CellAddress:
 def db_sketch_bits(
     db: Database, coin: PublicCoin, params: Params, role: str, scale: int, rows: int
 ) -> np.ndarray:
-    """(n, rows) sketch bits of the whole database, memoized per database."""
-    key = (coin.seed, role, scale, rows)
-    bits = db._sketch_memo.get(key)
-    if bits is None:
+    """(n, ceil(rows/64)) sketch words of the whole database, memoized per database.
+
+    Packed like `Database.packed`, so a sketch compares to them as a point does.
+    """
+    key = (coin.seed, params.alpha, role, scale, rows)
+    words = db._sketch_memo.get(key)
+    if words is None:
         matrix = derive_matrix(coin, role, scale, rows, db.dim, params.alpha)
-        bits = sketch_apply_batch(matrix, db)
-        bits.flags.writeable = False
-        db._sketch_memo[key] = bits
-    return bits
+        words = pack_words(sketch_apply_batch(matrix, db))
+        words.flags.writeable = False
+        db._sketch_memo[key] = words
+    return words
+
+
+def _within(words: np.ndarray, p: Point, radius: float) -> np.ndarray:
+    """Boolean mask of the rows of `words` within Hamming distance `radius` of `p`."""
+    return np.bitwise_count(words ^ p.packed()).sum(axis=1) <= radius
+
+
+def _first(db: Database, mask: np.ndarray) -> Point | None:
+    """The lowest-index database point the mask selects, or None."""
+    idx = int(np.argmax(mask))
+    return db.points[idx] if mask[idx] else None
 
 
 def _candidate_mask(
-    db: Database, coin: PublicCoin, params: Params, scale: int, addr: SketchVector
+    db: Database, coin: PublicCoin, params: Params, scale: int, addr: Point
 ) -> np.ndarray:
     """Boolean mask of points whose scale-`scale` sketch is near `addr`."""
-    if addr.nbits != params.r_main:
+    if addr.dim != params.r_main:
         raise DimensionMismatch(
-            f"main address has {addr.nbits} bits, expected {params.r_main}"
+            f"main address has {addr.dim} bits, expected {params.r_main}"
         )
-    bits = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
-    dists = np.count_nonzero(bits != addr.bit_array(), axis=1)
-    return dists <= main_threshold(params, scale)
+    words = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
+    return _within(words, addr, main_threshold(params, scale))
 
 
 def _refinement_mask(
-    db: Database, coin: PublicCoin, params: Params, scale: int, sk: SketchVector, s_real: float
+    db: Database, coin: PublicCoin, params: Params, scale: int, sk: Point, s_real: float
 ) -> np.ndarray:
     """Boolean mask of points whose scale-`scale` auxiliary sketch is near `sk`."""
     rows = params.r_aux(s_real)
-    if sk.nbits != rows:
-        raise DimensionMismatch(f"aux sketch has {sk.nbits} bits, expected {rows}")
-    bits = db_sketch_bits(db, coin, params, "aux", scale, rows)
-    dists = np.count_nonzero(bits != sk.bit_array(), axis=1)
-    return dists <= aux_threshold(params, scale, s_real)
+    if sk.dim != rows:
+        raise DimensionMismatch(f"aux sketch has {sk.dim} bits, expected {rows}")
+    words = db_sketch_bits(db, coin, params, "aux", scale, rows)
+    return _within(words, sk, aux_threshold(params, scale, s_real))
 
 
 def main_cell(
-    db: Database, coin: PublicCoin, params: Params, scale: int, addr: SketchVector
+    db: Database, coin: PublicCoin, params: Params, scale: int, addr: Point
 ) -> CellContent:
     """Content of the scale-`scale` main table at address `addr`.
 
     The lowest-index database point within the scale's sketch threshold of
     the address, or None when no point qualifies.
     """
-    mask = _candidate_mask(db, coin, params, scale, addr)
-    idx = int(np.argmax(mask))
-    if not mask[idx]:
-        return None
-    return db.points[idx]
+    return _first(db, _candidate_mask(db, coin, params, scale, addr))
 
 
 def aux_cell(
@@ -151,7 +162,7 @@ def aux_cell(
     coin: PublicCoin,
     params: Params,
     scale: int,
-    subtable: SketchVector,
+    subtable: Point,
     aux: AuxAddress,
     s_int: int,
     s_real: float,
@@ -176,17 +187,9 @@ def membership_cell(db: Database, kind: str, x: Point) -> CellContent:
     """Exact or distance-1 membership lookup (one virtual probe)."""
     if x.dim != db.dim:
         raise DimensionMismatch(f"query dim {x.dim} vs database dim {db.dim}")
-    if kind == KIND_MEMBER_EXACT:
-        for p in db.points:
-            if p.value == x.value:
-                return p
-        return None
-    if kind == KIND_MEMBER_NEAR1:
-        for p in db.points:
-            if hamming_dist(x, p) <= 1:
-                return p
-        return None
-    raise ValueError(f"not a membership kind: {kind!r}")
+    if kind not in (KIND_MEMBER_EXACT, KIND_MEMBER_NEAR1):
+        raise ValueError(f"not a membership kind: {kind!r}")
+    return _first(db, _within(db.packed, x, 0 if kind == KIND_MEMBER_EXACT else 1))
 
 
 def cell_content(

@@ -231,8 +231,7 @@ def test_criterion_7_sketch_physics():
         for h in sorted({0, 1, lam, 2 * lam + 1}):
             x = Point(d, 0)
             z = Point(d, (1 << h) - 1)
-            flips = sketch_apply(matrix, x).bit_array() != sketch_apply(matrix, z).bit_array()
-            est = float(np.count_nonzero(flips)) / rows
+            est = hamming_dist(sketch_apply(matrix, x), sketch_apply(matrix, z)) / rows
             p = row_collision_prob(float(lam), float(h))
             se = math.sqrt(p * (1 - p) / rows)
             if se == 0.0:

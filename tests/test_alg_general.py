@@ -74,7 +74,7 @@ class TestGroupAddresses:
         x = Point(params.d, 7)
         groups = build_group_addresses(0, 40, 5, 2, x, coin, params, s_real=2.0)
         rows = params.r_aux(2.0)
-        assert all(sk.nbits == rows for g in groups for sk in g.sketches)
+        assert all(sk.dim == rows for g in groups for sk in g.sketches)
 
 
 def run_one(db, x, params, gp, trace=None, seed=0):

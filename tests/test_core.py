@@ -13,6 +13,7 @@ from annsim.core import (
     fraction_at_most,
     hamming_dist,
     load_database,
+    pack_words,
     save_database,
     scale_count,
 )
@@ -61,6 +62,17 @@ class TestPoint:
         words = p.packed()
         assert len(words) == 2
         assert int(words[1]) >> 6 == 0  # bits 70..127 of the packing stay zero
+
+    @given(st.integers(1, 200).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=5))
+    ))
+    def test_pack_words_packs_bit_rows_like_points(self, dim_values):
+        # Sketch bit rows and points share one word layout, padding included.
+        dim, values = dim_values
+        bits = np.array([[(v >> j) & 1 for j in range(dim)] for v in values], dtype=np.uint8)
+        words = pack_words(bits)
+        assert words.shape == (len(values), (dim + 63) // 64) and words.dtype == np.uint64
+        assert np.array_equal(words, np.array([Point(dim, v).packed() for v in values]))
 
     def test_hex_roundtrip_msb_first(self):
         p = Point(12, 0xABC)
@@ -140,6 +152,7 @@ class TestParams:
             dict(n=4, d=64, gamma=4.0, k=1, c1=math.inf),
             dict(n=4, d=64, gamma=4.0, k=1, c2=math.nan),
             dict(n=4, d=64, gamma=4.0, k=1, c=math.nan),
+            dict(n=4, d=64, gamma=math.nan, k=1),
         ],
     )
     def test_invalid_params(self, kw):

@@ -29,6 +29,7 @@ from annsim.harness import (
     write_csv,
 )
 from annsim.near_search import run_near
+from annsim.oracle import exact_nn
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
 
@@ -234,6 +235,17 @@ class TestRunExperiment:
             assert r.probes_total == 1
             assert r.rounds_used == 1
 
+    def test_one_exact_nn_per_near_trial(self, monkeypatch):
+        calls = []
+
+        def counting(x, db):
+            calls.append(x)
+            return exact_nn(x, db)
+
+        monkeypatch.setattr(harness, "exact_nn", counting)
+        run_experiment(small_cfg(algo="near", k=1, lam=4.0, trials=3))
+        assert len(calls) == 3
+
 
 class TestTranscriptInvariants:
     """Every search, on any small instance, keeps the cost model's rules:
@@ -414,13 +426,46 @@ class TestCli:
         (("--algo", "general", "--k", "30", "--c", "nan"), "c1, c2 and c must be finite"),
         (("--algo", "near", "--k", "1", "--lambda", "nan"),
          "near search needs a distance budget --lambda >= 1"),
-    ], ids=["c1-inf", "c1-nan", "c2-inf", "c-nan", "lambda-nan"])
+        (("--algo", "near", "--k", "1", "--lambda", "2", "--gamma", "nan"), "gamma must be > 1"),
+    ], ids=["c1-inf", "c1-nan", "c2-inf", "c-nan", "lambda-nan", "gamma-nan"])
     def test_non_finite_numbers_exit_code(self, args, message):
         res = self.run_cli("run", "--n", "8", "--d", "64", "--gamma", "4", "--trials", "2",
                            "--seed", "0", *args)
         assert res.returncode == 2, res.stdout + res.stderr
         assert "Traceback" not in res.stderr
         assert res.stderr.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("args, message", [
+        (("--seeds", "0"), "seeds must be >= 1"),
+        (("--s", "0"), "s must be positive and finite"),
+        (("--n", "0"), "need n >= 1 and d >= 2"),
+        (("--gamma", "1"), "gamma must be > 1"),
+        (("--seed", "-1"), "seed must lie in [0, 2^64)"),
+        (("--target", "nan"), "target must lie in [0, 1]"),
+    ], ids=["seeds-0", "s-0", "n-0", "gamma-1", "seed-neg", "target-nan"])
+    def test_calibrate_bad_input_exit_code(self, args, message, capsys, monkeypatch):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(harness, "gen_database", no_instance)
+        assert main(["calibrate", "--seeds", "1", *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4", "--k", "1",
+         "--trials", "2", "--seed", "0"],
+        ["calibrate", "--n", "8", "--d", "64", "--seeds", "1"],
+    ], ids=["run", "calibrate"])
+    def test_out_into_a_missing_directory_exit_code(self, argv, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: no directory to write {str(out)!r} into"]
+        assert not out.parent.exists()
 
     def test_round_budget_too_small_for_the_phases_exit_code(self):
         res = self.run_cli(

@@ -258,7 +258,7 @@ class TestNativeKernel:
         coin = coin_for_trial(5, 0, 0)
         packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
-        m = SketchMatrix(role="main", scale=0, rows=13, dim=300, rate=0.0, packed=packed)
+        m = SketchMatrix(rows=13, dim=300, packed=packed)
         assert np.array_equal(sketch_apply_batch(m, db),
                               _parity_product(_db_bits(db), m.bits_matrix()))
         assert _native.status().startswith("numpy (")

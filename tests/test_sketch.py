@@ -7,13 +7,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import sketch
-from annsim.core import Point
+from annsim.core import Point, hamming_dist, unpack_bits
 from annsim.errors import DimensionMismatch
 from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import coin_for_trial
 from annsim.sketch import (
     SketchMatrix,
-    SketchVector,
     decision_threshold,
     delta_threshold,
     derive_matrix,
@@ -89,8 +88,7 @@ class TestRowCollisionProb:
         matrix = derive_matrix(coin, "main", 1, rows, d, 2.0)
         x = Point(d, 0)
         z = Point(d, (1 << h) - 1)
-        flips = sketch_apply(matrix, x).bit_array() != sketch_apply(matrix, z).bit_array()
-        est = float(np.count_nonzero(flips)) / rows
+        est = hamming_dist(sketch_apply(matrix, x), sketch_apply(matrix, z)) / rows
         p = row_collision_prob(lam, h)
         assert abs(est - p) <= 3 * math.sqrt(p * (1 - p) / rows)
 
@@ -126,8 +124,7 @@ def explicit_matrix(rows_bits: list[str]) -> SketchMatrix:
         padded = np.zeros(nwords * 64, dtype=np.uint8)
         padded[: len(bits)] = [int(b) for b in bits]
         packed[r] = np.packbits(padded, bitorder="little").view(np.uint64)
-    return SketchMatrix(role="main", scale=0, rows=len(rows_bits), dim=dim,
-                        rate=0.0, packed=packed)
+    return SketchMatrix(rows=len(rows_bits), dim=dim, packed=packed)
 
 
 class TestSketchApply:
@@ -138,12 +135,12 @@ class TestSketchApply:
     def test_identity_like_rows_copy_bits(self):
         m = explicit_matrix(["1000", "0100", "0010"])
         p = point_from_bits("1010")
-        assert sketch_apply(m, p).bit_array().tolist() == [1, 0, 1]
+        assert sketch_bits(m, p).tolist() == [1, 0, 1]
 
     def test_matches_naive_mod2_dot_product(self, coin):
         m = derive_matrix(coin, "main", 0, 16, 64, 2.0)
         p = Point(64, 0x123456789ABCDEF0)
-        got = sketch_apply(m, p).bit_array()
+        got = sketch_bits(m, p)
         for r in range(16):
             naive = sum(
                 int(a) & int(b) for a, b in zip(m.row_bits(r), _bits_of(p))
@@ -160,7 +157,7 @@ class TestSketchApply:
         m = derive_matrix(coin, "main", 1, 12, 96, 2.0)
         batch = sketch_apply_batch(m, db)
         for i, p in enumerate(db.points):
-            assert batch[i].tolist() == sketch_apply(m, p).bit_array().tolist()
+            assert batch[i].tolist() == sketch_bits(m, p).tolist()
 
 
 class TestSketchApplyBatchDifferential:
@@ -176,7 +173,7 @@ class TestSketchApplyBatchDifferential:
         want = _parity_product(_db_bits(db), m.bits_matrix())
         assert np.array_equal(batch, want)
         for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
+            assert np.array_equal(batch[i], sketch_bits(m, p))
         return m
 
     # TestSketchApplyBatchDifferentialNumpy runs this method too, under another
@@ -233,7 +230,7 @@ class TestSketchApplyBatchRowKinds:
             packed[:, -1] &= np.uint64((1 << (d % 64)) - 1)
             # a masked word that came out zero would change the row's kind
             packed[(packed == 0).all(axis=1) & (np.array(kinds) != "zero"), 0] = 1
-        return SketchMatrix(role="main", scale=0, rows=len(kinds), dim=d, rate=0.0, packed=packed)
+        return SketchMatrix(rows=len(kinds), dim=d, packed=packed)
 
     @staticmethod
     def check(m: SketchMatrix, db) -> None:
@@ -241,7 +238,7 @@ class TestSketchApplyBatchRowKinds:
         assert batch.shape == (db.n, m.rows) and batch.dtype == np.uint8
         assert np.array_equal(batch, _parity_product(_db_bits(db), m.bits_matrix()))
         for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_apply(m, p).bit_array())
+            assert np.array_equal(batch[i], sketch_bits(m, p))
 
     # TestSketchApplyBatchRowKindsNumpy runs this method too, under another
     # class; the examples are valid for both kernels, so that is not a hazard here.
@@ -292,8 +289,7 @@ def test_packed_words_must_match_rows_and_dim(shape):
     # The batch kernels read rows x ceil(dim/64) words; the numpy one would
     # sketch with a short row's first word only, the C one read past its end.
     with pytest.raises(ValueError, match="do not match"):
-        SketchMatrix(role="main", scale=0, rows=2, dim=128, rate=0.0,
-                     packed=np.ones(shape, dtype=np.uint64))
+        SketchMatrix(rows=2, dim=128, packed=np.ones(shape, dtype=np.uint64))
 
 
 class TestMatrixCache:
@@ -318,17 +314,14 @@ class TestMatrixCache:
         assert derive_matrix(new, "main", 1, 8, 200, 2.0) is not b
 
 
+def sketch_bits(m: SketchMatrix, p: Point) -> np.ndarray:
+    """The sketch of p as a uint8 array of length m.rows."""
+    v = sketch_apply(m, p)
+    return unpack_bits(v.value, v.dim)
+
+
 def _bits_of(p: Point):
     return [(p.value >> j) & 1 for j in range(p.dim)]
-
-
-class TestSketchVector:
-    def test_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            SketchVector(nbits=3, value=8)
-
-    def test_hex_is_msb_first(self):
-        assert SketchVector(nbits=8, value=0x2F).to_hex() == "2f"
 
 
 class TestSeparationProperty:
@@ -350,12 +343,12 @@ class TestSeparationProperty:
             far = base.copy()
             far[rng.choice(d, size=2 * lam + 1, replace=False)] ^= 1
             px = _point_from_array(base)
-            sx = sketch_apply(matrix, px).bit_array()
-            s_near = sketch_apply(matrix, _point_from_array(near)).bit_array()
-            s_far = sketch_apply(matrix, _point_from_array(far)).bit_array()
-            if np.count_nonzero(sx != s_near) > thr * rows:
+            sx = sketch_apply(matrix, px)
+            s_near = sketch_apply(matrix, _point_from_array(near))
+            s_far = sketch_apply(matrix, _point_from_array(far))
+            if hamming_dist(sx, s_near) > thr * rows:
                 errors += 1
-            if np.count_nonzero(sx != s_far) <= thr * rows:
+            if hamming_dist(sx, s_far) <= thr * rows:
                 errors += 1
         assert errors / (2 * pairs) <= 0.05
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from annsim.core import Database, Params, Point
+from annsim.core import Database, Params, Point, hamming_dist, pack_words
 from annsim.harness import DatasetSpec, gen_database
 from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.search_common import query_sketch
-from annsim.sketch import SketchVector, derive_matrix, main_threshold, sketch_apply
+from annsim.sketch import derive_matrix, main_threshold, sketch_apply, sketch_apply_batch
 from annsim.tables import (
     KIND_MEMBER_EXACT,
     KIND_MEMBER_NEAR1,
@@ -14,6 +14,7 @@ from annsim.tables import (
     _candidate_mask,
     _refinement_mask,
     aux_cell,
+    db_sketch_bits,
     main_cell,
     membership_cell,
     table_metadata,
@@ -61,7 +62,7 @@ class TestMainCell:
         # r/4, so a full-weight address is past the threshold for every
         # point with overwhelming margin. Verify the premise point by
         # point before asserting the cell content.
-        addr = SketchVector(nbits=params.r_main, value=(1 << params.r_main) - 1)
+        addr = Point(params.r_main, (1 << params.r_main) - 1)
         thr = main_threshold(params, 0)
         for i in range(db.n):
             sv = sketch_apply_scale(db, coin, params, 0, i)
@@ -92,7 +93,7 @@ class TestMainCell:
             assert content == expected
 
 
-def sketch_apply_scale(db, coin, params, scale, idx) -> SketchVector:
+def sketch_apply_scale(db, coin, params, scale, idx) -> Point:
     from annsim.sketch import derive_matrix
 
     m = derive_matrix(coin, "main", scale, params.r_main, params.d, params.alpha)
@@ -131,6 +132,21 @@ class TestMembershipCell:
         assert membership_cell(db, KIND_MEMBER_EXACT, x) is None
         assert membership_cell(db, KIND_MEMBER_NEAR1, x) is None
 
+    @pytest.mark.parametrize("d", [100, 200])
+    def test_multiword_padded_matches_a_scan(self, d):
+        # Several words per point, the last one padded: members, their
+        # distance-1 neighbours (the top coordinate included) and points
+        # at distance 2 against a first-match scan over the points.
+        db, x = make_instance(n=24, d=d, seed=d)
+        queries = [x, db.points[9], db.points[-1]]
+        queries += [Point(d, p.value ^ (1 << j)) for p in db.points[:3] for j in (0, 63, d - 1)]
+        queries += [Point(d, db.points[4].value ^ (0b11 << (d - 2)))]
+        for q in queries:
+            exact = next((p for p in db.points if p == q), None)
+            near1 = next((p for p in db.points if hamming_dist(p, q) <= 1), None)
+            assert membership_cell(db, KIND_MEMBER_EXACT, q) == exact
+            assert membership_cell(db, KIND_MEMBER_NEAR1, q) == near1
+
 
 def make_aux(db, x, params, coin, scales, s_real):
     from annsim.sketch import derive_matrix
@@ -158,7 +174,7 @@ def oracle_slot(sets, top, scales, s_real, s_int):
 class TestAuxCell:
     def test_empty_candidates_gives_overflow(self, small):
         db, x, params, coin = small
-        addr = SketchVector(nbits=params.r_main, value=(1 << params.r_main) - 1)
+        addr = Point(params.r_main, (1 << params.r_main) - 1)
         aux = make_aux(db, x, params, coin, [1, 2], s_real=2.0)
         content = aux_cell(db, coin, params, 0, addr, aux, s_int=2, s_real=2.0)
         assert content == 3
@@ -240,6 +256,21 @@ class TestTablesMatchOracle:
                 assert frozenset(np.flatnonzero(refined).tolist()) == sets.refined(i, j)
 
 
+class TestDatabaseSketchMemo:
+    def test_memo_tells_alphas_apart(self):
+        # gamma=4 and gamma=2 share r_main but not the matrices above scale
+        # 0: one database and coin must not hand the second caller the
+        # first caller's sketches.
+        db, _ = make_instance(n=64, d=128, seed=8)
+        coin = coin_for_trial(8, 0, 0)
+        for gamma in (4.0, 2.0):
+            params = make_params(n=64, d=128, gamma=gamma, c1=8.0)
+            for scale in range(params.scale_count + 1):
+                words = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
+                m = derive_matrix(coin, "main", scale, params.r_main, 128, params.alpha)
+                assert np.array_equal(words, pack_words(sketch_apply_batch(m, db)))
+
+
 class TestAuxAddress:
     def test_scales_must_increase(self, small):
         db, x, params, coin = small
@@ -248,7 +279,7 @@ class TestAuxAddress:
 
     def test_one_sketch_per_scale(self):
         with pytest.raises(ValueError):
-            AuxAddress(scales=(1, 2), sketches=(SketchVector(4, 0),), group_bounds=(1, 2))
+            AuxAddress(scales=(1, 2), sketches=(Point(4, 0),), group_bounds=(1, 2))
 
 
 class TestConditionalSandwich:
