@@ -100,6 +100,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("near search needs a distance budget --lambda >= 1")
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise ConfigError(f"no directory to write {cfg.out!r} into")
+    if cfg.out and os.path.isdir(cfg.out):
+        raise ConfigError(f"{cfg.out!r} is a directory, not a file to write")
     if cfg.dataset.kind == "planted":
         if not 0 <= cfg.dataset.plant_dist <= cfg.d:
             raise ConfigError("plant distance must lie in [0, d]")

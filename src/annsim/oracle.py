@@ -3,9 +3,11 @@
 Everything here is recomputed from definitions, independently of the table
 machinery: exact nearest neighbors by linear scan, exact distance balls, and
 the sketch-based candidate sets rebuilt from the raw matrices via a dense
-unpacked-bit matrix product (a deliberately different computational route
-from the packed popcount kernels the tables use, so cross-checks between the
-two are meaningful). Only the sketch primitives themselves, matrix
+float32 product of unpacked bits (a deliberately different computational
+route from the packed popcount kernels the tables use, so cross-checks
+between the two are meaningful). The product skips a matrix's all-zero rows
+and columns when most columns are zero, and the sets are kept as boolean
+masks over database indices. Only the sketch primitives themselves, matrix
 derivation and the threshold formulas, are shared.
 """
 
@@ -38,12 +40,15 @@ def is_gamma_approx(x: Point, db: Database, z: Point, gamma: float) -> bool:
 
 
 def _parity_product(point_bits: np.ndarray, matrix_bits: np.ndarray) -> np.ndarray:
-    """GF(2) products via a dense float32 matmul (exact for d < 2^24).
+    """GF(2) products of m points (m, d) with a matrix's rows (rows, d), as
+    (m, rows) parities, via a dense float32 matmul (exact for d < 2^24).
 
-    Each operand is cast to float32 once; float32 point bits are used as given.
+    It runs as matrix @ points.T: BLAS is fastest in that orientation when
+    point_bits is the transpose of a C-contiguous (d, m) array. Float32
+    point bits are used as given.
     """
-    counts = point_bits.astype(np.float32, copy=False) @ matrix_bits.T.astype(np.float32)
-    return counts.astype(np.int64) & 1
+    counts = matrix_bits.astype(np.float32) @ point_bits.T.astype(np.float32, copy=False)
+    return (counts.astype(np.int64) & 1).T
 
 
 def _db_bits(db: Database) -> np.ndarray:
@@ -54,9 +59,10 @@ def _db_bits(db: Database) -> np.ndarray:
 class ScaleSets:
     """Exact balls and their sketch approximations for one (x, db, coin).
 
-    Balls and candidate sets are materialized for every scale; the refined
-    sets are built on request per (i, j) pair. All sets are frozensets of
-    database indices.
+    The sets are boolean masks over database indices: `balls` is
+    (top+2, n), `candidates` is (top+1, n), and each auxiliary scale j gets
+    one mask of the points passing its sketch test, built on first use.
+    `ball`, `sketch_ball` and `refined` return them as frozensets.
     """
 
     def __init__(
@@ -73,56 +79,67 @@ class ScaleSets:
         self.params = params
         self.s_real = s_real
         self.top = params.scale_count
-        dists = [hamming_dist(x, p) for p in db.points]
-        self.balls: list[frozenset[int]] = [
-            frozenset(i for i, h in enumerate(dists) if h <= params.ball_radius(sc))
-            for sc in range(self.top + 2)
-        ]
-        # Database rows then the query, as float32 once for every product.
-        self._bits = np.vstack([_db_bits(db), unpack_bits(x.value, x.dim)]).astype(np.float32)
-        self.approx: list[frozenset[int]] = []
-        for sc in range(self.top + 1):
-            matrix = derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
-            sk_dists = self._sketch_dists(matrix)
-            thr = main_threshold(params, sc)
-            self.approx.append(frozenset(np.nonzero(sk_dists <= thr)[0].tolist()))
-        self._aux_dists: dict[int, np.ndarray] = {}
-        self._refined: dict[tuple[int, int], frozenset[int]] = {}
+        dists = np.array([hamming_dist(x, p) for p in db.points])
+        radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
+        self.balls = dists <= radii[:, None]
+        # Database columns then the query, as one C-contiguous (d, n+1)
+        # float32 operand for every product.
+        self._points = np.ascontiguousarray(
+            np.vstack([_db_bits(db), unpack_bits(x.value, x.dim)]).T, dtype=np.float32
+        )
+        self.candidates = np.array([
+            self._sketch_dists(
+                derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
+            ) <= main_threshold(params, sc)
+            for sc in range(self.top + 1)
+        ])
+        self._aux_masks: dict[int, np.ndarray] = {}
 
     def _sketch_dists(self, matrix) -> np.ndarray:
-        """Sketch distance from the query to every database point under `matrix`."""
-        sketches = _parity_product(self._bits, matrix.bits_matrix())
+        """Sketch distance from the query to every database point under `matrix`.
+
+        All-zero rows and columns of the matrix add 0 to every count. With
+        fewer than half the columns nonzero, the product runs on the nonzero
+        rows and columns only; with more, the gather costs more than it
+        saves. Rows then columns, as two gathers: one np.ix_ gather is
+        about 3x slower.
+        """
+        bits = matrix.bits_matrix()
+        points = self._points
+        cols = bits.any(axis=0)
+        if 2 * np.count_nonzero(cols) < matrix.dim:
+            bits = bits[bits.any(axis=1)][:, cols]
+            points = points[cols]
+        sketches = _parity_product(points.T, bits)
         return np.count_nonzero(sketches[:-1] != sketches[-1], axis=1)
 
     def ball(self, i: int) -> frozenset[int]:
         """Exact ball of radius alpha^i (index top+1 covers the whole base)."""
-        return self.balls[i]
+        return _members(self.balls[i])
 
     def sketch_ball(self, i: int) -> frozenset[int]:
-        return self.approx[i]
+        return _members(self.candidates[i])
 
-    def _aux_dist(self, j: int) -> np.ndarray:
+    def aux_pass(self, j: int) -> np.ndarray:
+        """Mask of the database points that pass the scale-j auxiliary sketch test."""
         if self.s_real is None:
             raise ValueError("refined sets need the refinement parameter s")
-        cached = self._aux_dists.get(j)
+        cached = self._aux_masks.get(j)
         if cached is None:
             rows = self.params.r_aux(self.s_real)
             matrix = derive_matrix(self.coin, "aux", j, rows, self.db.dim, self.params.alpha)
-            cached = self._sketch_dists(matrix)
-            self._aux_dists[j] = cached
+            cached = self._sketch_dists(matrix) <= aux_threshold(self.params, j, self.s_real)
+            self._aux_masks[j] = cached
         return cached
 
     def refined(self, i: int, j: int) -> frozenset[int]:
         """Members of the scale-i candidate set that also pass the scale-j
         auxiliary sketch test."""
-        key = (i, j)
-        cached = self._refined.get(key)
-        if cached is None:
-            thr = aux_threshold(self.params, j, self.s_real)
-            dists = self._aux_dist(j)
-            cached = frozenset(z for z in self.approx[i] if dists[z] <= thr)
-            self._refined[key] = cached
-        return cached
+        return _members(self.candidates[i] & self.aux_pass(j))
+
+
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def exact_sets(
@@ -138,11 +155,8 @@ def exact_sets(
 
 def check_assumption1(sets: ScaleSets) -> bool:
     """The sandwich: ball(i) <= sketch_ball(i) <= ball(i+1) at every scale."""
-    for i in range(sets.top + 1):
-        c = sets.sketch_ball(i)
-        if not (sets.ball(i) <= c and c <= sets.ball(i + 1)):
-            return False
-    return True
+    balls, cand = sets.balls, sets.candidates
+    return not (balls[:-1] & ~cand).any() and not (cand & ~balls[1:]).any()
 
 
 def check_assumption2(sets: ScaleSets, s_real: float, n: int) -> bool:
@@ -152,17 +166,25 @@ def check_assumption2(sets: ScaleSets, s_real: float, n: int) -> bool:
     and at most an n^(-1/s) fraction of sketch_ball(i) \\ ball(j+1) is
     included in it. Pairs whose candidate set is empty are vacuous: there
     is nothing to refine, so no refinement quality can be demanded of them.
+
+    For each j, every scale i >= j with a nonempty candidate set is checked
+    at once; scale j's auxiliary mask is built only if such an i exists.
     """
-    for i in range(sets.top + 1):
-        c = sets.sketch_ball(i)
-        if not c:
-            continue
-        for j in range(i + 1):
-            d = sets.refined(i, j)
-            bj = sets.ball(j)
-            if not fraction_at_most(len(bj - d), len(bj), n, s_real):
-                return False
-            far = c - sets.ball(j + 1)
-            if not fraction_at_most(len(d & far), len(far), n, s_real):
+    live = np.flatnonzero(sets.candidates.any(axis=1))
+    for j in range(sets.top + 1):
+        scales = live[live >= j]
+        if not scales.size:
+            break
+        cand = sets.candidates[scales]
+        refined = cand & sets.aux_pass(j)
+        ball_j = sets.balls[j]
+        far = cand & ~sets.balls[j + 1]
+        missing = np.count_nonzero(ball_j & ~refined, axis=1).tolist()
+        included = np.count_nonzero(refined & far, axis=1).tolist()
+        far_sizes = np.count_nonzero(far, axis=1).tolist()
+        whole = int(np.count_nonzero(ball_j))
+        for miss, inc, far_size in zip(missing, included, far_sizes):
+            if not (fraction_at_most(miss, whole, n, s_real)
+                    and fraction_at_most(inc, far_size, n, s_real)):
                 return False
     return True

@@ -451,11 +451,13 @@ class TestCli:
         assert main(["calibrate", "--seeds", "1", *args]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
-    @pytest.mark.parametrize("argv", [
+    OUT_COMMANDS = pytest.mark.parametrize("argv", [
         ["run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4", "--k", "1",
          "--trials", "2", "--seed", "0"],
         ["calibrate", "--n", "8", "--d", "64", "--seeds", "1"],
     ], ids=["run", "calibrate"])
+
+    @OUT_COMMANDS
     def test_out_into_a_missing_directory_exit_code(self, argv, tmp_path, capsys, monkeypatch):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
@@ -466,6 +468,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"config error: no directory to write {str(out)!r} into"]
         assert not out.parent.exists()
+
+    @OUT_COMMANDS
+    def test_out_naming_a_directory_exit_code(self, argv, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: {str(tmp_path)!r} is a directory, not a file to write"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_budget_too_small_for_the_phases_exit_code(self):
         res = self.run_cli(

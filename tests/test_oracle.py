@@ -129,7 +129,7 @@ class TestAssumption2:
         db, x = make_instance(n=8, d=64)
         params = make_params(n=8, d=64)
         sets = exact_sets(x, db, coin, params, s_real=2.0)
-        sets.approx = [frozenset()] * (params.scale_count + 1)
+        sets.candidates[:] = False
         assert check_assumption2(sets, 2.0, 8)
 
     def test_calibrated_joint_rate(self):

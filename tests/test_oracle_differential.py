@@ -1,0 +1,225 @@
+"""The mask oracle against the frozenset oracle it replaced.
+
+`reference_oracle` keeps the earlier `ScaleSets`, `check_assumption1` and
+`check_assumption2` verbatim: full products over every column, frozensets
+built pair by pair, and an i-major pair loop. The production oracle skips
+all-zero matrix rows and columns, keeps its sets as boolean masks and
+checks the pairs j-major. Both must give the same sets and verdicts.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+import reference_oracle as ref
+from annsim import oracle
+from annsim.core import Params, pack_words
+from annsim.harness import DatasetSpec, gen_database
+from annsim.oracle import check_assumption1, check_assumption2, exact_sets
+from annsim.randomness import PublicCoin
+from annsim.sketch import SketchMatrix, derive_matrix
+
+from conftest import make_instance, make_params
+
+
+def both(n=16, d=64, seed=3, s_real=2.0, **kw):
+    """The production and reference sets of one small instance."""
+    db, x = make_instance(n=n, d=d, seed=seed)
+    params = make_params(n=n, d=d, **kw)
+    coin = PublicCoin(seed)
+    return (exact_sets(x, db, coin, params, s_real=s_real),
+            ref.ScaleSets(x, db, coin, params, s_real=s_real))
+
+
+def matrix_from_bits(bits: np.ndarray) -> SketchMatrix:
+    rows, dim = bits.shape
+    return SketchMatrix(rows, dim, pack_words(bits.astype(np.uint8)))
+
+
+def assert_same_sets(new, old):
+    top = new.top
+    for i in range(top + 2):
+        assert new.ball(i) == old.ball(i)
+    for i in range(top + 1):
+        assert new.sketch_ball(i) == old.sketch_ball(i)
+        if new.s_real is not None:
+            for j in range(top + 1):
+                assert new.refined(i, j) == old.refined(i, j)
+
+
+def assert_same_verdicts(new, old, n):
+    assert check_assumption1(new) == ref.check_assumption1(old)
+    if new.s_real is not None:
+        assert check_assumption2(new, new.s_real, n) == ref.check_assumption2(old, old.s_real, n)
+
+
+def inject(new, old, balls, cand, aux):
+    """Give both oracles the same sets: balls (top+2, n), candidates
+    (top+1, n) and one aux-pass mask per scale (top+1, n)."""
+    new.balls = balls
+    new.candidates = cand
+    new._aux_masks = dict(enumerate(aux))
+    old.balls = [frozenset(np.flatnonzero(b).tolist()) for b in balls]
+    old.approx = [frozenset(np.flatnonzero(c).tolist()) for c in cand]
+    old._refined = {
+        (i, j): frozenset(np.flatnonzero(cand[i] & aux[j]).tolist())
+        for i in range(len(cand)) for j in range(len(aux))
+    }
+
+
+class TestRandomInstances:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(2, 200),
+        gamma=st.sampled_from([1.5, 2.0, 4.0]),
+        s_real=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        c=st.sampled_from([0.5, 2.0, 8.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=40, d=130, gamma=4.0, s_real=2.0, c=8.0, seed=1)
+    @example(n=1, d=2, gamma=2.0, s_real=1.0, c=0.5, seed=2)
+    def test_sets_and_verdicts_match(self, n, d, gamma, s_real, c, seed):
+        assume(d >= 64 or n <= 2**d)
+        db, x = gen_database(n, d, DatasetSpec(), seed)
+        coin = PublicCoin(seed)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c, c2=c)
+        new = exact_sets(x, db, coin, params, s_real=s_real)
+        old = ref.ScaleSets(x, db, coin, params, s_real=s_real)
+        # Verdicts first, while the aux masks are still built lazily.
+        assert_same_verdicts(new, old, n)
+        assert_same_sets(new, old)
+        for sc in range(params.scale_count + 1):
+            for role, rows in (("main", params.r_main), ("aux", params.r_aux(s_real))):
+                m = derive_matrix(coin, role, sc, rows, d, params.alpha)
+                assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**64 - 1),
+           c=st.sampled_from([0.5, 2.0, 8.0]))
+    def test_no_aux_matrix_the_reference_would_not_derive(self, n, seed, c):
+        db, x = make_instance(n=n, d=96, seed=seed)
+        coin = PublicCoin(seed)
+        params = make_params(n=n, d=96, c1=c, c2=c)
+        new = exact_sets(x, db, coin, params, s_real=2.0)
+        old = ref.ScaleSets(x, db, coin, params, s_real=2.0)
+        derived = {}
+        for name, module, sets, check in (("new", oracle, new, check_assumption2),
+                                          ("old", ref, old, ref.check_assumption2)):
+            scales = derived[name] = set()
+
+            def recording(coin, role, scale, *rest, _scales=scales):
+                _scales.add(scale)
+                return derive_matrix(coin, role, scale, *rest)
+
+            with mock.patch.object(module, "derive_matrix", recording):
+                derived[name, "verdict"] = check(sets, 2.0, n)
+        assert derived["new", "verdict"] == derived["old", "verdict"]
+        assert derived["new"] <= derived["old"]
+
+
+class TestSketchDists:
+    """Matrices built by hand, one per edge of the row and column filter."""
+
+    D = 64
+
+    def check(self, bits):
+        new, old = both(d=self.D)
+        m = matrix_from_bits(bits)
+        dists = new._sketch_dists(m)
+        assert np.array_equal(dists, old._sketch_dists(m))
+        return dists
+
+    def product_shapes(self, bits, monkeypatch):
+        new, _ = both(d=self.D)
+        shapes = []
+        real = oracle._parity_product
+
+        def recording(points, matrix_bits):
+            shapes.append(matrix_bits.shape)
+            return real(points, matrix_bits)
+
+        monkeypatch.setattr(oracle, "_parity_product", recording)
+        new._sketch_dists(matrix_from_bits(bits))
+        return shapes
+
+    def half_columns(self):
+        rng = np.random.default_rng(5)
+        bits = rng.random((12, self.D)) < 0.3
+        bits[:, 1::2] = False
+        bits[0, ::2] = True  # exactly D/2 nonzero columns
+        bits[3] = False
+        return bits
+
+    def test_exactly_half_the_columns(self):
+        self.check(self.half_columns())
+
+    def test_cut_over_runs_the_full_product_at_half(self, monkeypatch):
+        bits = self.half_columns()
+        assert self.product_shapes(bits, monkeypatch) == [(12, self.D)]
+
+    def test_below_half_runs_on_the_nonzero_rows_and_columns(self, monkeypatch):
+        bits = self.half_columns()
+        bits[:, 0] = False  # D/2 - 1 nonzero columns, row 3 still empty
+        assert self.product_shapes(bits, monkeypatch) == [(11, self.D // 2 - 1)]
+        self.check(bits)
+
+    def test_all_zero_matrix(self):
+        assert not self.check(np.zeros((9, self.D), dtype=bool)).any()
+
+    @pytest.mark.parametrize("col", [0, 37, 63])
+    def test_one_column_matrix(self, col):
+        bits = np.zeros((10, self.D), dtype=bool)
+        bits[[1, 4, 5, 9], col] = True
+        self.check(bits)
+
+    def test_rows_with_a_single_one(self):
+        bits = np.zeros((16, self.D), dtype=bool)
+        bits[np.arange(16), np.arange(16) * 3] = True
+        self.check(bits)
+
+
+class TestInjectedSets:
+    def test_forced_empty_candidate_sets(self):
+        new, old = both(n=32, d=64, seed=11, c1=0.5, c2=0.5)
+        top = new.top
+        cand = new.candidates.copy()
+        cand[::2] = False
+        aux = np.array([new.aux_pass(j) for j in range(top + 1)])
+        inject(new, old, new.balls.copy(), cand, aux)
+        assert_same_sets(new, old)
+        assert_same_verdicts(new, old, 32)
+        inject(new, old, new.balls.copy(), np.zeros_like(cand), aux)
+        assert check_assumption2(new, 2.0, 32) and ref.check_assumption2(old, 2.0, 32)
+
+    @pytest.mark.parametrize("missing, verdict", [(1, True), (2, False)])
+    def test_exact_fraction_tie(self, missing, verdict):
+        # n = 256 and s = 2 give n^(1/s) = 16: missing 1 of a 16-point
+        # ball is exactly the allowed fraction, and the tie passes.
+        new, old = both(n=256, d=64, seed=2)
+        top, n = new.top, 256
+        ball = np.zeros(n, dtype=bool)
+        ball[:16] = True
+        aux = np.tile(ball, (top + 1, 1))
+        aux[0, :missing] = False
+        inject(new, old, np.tile(ball, (top + 2, 1)), np.tile(ball, (top + 1, 1)), aux)
+        assert check_assumption2(new, 2.0, n) is verdict
+        assert ref.check_assumption2(old, 2.0, n) is verdict
+
+    @pytest.mark.parametrize("scale", [0, 1, 2])
+    def test_only_the_diagonal_pair_fails(self, scale):
+        # Point 8 is in candidate set `scale` and passes aux test `scale`,
+        # but lies outside every ball: pair (scale, scale) includes it from
+        # the far side, and every other pair keeps it out.
+        new, old = both(n=16, d=64, seed=4)
+        top, n = new.top, 16
+        inner = np.zeros(n, dtype=bool)
+        inner[:8] = True
+        cand = np.tile(inner, (top + 1, 1))
+        aux = np.tile(inner, (top + 1, 1))
+        cand[scale, 8] = aux[scale, 8] = True
+        inject(new, old, np.tile(inner, (top + 2, 1)), cand, aux)
+        assert ref.check_assumption2(old, 1.0, n) is False
+        assert check_assumption2(new, 1.0, n) is False
