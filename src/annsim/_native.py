@@ -8,6 +8,9 @@ temporary directory and loads through `ctypes`; the directory is deleted
 once the library is loaded, so nothing is kept on disk, and importing the
 package builds nothing. Loading is all or nothing: unless both symbols
 load, neither kernel is used and both numpy kernels run, with the same bits.
+Both C kernels write packed little-endian uint64 words, the layout of
+`core.pack_words`, so each twin's output is `pack_words` of its numpy
+kernel's bit matrix.
 """
 
 from __future__ import annotations
@@ -23,27 +26,52 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* bernoulli_matrix_numpy: the same words and the same test against the cut,
-   one entry at a time. */
-void bernoulli_matrix(const uint64_t *keys, size_t rows, size_t count,
-                      uint64_t cut, uint8_t *out)
+/* One row of bernoulli_matrix: entry c of the stream under key, the test
+   against the cut, folded into bit c %% 64 of word c / 64; bits past count
+   stay zero. last is the finalizer's last xorshift, which the caller drops
+   when cut is a multiple of 2^33 (see bernoulli_matrix_numpy). */
+static inline void bernoulli_row(uint64_t key, size_t count, uint64_t cut, int last,
+                                 uint64_t *out)
 {
-    for (size_t r = 0; r < rows; r++, out += count)
-        for (size_t c = 0; c < count; c++) {
-            uint64_t x = keys[r] + (uint64_t)(c + 1) * %(golden)#xULL;
+    for (size_t lo = 0; lo < count; lo += 64) {
+        const size_t lim = count - lo < 64 ? count - lo : 64;
+        const uint64_t first = key + (uint64_t)(lo + 1) * %(golden)#xULL;
+        uint64_t word = 0;
+        for (size_t b = 0; b < lim; b++) {
+            uint64_t x = first + (uint64_t)b * %(golden)#xULL;
             x = (x ^ (x >> 30)) * %(mix1)#xULL;
             x = (x ^ (x >> 27)) * %(mix2)#xULL;
-            out[c] = (x ^ (x >> 31)) < cut;
+            if (last)
+                x ^= x >> 31;
+            word |= (uint64_t)(x < cut) << b;
         }
+        *out++ = word;
+    }
 }
 
-/* sketch_apply_batch_numpy: for each matrix row, XOR the AND of each of its
-   nonzero words with that word of every point (words is word-major,
-   nwords x n) into acc, then write one parity per point into column r of
-   the n x rows result. */
-void sketch_apply_batch(const uint64_t *words, size_t n, const uint64_t *packed,
-                        size_t rows, size_t nwords, uint64_t *acc, uint8_t *out)
+/* bernoulli_matrix_numpy, packed: the same words and the same test against
+   the cut, written as rows x ceil(count / 64) little-endian words. */
+void bernoulli_matrix(const uint64_t *keys, size_t rows, size_t count,
+                      uint64_t cut, uint64_t *out)
 {
+    const size_t nwords = (count + 63) / 64;
+    if ((cut & ((1ULL << 33) - 1)) == 0)
+        for (size_t r = 0; r < rows; r++)
+            bernoulli_row(keys[r], count, cut, 0, out + r * nwords);
+    else
+        for (size_t r = 0; r < rows; r++)
+            bernoulli_row(keys[r], count, cut, 1, out + r * nwords);
+}
+
+/* sketch_apply_batch_numpy, packed: for each matrix row r, XOR the AND of
+   each of its nonzero words with that word of every point (words is
+   word-major, nwords x n) into acc, then set bit r %% 64 of word r / 64 of
+   each point's row of the n x ceil(rows / 64) result to its parity. */
+void sketch_apply_batch(const uint64_t *words, size_t n, const uint64_t *packed,
+                        size_t rows, size_t nwords, uint64_t *acc, uint64_t *out)
+{
+    const size_t owords = (rows + 63) / 64;
+    memset(out, 0, n * owords * sizeof *out);
     for (size_t r = 0; r < rows; r++, packed += nwords) {
         memset(acc, 0, n * sizeof *acc);
         for (size_t w = 0; w < nwords; w++) {
@@ -53,7 +81,7 @@ void sketch_apply_batch(const uint64_t *words, size_t n, const uint64_t *packed,
                     acc[j] ^= col[j] & m;
         }
         for (size_t j = 0; j < n; j++)
-            out[j * rows + r] = __builtin_popcountll(acc[j]) & 1;
+            out[j * owords + r / 64] |= (uint64_t)(__builtin_popcountll(acc[j]) & 1) << (r %% 64);
     }
 }
 """
@@ -110,9 +138,9 @@ def _build() -> tuple:
         except (OSError, AttributeError) as exc:
             return None, f"numpy (the C kernels did not load: {exc})"
     size, u64 = ctypes.c_size_t, ctypes.c_uint64
-    bernoulli.argtypes = [_array(np.uint64, 1), size, size, u64, _array(np.uint8, 2, "WRITEABLE")]
+    bernoulli.argtypes = [_array(np.uint64, 1), size, size, u64, _array(np.uint64, 2, "WRITEABLE")]
     batch.argtypes = [_array(np.uint64, 2), size, _array(np.uint64, 2), size, size,
-                      _array(np.uint64, 1, "WRITEABLE"), _array(np.uint8, 2, "WRITEABLE")]
+                      _array(np.uint64, 1, "WRITEABLE"), _array(np.uint64, 2, "WRITEABLE")]
     bernoulli.restype = batch.restype = None
     return native, "native"
 

@@ -63,7 +63,8 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     pad = -bits.shape[1] % 64
     if pad:
         bits = np.pad(bits, ((0, 0), (0, pad)))
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    # packbits keeps a column-major input's layout, which view() cannot reinterpret
+    return np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little")).view(np.uint64)
 
 
 def unpack_bits(value: int, dim: int) -> np.ndarray:

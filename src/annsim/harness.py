@@ -10,6 +10,7 @@ configurations produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .alg_general import GeneralParams, override_params, params_general, probe_bound_general, run_general
 from .alg_simple import probe_bound_simple, run_simple
-from .core import CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, hamming_dist
+from .core import CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, hamming_dist, pack_words
 from .errors import AssumptionViolated, ConfigError, RoundBudgetExceeded
 from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
@@ -80,6 +81,14 @@ class TrialRecord:
     returned_dist: int
 
 
+# Bits (rows x d) one sketch matrix may hold. The C generator writes a
+# matrix as packed words (2^30 bits are 128 MiB), the numpy generator first
+# as one byte per bit (1 GiB), and the oracle unpacks it to float32 (4 GiB),
+# so a larger matrix would exhaust memory partway through a run. The largest
+# shipped configuration, d = 2^16 with 384 main rows, holds about 2^24.6.
+_MAX_MATRIX_BITS = 1 << 30
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ("simple", "general", "near"):
         raise ConfigError(f"unknown algorithm {cfg.algo!r}")
@@ -111,9 +120,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("plant gap must exceed gamma * plant distance")
     try:
         params_for(cfg)
-        general_for(cfg)
+        general = general_for(cfg)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
+    factors = [("c1", cfg.c1, "main", cfg.c1)]
+    if general is not None:
+        factors.append(("c2", cfg.c2, "aux", cfg.c2 / general.s_real))
+    for name, value, role, per_log2n in factors:
+        # Params.r_main and r_aux round this up; a row count past
+        # _MAX_MATRIX_BITS // d is exactly one whose matrix is past the cap.
+        rows = per_log2n * math.log2(max(cfg.n, 2))
+        if rows > _MAX_MATRIX_BITS // cfg.d:
+            raise ConfigError(f"{name}={value:g} gives {role} sketch matrices of {rows:.4g} rows "
+                              f"x d={cfg.d}, past the cap of 2^30 bits per matrix")
 
 
 def params_for(cfg: ExperimentConfig) -> Params:
@@ -449,7 +468,7 @@ def selftest(verbose: bool = True) -> bool:
     from .search_common import query_sketch
 
     # The numpy fallback is a supported path, not a failure; loaded C kernels
-    # must give the numpy kernels' bits.
+    # must give the numpy kernels' bits, packed into words.
     path = _native.status()
     if verbose:
         print(f"  kernels: {path}")
@@ -458,17 +477,19 @@ def selftest(verbose: bool = True) -> bool:
         keys = coin.row_keys("main", 0, 9)
         check(
             "native generator matches the numpy kernel",
-            all(np.array_equal(bernoulli_matrix(keys, 130, p), bernoulli_matrix_numpy(keys, 130, p))
+            all(np.array_equal(bernoulli_matrix(keys, 130, p),
+                               pack_words(bernoulli_matrix_numpy(keys, 130, p)))
                 for p in (0.25, 0.3)),
         )
-        # Dense rows (scale 0), rows with few nonzero words (scale 6) and an all-zero row.
+        # Dense rows (scale 0), rows with few nonzero words (scale 6) and an
+        # all-zero row: 81 rows, so each point's sketch fills two words.
         db, _ = gen_database(20, 300, DatasetSpec(), seed=coin.stream_key(TAG_DATA, 0))
-        packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
+        packed = np.vstack([derive_matrix(coin, "main", scale, 40, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
-        m = SketchMatrix(rows=13, dim=300, packed=packed)
+        m = SketchMatrix(rows=81, dim=300, packed=packed)
         check(
             "native sketch kernel matches the numpy kernel",
-            np.array_equal(sketch_apply_batch(m, db), sketch_apply_batch_numpy(m, db)),
+            np.array_equal(sketch_apply_batch(m, db), pack_words(sketch_apply_batch_numpy(m, db))),
         )
     m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)

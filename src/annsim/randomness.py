@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
+from .core import pack_words
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,25 +85,29 @@ _BLOCK_BYTES = 1 << 18
 
 
 def bernoulli_matrix(keys: np.ndarray, count: int, p: float) -> np.ndarray:
-    """One Bernoulli(p) row of `count` bits per stream key, as (len(keys), count) uint8.
+    """One Bernoulli(p) row of `count` bits per stream key, packed as
+    (len(keys), ceil(count/64)) uint64 words like `core.pack_words`.
 
-    Bit c of row i is 1 when w = raw64(keys[i], c) has (w >> 11) < thr,
-    thr = floor(p * 2^53), which is tested as w < thr << 11. The C twin of
-    :func:`bernoulli_matrix_numpy` runs where the C kernels load (see
-    :mod:`annsim._native`); elsewhere, the numpy kernel runs.
+    Bit c of row i (bit c % 64 of word c // 64) is 1 when w = raw64(keys[i], c)
+    has (w >> 11) < thr, thr = floor(p * 2^53), which is tested as
+    w < thr << 11; bits above `count` are zero. The C twin of
+    :func:`bernoulli_matrix_numpy` writes the words directly where the C
+    kernels load (see :mod:`annsim._native`); elsewhere, and at p >= 1, the
+    numpy kernel's bits are packed.
     """
     native = _native.kernels()
     thr = int(_threshold(p))
     if native is None or thr == 1 << 53:  # at p >= 1, thr << 11 overflows 64 bits
-        return bernoulli_matrix_numpy(keys, count, p)
+        return pack_words(bernoulli_matrix_numpy(keys, count, p))
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    out = np.empty((len(keys), count), dtype=np.uint8)
+    out = np.empty((len(keys), (count + 63) // 64), dtype=np.uint64)
     native.bernoulli_matrix(keys, len(keys), count, thr << 11, out)
     return out
 
 
 def bernoulli_matrix_numpy(keys: np.ndarray, count: int, p: float) -> np.ndarray:
-    """The numpy kernel of :func:`bernoulli_matrix`, and the reference for its C twin.
+    """The numpy kernel of :func:`bernoulli_matrix` as (len(keys), count) uint8
+    bits, and the reference for its C twin.
 
     Every word is a pure function of (key, counter), so the streams are
     evaluated one cache-sized column block at a time in reused scratch

@@ -131,7 +131,7 @@ def derive_matrix(
     if matrix is not None:
         return matrix
     rate = 1.0 / (4.0 * alpha**scale)
-    packed = pack_words(bernoulli_matrix(coin.row_keys(role, scale, rows), dim, rate))
+    packed = bernoulli_matrix(coin.row_keys(role, scale, rows), dim, rate)
     packed.flags.writeable = False
     matrix = SketchMatrix(rows=rows, dim=dim, packed=packed)
     cache[key] = matrix
@@ -154,29 +154,31 @@ def sketch_apply(matrix: SketchMatrix, p: Point) -> Point:
 
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
-    """Sketch bits of every database point: (n, rows) uint8.
+    """Sketches of every database point, packed like `Database.packed`:
+    (n, ceil(rows/64)) uint64 words.
 
-    Bit (j, r) is parity(row_r AND point_j). The C twin of
-    :func:`sketch_apply_batch_numpy` runs where the C kernels load (see
-    :mod:`annsim._native`): per row, it XORs the ANDs of the row's nonzero
-    words with the word-major database array (`db.words`) into one n-word
-    accumulator and writes a popcount parity per point straight into the
-    row's column. Elsewhere, the numpy kernel runs.
+    Bit r of point j (bit r % 64 of word r // 64) is parity(row_r AND point_j).
+    The C twin of :func:`sketch_apply_batch_numpy` runs where the C kernels
+    load (see :mod:`annsim._native`): per row, it XORs the ANDs of the row's
+    nonzero words with the word-major database array (`db.words`) into one
+    n-word accumulator and sets one popcount parity bit per point straight
+    in that point's words. Elsewhere, the numpy kernel's bits are packed.
     """
     native = _native.kernels()
     if native is None:
-        return sketch_apply_batch_numpy(matrix, db)
+        return pack_words(sketch_apply_batch_numpy(matrix, db))
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
     packed = np.ascontiguousarray(matrix.packed)
-    out = np.empty((db.n, matrix.rows), dtype=np.uint8)
+    out = np.empty((db.n, (matrix.rows + 63) // 64), dtype=np.uint64)
     native.sketch_apply_batch(db.words, db.n, packed, matrix.rows, packed.shape[1],
                               np.empty(db.n, dtype=np.uint64), out)
     return out
 
 
 def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
-    """The numpy kernel of :func:`sketch_apply_batch`, and the reference for its C twin.
+    """The numpy kernel of :func:`sketch_apply_batch` as (n, rows) uint8 bits,
+    and the reference for its C twin.
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
     many words is the parity of the XOR of the per-word ANDs, to which zero

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Database, Params, Point, fraction_at_most, pack_words
+from .core import Database, Params, Point, fraction_at_most
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
 from .sketch import (
@@ -106,7 +106,7 @@ def db_sketch_bits(
     words = db._sketch_memo.get(key)
     if words is None:
         matrix = derive_matrix(coin, role, scale, rows, db.dim, params.alpha)
-        words = pack_words(sketch_apply_batch(matrix, db))
+        words = sketch_apply_batch(matrix, db)
         words.flags.writeable = False
         db._sketch_memo[key] = words
     return words

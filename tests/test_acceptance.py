@@ -8,6 +8,7 @@ both visible and failing.
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_criterion_8_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     invoke(a)
     invoke(b)
-    same_simple = open(a, "rb").read() == open(b, "rb").read()
+    same_simple = Path(a).read_bytes() == Path(b).read_bytes()
 
     c, d = str(tmp_path / "c.csv"), str(tmp_path / "d.csv")
     near = ["--algo", "near", "--k", "1", "--lambda", "6"]
@@ -270,7 +271,7 @@ def test_criterion_8_determinism(tmp_path):
         ]
         res = subprocess.run(args, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-    same_near = open(c, "rb").read() == open(d, "rb").read()
+    same_near = Path(c).read_bytes() == Path(d).read_bytes()
 
     ok = report(8, "byte-identical reruns", same_simple and same_near)
     assert ok

@@ -12,7 +12,7 @@ from annsim import _native, harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
 from annsim.alg_general import run_general
 from annsim.alg_simple import run_simple
-from annsim.core import Point, hamming_dist
+from annsim.core import Point, hamming_dist, pack_words
 from annsim.errors import AssumptionViolated, ConfigError
 from annsim.harness import (
     CSV_HEADER,
@@ -169,6 +169,43 @@ class TestRunExperiment:
     def test_near_requires_lambda(self):
         with pytest.raises(ConfigError):
             run_experiment(small_cfg(algo="near", k=1))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n=8, c1=1e9), "c1=1e+09 gives main sketch matrices of 3e+09 rows x d=64"),
+        (dict(n=8, c1=1e300), "c1=1e+300 gives main sketch matrices of 3e+300 rows x d=64"),
+        (dict(n=1024, c1=1e308), "c1=1e+308 gives main sketch matrices of inf rows x d=64"),
+        (dict(algo="general", k=8, override=(1, 2), c2=1e9),
+         "c2=1e+09 gives aux sketch matrices of 5e+09 rows x d=64"),
+        (dict(algo="general", k=8, override=(4, 2), c2=2e7),
+         "c2=2e+07 gives aux sketch matrices of 2.5e+07 rows x d=64"),
+    ], ids=["c1-1e9", "c1-1e300", "c1-inf-rows", "c2-1e9", "c2-over-s"])
+    def test_matrix_past_the_cap_rejected(self, kw, message):
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_cfg(**kw))
+        assert str(err.value) == f"{message}, past the cap of 2^30 bits per matrix"
+
+    def test_matrix_cap_is_exact(self):
+        # n = 2 makes the row count ceil(c1); 1024 rows of d = 2^20 are 2^30 bits.
+        validate_config(small_cfg(n=2, d=2**20, c1=1024.0))
+        with pytest.raises(ConfigError, match="c1=1024.5 gives main sketch matrices"):
+            validate_config(small_cfg(n=2, d=2**20, c1=1024.5))
+        validate_config(small_cfg(algo="general", n=2, d=2**20, k=8, override=(2, 2), c2=2048.0))
+        with pytest.raises(ConfigError, match="c2=2049 gives aux sketch matrices"):
+            validate_config(small_cfg(algo="general", n=2, d=2**20, k=8, override=(2, 2),
+                                      c2=2049.0))
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(algo="simple", n=256, d=2**16, gamma=4.0, k=2, trials=1, seed=0),
+        ExperimentConfig(algo="general", n=256, d=2**16, gamma=4.0, k=8, trials=1, seed=0,
+                         override=(1, 2)),
+        ExperimentConfig(algo="simple", n=256, d=2**14, gamma=4.0, k=2, trials=1, seed=1,
+                         c1=8.0, c2=8.0),
+        ExperimentConfig(algo="general", n=128, d=4096, gamma=4.0, k=8, trials=1, seed=1,
+                         override=(2, 4)),
+    ], ids=["calibrated-d2^16", "calibrated-general-s1", "simple_d16k_kmix",
+            "general_d4096_checked"])
+    def test_shipped_matrix_sizes_accepted(self, cfg):
+        validate_config(cfg)
 
     def test_deterministic_csv(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -359,12 +396,13 @@ class TestSelftest:
 def _generator_twin(keys, rows, count, cut, out):
     """The C generator's answer, in its calling convention."""
     x = keys[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(randomness._GOLDEN)
-    out[:] = randomness._finalize(x, np.empty_like(x)) < np.uint64(cut)
+    out[:] = pack_words(randomness._finalize(x, np.empty_like(x)) < np.uint64(cut))
 
 
 def _sketch_twin(words, n, packed, rows, nwords, acc, out):
     """The C sketch kernel's answer, in its calling convention."""
-    out[:] = (np.bitwise_count(np.bitwise_xor.reduce(words & packed[:, :, None], axis=1)) & 1).T
+    parities = np.bitwise_count(np.bitwise_xor.reduce(words & packed[:, :, None], axis=1)) & 1
+    out[:] = pack_words(parities.T)
 
 
 class TestCli:
@@ -481,6 +519,19 @@ class TestCli:
             f"config error: {str(tmp_path)!r} is a directory, not a file to write"
         ]
         assert list(tmp_path.iterdir()) == []
+
+    def test_matrix_past_the_cap_exit_code(self, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        argv = ["run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4", "--k", "1",
+                "--trials", "1", "--seed", "0", "--c1", "1e300"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: c1=1e+300 gives main sketch matrices of 3e+300 rows x d=64, "
+            "past the cap of 2^30 bits per matrix"
+        ]
 
     def test_round_budget_too_small_for_the_phases_exit_code(self):
         res = self.run_cli(

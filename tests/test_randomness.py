@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import _native, randomness
+from annsim.core import pack_words
 from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import (
     PublicCoin,
@@ -34,6 +35,12 @@ def bernoulli_block(key: int, start: int, count: int, p: float) -> np.ndarray:
     floor(p * 2^53), as uint8."""
     top53 = raw64_block(key, start, count) >> np.uint64(11)
     return (top53 < randomness._threshold(p)).astype(np.uint8)
+
+
+def bernoulli_words(key: int, count: int, p: float) -> np.ndarray:
+    """bernoulli_block's bits of stream words 0..count-1, packed as
+    bernoulli_matrix packs one row."""
+    return pack_words(bernoulli_block(key, 0, count, p)[None])[0]
 
 
 class TestGeneratorIdentity:
@@ -64,8 +71,21 @@ class TestGeneratorIdentity:
         keys = absorb_block(31337, np.arange(9, dtype=np.uint64))
         mat = bernoulli_matrix(keys, 130, 0.25)
         for r in range(9):
-            row = bernoulli_block(int(keys[r]), 0, 130, 0.25)
+            row = bernoulli_words(int(keys[r]), 130, 0.25)
             assert (mat[r] == row).all()
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 127, 128, 129, 4100])
+    @pytest.mark.parametrize("p", [0.25, 0.3, 1.0])
+    def test_words_pack_rows_with_zero_tails(self, count, p):
+        # Bit c % 64 of word c // 64 is entry c; bits above count are zero,
+        # even at p = 1, where every entry is 1.
+        keys = absorb_block(count, np.arange(5, dtype=np.uint64))
+        mat = bernoulli_matrix(keys, count, p)
+        assert mat.shape == (5, (count + 63) // 64) and mat.dtype == np.uint64
+        want = pack_words(np.stack([bernoulli_block(int(k), 0, count, p) for k in keys]))
+        assert np.array_equal(mat, want)
+        if count % 64:
+            assert not (mat[:, -1] >> np.uint64(count % 64)).any()
 
 
 class TestBernoulliMatrixBlocks:
@@ -97,15 +117,16 @@ class TestBernoulliMatrixBlocks:
         count = blocks * self.block_width(rows) + tail
         keys = absorb_block(seed, np.arange(rows, dtype=np.uint64))
         mat = bernoulli_matrix(keys, count, p)
-        assert mat.shape == (rows, count) and mat.dtype == np.uint8
+        assert mat.shape == (rows, (count + 63) // 64) and mat.dtype == np.uint64
         for r in range(rows):
-            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, p))
+            assert np.array_equal(mat[r], bernoulli_words(int(keys[r]), count, p))
 
     def test_extreme_rates(self):
         keys = absorb_block(5, np.arange(3, dtype=np.uint64))
         count = self.block_width(3) + 9
         assert not bernoulli_matrix(keys, count, 0.0).any()
-        assert bernoulli_matrix(keys, count, 1.0).all()
+        assert np.array_equal(bernoulli_matrix(keys, count, 1.0),
+                              pack_words(np.ones((3, count), dtype=np.uint8)))
 
     def test_cut_compares_the_top_53_bits(self):
         # w < thr << 11 must equal (w >> 11) < thr exactly at the cut: a
@@ -132,13 +153,15 @@ class TestBernoulliMatrixBlocks:
         for key in exact:
             p = (raw64(int(key), 0) >> 11) / 2.0**53
             assert bernoulli_block(int(key), 0, 1, p)[0] == 0
-            assert bernoulli_matrix(np.array([key]), 3, p)[0, 0] == 0
+            assert bernoulli_matrix(np.array([key]), 3, p)[0, 0] & 1 == 0
 
 
 class TestFinalizerSkip:
     """bernoulli_matrix drops the finalizer's last xorshift, w = x ^ (x >> 31),
     when the cut thr << 11 is a multiple of 2^33: w and x agree on bits 33..63,
-    so they fall on the same side of such a cut."""
+    so they fall on the same side of such a cut. Both kernels apply the rule
+    (the C one by its branch on the cut), so this class pins the C branch and
+    TestFinalizerSkipNumpy the numpy one."""
 
     @pytest.mark.parametrize("cut", [2**33, 2**34, 3 * 2**33, 2**53, 2**63, 2**64 - 2**33,
                                      0x9E3779B9 << 33, 0x7FFFFFFF << 33])
@@ -162,7 +185,7 @@ class TestFinalizerSkip:
         keys = absorb_block(1000 + k, np.arange(rows, dtype=np.uint64))
         mat = bernoulli_matrix(keys, count, 2.0**-k)
         for r in range(rows):
-            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, 2.0**-k))
+            assert np.array_equal(mat[r], bernoulli_words(int(keys[r]), count, 2.0**-k))
 
     @pytest.mark.parametrize("p", [0.3, 1 / 12, 0.25 + 2.0**-40, 2.0**-31 * 3, 2.0**-32, 1e-12])
     def test_other_rates_match_bernoulli_block(self, p):
@@ -171,7 +194,7 @@ class TestFinalizerSkip:
         keys = absorb_block(77, np.arange(rows, dtype=np.uint64))
         mat = bernoulli_matrix(keys, count, p)
         for r in range(rows):
-            assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, count, p))
+            assert np.array_equal(mat[r], bernoulli_words(int(keys[r]), count, p))
 
     def test_cut_one_bit_off_the_rule(self):
         # Cuts that are multiples of 2^32 but not of 2^33: when bit 63 of x is
@@ -236,6 +259,23 @@ class TestNativeKernel:
         # and their Numpy twins through the same numpy kernels.
         assert _native.status() == "native"
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_kernels_write_every_word_of_their_output(self):
+        # The wrappers hand the C kernels np.empty arrays: a kernel that ORs
+        # bits into words it has not cleared would keep whatever the
+        # allocator left there, so here every word starts with all bits set.
+        native = _native.kernels()
+        keys = absorb_block(3, np.arange(4, dtype=np.uint64))
+        for p in (0.25, 0.3):
+            out = np.full((4, 3), ~np.uint64(0))
+            native.bernoulli_matrix(keys, 4, 130, int(randomness._threshold(p)) << 11, out)
+            assert np.array_equal(out, pack_words(randomness.bernoulli_matrix_numpy(keys, 130, p)))
+        db, _ = make_instance(n=20, d=300, seed=5)
+        m = derive_matrix(coin_for_trial(5, 0, 0), "main", 0, 70, 300, 2.0)
+        out = np.full((20, 2), ~np.uint64(0))
+        native.sketch_apply_batch(db.words, 20, m.packed, 70, 5, np.full(20, ~np.uint64(0)), out)
+        assert np.array_equal(out, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+
     @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing",
                                           "only bernoulli_matrix"])
     def test_failed_build_falls_back_to_the_same_bits(self, breakage, monkeypatch, tmp_path):
@@ -253,14 +293,14 @@ class TestNativeKernel:
         for p in (0.25, 0.3, 1.0):
             mat = bernoulli_matrix(keys, 300, p)
             for r in range(6):
-                assert np.array_equal(mat[r], bernoulli_block(int(keys[r]), 0, 300, p))
+                assert np.array_equal(mat[r], bernoulli_words(int(keys[r]), 300, p))
         db, _ = make_instance(n=20, d=300, seed=5)
         coin = coin_for_trial(5, 0, 0)
         packed = np.vstack([derive_matrix(coin, "main", scale, 6, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
         m = SketchMatrix(rows=13, dim=300, packed=packed)
         assert np.array_equal(sketch_apply_batch(m, db),
-                              _parity_product(_db_bits(db), m.bits_matrix()))
+                              pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
         assert _native.status().startswith("numpy (")
         assert _native.kernels() is None
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import sketch
-from annsim.core import Point, hamming_dist, unpack_bits
+from annsim.core import Point, hamming_dist, pack_words, unpack_bits
 from annsim.errors import DimensionMismatch
 from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import coin_for_trial
@@ -157,7 +157,7 @@ class TestSketchApply:
         m = derive_matrix(coin, "main", 1, 12, 96, 2.0)
         batch = sketch_apply_batch(m, db)
         for i, p in enumerate(db.points):
-            assert batch[i].tolist() == sketch_bits(m, p).tolist()
+            assert batch[i].tolist() == sketch_apply(m, p).packed().tolist()
 
 
 class TestSketchApplyBatchDifferential:
@@ -169,11 +169,11 @@ class TestSketchApplyBatchDifferential:
         db, _ = make_instance(n=n, d=d, seed=seed)
         m = derive_matrix(coin_for_trial(seed, 0, 0), "main", scale, rows, d, 2.0)
         batch = sketch_apply_batch(m, db)
-        assert batch.shape == (n, rows) and batch.dtype == np.uint8
-        want = _parity_product(_db_bits(db), m.bits_matrix())
+        assert batch.shape == (n, (rows + 63) // 64) and batch.dtype == np.uint64
+        want = pack_words(_parity_product(_db_bits(db), m.bits_matrix()))
         assert np.array_equal(batch, want)
         for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_bits(m, p))
+            assert np.array_equal(batch[i], sketch_apply(m, p).packed())
         return m
 
     # TestSketchApplyBatchDifferentialNumpy runs this method too, under another
@@ -192,6 +192,12 @@ class TestSketchApplyBatchDifferential:
     @example(n=33, d=333, scale=12, rows=24, seed=9)
     def test_matches_oracle_and_single(self, n, d, scale, rows, seed):
         self.check(n, d, scale, rows, seed)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+    def test_words_pack_parities_with_zero_tails(self, rows):
+        # Bit r % 64 of word r // 64 of a point is row r's parity; pack_words
+        # leaves the bits above rows zero, so equality checks them too.
+        self.check(n=37, d=300, scale=2, rows=rows, seed=rows)
 
     def test_rows_of_every_density(self):
         # At d = 1000 and scale 9 (rate 1/2048) most rows are all zero and
@@ -235,10 +241,10 @@ class TestSketchApplyBatchRowKinds:
     @staticmethod
     def check(m: SketchMatrix, db) -> None:
         batch = sketch_apply_batch(m, db)
-        assert batch.shape == (db.n, m.rows) and batch.dtype == np.uint8
-        assert np.array_equal(batch, _parity_product(_db_bits(db), m.bits_matrix()))
+        assert batch.shape == (db.n, (m.rows + 63) // 64) and batch.dtype == np.uint64
+        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
         for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_bits(m, p))
+            assert np.array_equal(batch[i], sketch_apply(m, p).packed())
 
     # TestSketchApplyBatchRowKindsNumpy runs this method too, under another
     # class; the examples are valid for both kernels, so that is not a hazard here.

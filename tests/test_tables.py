@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from annsim.core import Database, Params, Point, hamming_dist, pack_words
+from annsim.core import Database, Params, Point, hamming_dist
 from annsim.harness import DatasetSpec, gen_database
 from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.search_common import query_sketch
@@ -268,7 +268,7 @@ class TestDatabaseSketchMemo:
             for scale in range(params.scale_count + 1):
                 words = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
                 m = derive_matrix(coin, "main", scale, params.r_main, 128, params.alpha)
-                assert np.array_equal(words, pack_words(sketch_apply_batch(m, db)))
+                assert np.array_equal(words, sketch_apply_batch(m, db))
 
 
 class TestAuxAddress:
