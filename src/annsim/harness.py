@@ -19,7 +19,8 @@ import numpy as np
 
 from .alg_general import GeneralParams, override_params, params_general, probe_bound_general, run_general
 from .alg_simple import probe_bound_simple, run_simple
-from .core import CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, hamming_dist, pack_words
+from .core import (CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, first_occurrences,
+                   hamming_dist, pack_words)
 from .errors import AssumptionViolated, ConfigError, RoundBudgetExceeded
 from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
@@ -126,13 +127,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     factors = [("c1", cfg.c1, "main", cfg.c1)]
     if general is not None:
         factors.append(("c2", cfg.c2, "aux", cfg.c2 / general.s_real))
+    _check_matrix_sizes(cfg.n, cfg.d, factors)
+
+
+def _check_matrix_sizes(n: int, d: int, factors: list[tuple[str, float, str, float]]) -> None:
+    """Reject (name, value, role, rows per log2 n) factors whose matrices pass the cap."""
     for name, value, role, per_log2n in factors:
         # Params.r_main and r_aux round this up; a row count past
         # _MAX_MATRIX_BITS // d is exactly one whose matrix is past the cap.
-        rows = per_log2n * math.log2(max(cfg.n, 2))
-        if rows > _MAX_MATRIX_BITS // cfg.d:
+        rows = per_log2n * math.log2(max(n, 2))
+        if rows > _MAX_MATRIX_BITS // d:
             raise ConfigError(f"{name}={value:g} gives {role} sketch matrices of {rows:.4g} rows "
-                              f"x d={cfg.d}, past the cap of 2^30 bits per matrix")
+                              f"x d={d}, past the cap of 2^30 bits per matrix")
 
 
 def params_for(cfg: ExperimentConfig) -> Params:
@@ -151,52 +157,55 @@ def general_for(cfg: ExperimentConfig) -> GeneralParams | None:
     return params_general(cfg.k, cfg.c, cfg.d, params.alpha)
 
 
-def _random_values(stream: Stream, d: int, count: int) -> list[int]:
-    """The next `count` d-bit values, each from ceil(d/64) consecutive words."""
-    nwords = (d + 63) // 64
-    raw = stream.words(count * nwords).tobytes()
-    nbytes = 8 * nwords
-    mask = (1 << d) - 1
-    return [int.from_bytes(raw[i : i + nbytes], "little") & mask for i in range(0, len(raw), nbytes)]
+# Planted datasets: draws allowed per database point before the gap counts as too large.
+_DRAWS_PER_POINT = 10000
 
 
 def gen_database(n: int, d: int, dataset: DatasetSpec, seed: int) -> tuple[Database, Point]:
     """Draw one (database, query) instance from the seeded stream.
 
-    Candidate values are drawn one block at a time, exactly as many as are
-    still needed, so a rejected value costs one more (smaller) block and the
-    stream is consumed in the same order as one value at a time.
+    A point is ceil(d/64) consecutive words of the stream, its top word
+    masked to d bits. Candidates are drawn as one (count, nwords) block of
+    exactly as many points as are still needed; duplicates (the first
+    occurrence wins) and planted-gap violations are rejected in draw order,
+    and the next block replaces them. The stream is consumed as one point at
+    a time would consume it. The points are then put in the order of one
+    `Stream.permutation` and gathered once.
     """
     if d < 64 and n > 2**d:
         raise ConfigError("n distinct points do not fit in the cube")
     stream = Stream(PublicCoin(seed & ((1 << 64) - 1)).stream_key(TAG_DATA))
-    x = Point(d, _random_values(stream, d, 1)[0])
-    values: list[int] = []
-    seen: set[int] = set()
-    gap, limit = -1, None  # reject values within `gap` of x; give up after `limit` draws
+    nwords = (d + 63) // 64
+
+    def draw(count: int) -> np.ndarray:
+        block = stream.words(count * nwords).reshape(count, nwords)
+        if d % 64:
+            block[:, -1] &= np.uint64((1 << (d % 64)) - 1)
+        return block
+
+    query = draw(1)[0]
+    x = Point(d, int.from_bytes(query.tobytes(), "little"))
+    rows = np.empty((0, nwords), dtype=np.uint64)
+    gap, limit = -1, None  # reject points within `gap` of x; give up after `limit` draws
     if dataset.kind == "planted":
         flips = stream.distinct_indices(dataset.plant_dist, d)
-        planted = x.value
-        for j in flips:
-            planted ^= 1 << j
-        values.append(planted)
-        seen.add(planted)
-        gap, limit = dataset.plant_gap, 10000 * n
+        rows = Point(d, x.value ^ sum(1 << j for j in flips)).packed()[None, :]
+        gap, limit = dataset.plant_gap, _DRAWS_PER_POINT * n
     elif d <= 24 and n > 2 ** (d - 1):
         # Dense regime: shuffle the whole cube instead of rejection sampling.
-        values = stream.shuffled(list(range(2**d)))[:n]
+        rows = np.array(stream.permutation(2**d)[:n], dtype=np.uint64)[:, None]
     attempts = 0
-    while len(values) < n:
-        for v in _random_values(stream, d, n - len(values)):
-            attempts += 1
-            if limit is not None and attempts > limit:
-                raise ConfigError("could not sample enough far points; gap too large")
-            if v in seen or (gap >= 0 and (v ^ x.value).bit_count() <= gap):
-                continue
-            seen.add(v)
-            values.append(v)
-    db = Database([Point(d, v) for v in stream.shuffled(values)])
-    return db, x
+    while len(rows) < n:
+        block = draw(n - len(rows))
+        attempts += len(block)
+        if limit is not None and attempts > limit:
+            raise ConfigError("could not sample enough far points; gap too large")
+        both = np.concatenate((rows, block)) if len(rows) else block
+        keep = first_occurrences(both)
+        if gap >= 0:
+            keep[len(rows) :] &= np.bitwise_count(block ^ query).sum(axis=1) > gap
+        rows = both if keep.all() else both[keep]
+    return Database(rows[stream.permutation(n)], d), x
 
 
 def probe_bound(cfg: ExperimentConfig) -> int:
@@ -401,6 +410,9 @@ def calibrate(
         raise ConfigError("target must lie in [0, 1]")
     validate_config(ExperimentConfig(algo="simple", n=n, d=d, gamma=gamma, k=1, trials=seeds,
                                      seed=seed, dataset=dataset, out=out))
+    # The sweep goes up to the largest factors of its grids.
+    c1, c2 = max(c1_grid), max(c2_grid)
+    _check_matrix_sizes(n, d, [("c1", c1, "main", c1), ("c2", c2, "aux", c2 / s_real)])
 
     def instance(i: int, c1: float, c2: float):
         data_seed = PublicCoin(seed).stream_key(TAG_DATA, i)

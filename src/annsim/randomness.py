@@ -66,8 +66,9 @@ def raw64_block(key: int, start: int, count: int) -> np.ndarray:
 
     Bit-identical to calling :func:`raw64` count times.
     """
-    base = np.uint64((key + (start + 1) * _GOLDEN) & _MASK64)
-    x = base + np.arange(count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    x = np.arange(count, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64((key + (start + 1) * _GOLDEN) & _MASK64)
     return _finalize(x, np.empty_like(x))
 
 
@@ -239,10 +240,32 @@ class Stream:
             chosen.add(self.below(bound))
         return sorted(chosen)
 
-    def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle of a copy of `items`."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.below(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+    def permutation(self, count: int) -> list[int]:
+        """The order Durstenfeld's shuffle (Knuth, TAOCP vol. 2, 3.4.2,
+        Algorithm P) leaves range(count) in: for i = count-1 down to 1, swap
+        positions i and j = below(i + 1).
+
+        The words of all remaining steps are drawn as one block and tested in
+        one pass against each step's limit 2^64 - (2^64 mod b), b = i + 1; the
+        accepted prefix gives j = w mod b. The stream then rewinds to just
+        after the first rejected word, whose step draws again, so the words
+        are consumed exactly as one below() per step would consume them.
+
+        For a power-of-two b the limit is 2^64, which wraps to 0 in uint64,
+        so the test is w <= 2^64 - 1 - (2^64 mod b): every word passes it.
+        """
+        order = list(range(count))
+        bounds = np.arange(count, 1, -1, dtype=np.uint64)
+        last_accepted = np.uint64(_MASK64) - (-bounds) % bounds  # (-b) % b == 2^64 mod b
+        step = 0
+        while step < len(bounds):
+            w = self.words(len(bounds) - step)
+            ok = w <= last_accepted[step:]
+            taken = len(w) if ok.all() else int(ok.argmin())
+            js = (w[:taken] % bounds[step : step + taken]).tolist()
+            for i, j in zip(range(count - 1 - step, 0, -1), js):
+                order[i], order[j] = order[j], order[i]
+            if taken < len(w):
+                self._n -= len(w) - taken - 1  # give back the words after the rejected one
+            step += taken
+        return order

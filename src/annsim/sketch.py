@@ -99,10 +99,6 @@ class SketchMatrix:
             raise ValueError(f"packed words {self.packed.shape} do not match "
                              f"{self.rows} rows of dim {self.dim}")
 
-    def row_bits(self, r: int) -> np.ndarray:
-        raw = self.packed[r].tobytes()
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: self.dim]
-
     def bits_matrix(self) -> np.ndarray:
         """All entries unpacked: (rows, dim) uint8."""
         raw = self.packed.view(np.uint8).reshape(self.rows, -1)
@@ -224,8 +220,3 @@ def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
 
 # Words gathered per chunk of sparse rows: 512 KB of uint64, inside L2.
 _CHUNK_WORDS = 1 << 16
-
-
-def empirical_density(matrix: SketchMatrix) -> float:
-    """Fraction of ones in the matrix (diagnostic for the Bernoulli rate)."""
-    return float(np.bitwise_count(matrix.packed).sum()) / (matrix.rows * matrix.dim)

@@ -123,7 +123,7 @@ class TestCaseBranches:
             word = rng.integers(0, 2, size=d, dtype=np.uint8)
             v = int.from_bytes(np.packbits(word, bitorder="little").tobytes(), "little")
             values.add(v)
-        return Database([Point(d, v) for v in sorted(values)]), x
+        return Database.from_points([Point(d, v) for v in sorted(values)]), x
 
     def test_case1_skips_second_round(self):
         db, x = self.cluster_instance()

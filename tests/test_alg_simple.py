@@ -176,7 +176,7 @@ class TestAssumptionViolationSurfaces:
         from annsim.core import Database
 
         x = Point(64, 0)
-        db = Database([Point(64, 2**64 - 1)])
+        db = Database.from_points([Point(64, 2**64 - 1)])
         params = make_params(n=1, d=64, k=1, c1=3.0)
         raised = False
         for seed in range(60):

@@ -10,6 +10,7 @@ from annsim.core import (
     Database,
     Params,
     Point,
+    first_occurrences,
     fraction_at_most,
     hamming_dist,
     load_database,
@@ -163,29 +164,49 @@ class TestParams:
 class TestDatabase:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            Database([Point(4, 3), Point(4, 3)])
+            Database.from_points([Point(4, 3), Point(4, 3)])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):
-            Database([Point(4, 3), Point(5, 3)])
+            Database.from_points([Point(4, 3), Point(5, 3)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Database([])
+            Database.from_points([])
+
+    def test_rejects_bits_above_the_dimension(self):
+        words = np.array([[1], [1 << 5]], dtype=np.uint64)
+        Database(words, 6)
+        with pytest.raises(ValueError, match="bits set beyond its dimension"):
+            Database(words, 5)
+
+    def test_rejects_words_of_another_width(self):
+        with pytest.raises(ValueError, match="do not hold points of dimension 65"):
+            Database(np.zeros((2, 1), dtype=np.uint64), 65)
+
+    def test_rejects_duplicate_words(self):
+        words = np.array([[1, 2], [3, 2], [1, 2]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="distinct"):
+            Database(words, 128)
+
+    def test_points_are_built_once_from_the_words(self):
+        db = Database(np.array([[5, 1], [7, 0]], dtype=np.uint64), 65)
+        assert db.points == (Point(65, 5 | 1 << 64), Point(65, 7))
+        assert db.points is db.points
 
     @given(st.integers(1, 200).flatmap(
         lambda d: st.tuples(st.just(d), st.sets(st.integers(0, 2**d - 1), min_size=1, max_size=20))
     ))
     def test_packed_matches_per_point_words(self, dim_values):
         dim, values = dim_values
-        db = Database([Point(dim, v) for v in sorted(values)])
+        db = Database.from_points([Point(dim, v) for v in sorted(values)])
         want = np.stack([p.packed() for p in db.points])
         assert db.packed.dtype == np.uint64 and np.array_equal(db.packed, want)
         assert db.words.flags.c_contiguous and np.array_equal(db.words, want.T)
         assert not db.packed.flags.writeable and not db.words.flags.writeable
 
     def test_file_roundtrip(self, tmp_path):
-        db = Database([Point(12, v) for v in (0, 0xABC, 0x123, 0xFFF)])
+        db = Database.from_points([Point(12, v) for v in (0, 0xABC, 0x123, 0xFFF)])
         path = tmp_path / "db.txt"
         save_database(db, str(path))
         text = path.read_text()
@@ -206,6 +227,19 @@ class TestDatabase:
         path.write_text("d=4 n=2\nf\n")
         with pytest.raises(ValueError):
             load_database(str(path))
+
+
+class TestFirstOccurrences:
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=30))
+    def test_matches_a_set(self, rows):
+        # Three-valued words force duplicates and rows that share a first word.
+        seen, want = set(), []
+        for row in rows:
+            want.append(row not in seen)
+            seen.add(row)
+        got = first_occurrences(np.array(rows, dtype=np.uint64))
+        assert got.tolist() == want
 
 
 class TestFractionAtMost:

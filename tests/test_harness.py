@@ -1,12 +1,15 @@
+import contextlib
+import itertools
 import os
 import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annsim import _native, harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
@@ -32,6 +35,7 @@ from annsim.near_search import run_near
 from annsim.oracle import exact_nn
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
+from reference_data import ScalarStream, reference_database
 
 
 class TestGenDatabase:
@@ -56,72 +60,90 @@ class TestGenDatabase:
             gen_database(32, 4, DatasetSpec(), seed=0)
 
 
-def reference_database(n, d, dataset, seed):
-    """gen_database drawn one point at a time: one Stream.words call per value."""
-    stream = Stream(PublicCoin(seed).stream_key(TAG_DATA))
+_MASK64 = 2**64 - 1
 
-    def value():
-        words = stream.words((d + 63) // 64)
-        return int.from_bytes(words.tobytes(), "little") & ((1 << d) - 1)
 
-    x = value()
-    values, seen = [], set()
-    if dataset.kind == "planted":
-        planted = x
-        for j in stream.distinct_indices(dataset.plant_dist, d):
-            planted ^= 1 << j
-        values, seen = [planted], {planted}
-        for _ in range(10000 * n):
-            if len(values) == n:
-                break
-            v = value()
-            if v not in seen and (v ^ x).bit_count() > dataset.plant_gap:
-                seen.add(v)
-                values.append(v)
-        else:
-            raise ConfigError("could not sample enough far points; gap too large")
-    elif d <= 24 and n > 2 ** (d - 1):
-        values = stream.shuffled(list(range(2**d)))[:n]
-    while len(values) < n:
-        v = value()
-        if v not in seen:
-            seen.add(v)
-            values.append(v)
-    return stream.shuffled(values), x
+@contextlib.contextmanager
+def all_ones_at(counters):
+    """Make the stream words at these counters (of every key) read 2^64 - 1.
+
+    Such a word is rejected by every Fisher-Yates step whose bound is not a
+    power of two; a natural rejection has probability about n / 2^64. The
+    set is finite, so a generator that reads the stream wrongly still ends.
+    """
+    raw64, raw64_block = randomness.raw64, randomness.raw64_block
+
+    def one(key, n):
+        return _MASK64 if n in counters else raw64(key, n)
+
+    def block(key, start, count):
+        out = raw64_block(key, start, count)
+        for c in counters:
+            if start <= c < start + count:
+                out[c - start] = _MASK64
+        return out
+
+    with mock.patch.object(randomness, "raw64", one), \
+            mock.patch.object(randomness, "raw64_block", block):
+        yield
+
+
+# Planted datasets: 9 of the 256 8-bit values lie past distance 6 of a query.
+SPARSE_FAR = DatasetSpec("planted", plant_dist=0, plant_gap=6)
 
 
 class TestGenDatabaseDifferential:
-    """gen_database draws each batch of still-needed values in one block;
-    the points, their order and the query must equal a per-point draw."""
+    """gen_database draws blocks of words, dedupes them with one sort and
+    shuffles with a vectorized rejection test; the query, the points and
+    their order must equal the per-point scalar draw of reference_data."""
 
     @staticmethod
-    def check(n, d, dataset, seed):
-        db, x = gen_database(n, d, dataset, seed)
-        values, xv = reference_database(n, d, dataset, seed)
+    def check(n, d, dataset, seed, per_point=None):
+        """Compare one instance; returns False when both give up on the gap."""
+        limit = None if per_point is None else per_point * n
+        with mock.patch.object(harness, "_DRAWS_PER_POINT", per_point or 10000):
+            try:
+                values, xv = reference_database(n, d, dataset, seed, limit)
+            except ConfigError:
+                with pytest.raises(ConfigError, match="could not sample enough far points"):
+                    gen_database(n, d, dataset, seed)
+                return False
+            db, x = gen_database(n, d, dataset, seed)
         assert x == Point(d, xv)
         assert [p.value for p in db.points] == values
+        return True
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(1, 40),
-        d=st.integers(2, 300),
+        regime=st.sampled_from(["uniform", "dense", "duplicates", "planted"]),
         seed=st.integers(0, 2**64 - 1),
-        planted=st.booleans(),
+        # Up to about 1,000 words are read; the shuffles read the last n - 1
+        # of them, and all of the cube's 2^d - 1 in the dense regime.
+        forced=st.frozensets(st.integers(0, 1000), max_size=12),
         data=st.data(),
     )
-    @example(n=20, d=6, seed=3, planted=False, data=None)  # many duplicate rejections
-    @example(n=16, d=4, seed=3, planted=False, data=None)  # dense regime
-    @example(n=30, d=130, seed=9, planted=False, data=None)
-    def test_matches_per_point_draw(self, n, d, seed, planted, data):
-        assume(d >= 64 or n <= 2**d)
-        dataset = DatasetSpec()
-        if planted:
-            # Gaps up to d/2 - 2 reject up to about half the uniform draws.
-            assume(d >= 16)
-            dist = data.draw(st.integers(0, 6))
-            gap = data.draw(st.integers(dist, d // 2 - 2))
+    def test_matches_per_point_draw(self, regime, seed, forced, data):
+        per_point, dataset = None, DatasetSpec()
+        if regime == "uniform":  # d need not be a multiple of 64
+            d = data.draw(st.integers(2, 300), label="d")
+            n = data.draw(st.integers(1, 40 if d > 5 else 2**d), label="n")
+        elif regime == "dense":  # d <= 24 and n > 2^(d-1): the whole cube is shuffled
+            d = data.draw(st.integers(2, 9), label="d")
+            n = data.draw(st.integers(2 ** (d - 1) + 1, 2**d), label="n")
+        elif regime == "duplicates":  # a small cube forces duplicate draws
+            d = data.draw(st.integers(3, 7), label="d")
+            n = data.draw(st.integers(2, 2 ** (d - 1)), label="n")
+        else:
+            # Gaps up to d/2 - 2 reject up to about half the uniform draws, and
+            # a few draws per point may run out.
+            d = data.draw(st.integers(16, 300), label="d")
+            n = data.draw(st.integers(1, 40), label="n")
+            dist = data.draw(st.integers(0, 6), label="dist")
+            gap = data.draw(st.integers(dist, d // 2 - 2), label="gap")
             dataset = DatasetSpec("planted", plant_dist=dist, plant_gap=gap)
-        self.check(n, d, dataset, seed)
+            per_point = data.draw(st.sampled_from([None, 1, 2, 3]), label="per_point")
+        with all_ones_at(forced):
+            self.check(n, d, dataset, seed, per_point)
 
     @pytest.mark.parametrize("n,d,gap,seed", [
         (40, 16, 10, 1),  # only about 1 in 5 uniform 16-bit values lies past distance 10
@@ -134,11 +156,55 @@ class TestGenDatabaseDifferential:
     def test_too_few_far_points_is_a_config_error(self):
         # Only the complement of x lies past distance 7 in the 8-cube.
         dataset = DatasetSpec("planted", plant_dist=0, plant_gap=7)
-        with pytest.raises(ConfigError, match="could not sample enough far points"):
-            gen_database(3, 8, dataset, seed=5)
-        with pytest.raises(ConfigError):
-            reference_database(3, 8, dataset, seed=5)
-        self.check(2, 8, dataset, seed=5)
+        assert not self.check(3, 8, dataset, seed=5)
+        assert self.check(2, 8, dataset, seed=5)
+
+    def test_planted_limit_is_exact(self):
+        """A limit of L draws allows draw L and refuses draw L + 1, even
+        when that draw would complete the database."""
+        parities = set()
+        for seed in range(6):
+            # The number of draws this seed needs for its one far point.
+            needed = next(limit for limit in itertools.count(1)
+                          if self.succeeds(2, 8, SPARSE_FAR, seed, limit))
+            parities.add(needed % 2)
+            # n = 2 allows even limits only: needed - 1 when needed is odd.
+            limit = needed - needed % 2
+            assert self.check(2, 8, SPARSE_FAR, seed, per_point=limit // 2) == (needed % 2 == 0)
+            if limit > 2:
+                assert not self.check(2, 8, SPARSE_FAR, seed, per_point=limit // 2 - 1)
+        assert parities == {0, 1}
+
+    @staticmethod
+    def succeeds(n, d, dataset, seed, limit):
+        try:
+            reference_database(n, d, dataset, seed, limit)
+        except ConfigError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("counter", range(11, 21))
+    def test_one_injected_shuffle_word(self, counter):
+        # n = 10, d = 64: the query and the points are words 0..10, and the
+        # shuffle's steps draw below(10), below(9), ..., below(2) from word 11 on.
+        with all_ones_at({counter}):
+            self.check(10, 64, DatasetSpec(), seed=3)
+
+
+class TestPermutation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(0, 300),
+        key=st.integers(0, 2**64 - 1),
+        forced=st.frozensets(st.integers(0, 320), max_size=12),
+    )
+    # Word 2 reads 2^64 - 1 at the bound 8, a power of two, which accepts it.
+    @example(count=9, key=9, forced=frozenset({0, 2, 4}))
+    def test_matches_scalar_shuffle(self, count, key, forced):
+        fast, scalar = Stream(key), ScalarStream(key)
+        with all_ones_at(forced):
+            assert fast.permutation(count) == scalar.shuffled(list(range(count)))
+            assert fast.word() == scalar.word()  # the same words were consumed
 
 
 def small_cfg(**kw):
@@ -530,6 +596,21 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: c1=1e+300 gives main sketch matrices of 3e+300 rows x d=64, "
+            "past the cap of 2^30 bits per matrix"
+        ]
+
+    def test_calibrate_grid_past_the_cap_exit_code(self, capsys, monkeypatch):
+        # The default c2 of 64 at s = 1e-12 passes the cap too, but the sweep
+        # goes up to the grid's largest c2, 96.
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was allocated")
+
+        monkeypatch.setattr(harness, "gen_database", no_matrix)
+        monkeypatch.setattr(randomness.PublicCoin, "row_keys", no_matrix)  # every matrix's keys
+        argv = ["calibrate", "--n", "8", "--d", "64", "--seeds", "1", "--s", "1e-12"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: c2=96 gives aux sketch matrices of 2.88e+14 rows x d=64, "
             "past the cap of 2^30 bits per matrix"
         ]
 

@@ -38,7 +38,7 @@ class TestExactNN:
         assert dist == 0
 
     def test_three_bit_example(self):
-        db = Database([point_from_bits("000"), point_from_bits("111")])
+        db = Database.from_points([point_from_bits("000"), point_from_bits("111")])
         point, dist = exact_nn(point_from_bits("001"), db)
         assert point == point_from_bits("000")
         assert dist == 1
@@ -56,7 +56,7 @@ class TestExactSets:
     def test_singleton_database(self, coin):
         params = make_params(n=1, d=64)
         x = Point(64, 12345)
-        sets = exact_sets(x, Database([x]), coin, params)
+        sets = exact_sets(x, Database.from_points([x]), coin, params)
         for i in range(params.scale_count + 1):
             assert sets.ball(i) == frozenset({0})
             assert sets.sketch_ball(i) == frozenset({0})
@@ -93,7 +93,7 @@ class TestAssumption1:
     def test_singleton_holds(self, coin):
         params = make_params(n=1, d=64)
         x = Point(64, 999)
-        assert check_assumption1(exact_sets(x, Database([x]), coin, params))
+        assert check_assumption1(exact_sets(x, Database.from_points([x]), coin, params))
 
     def test_starved_rows_frequently_fail(self):
         params = make_params(n=64, d=64, c1=0.5)
@@ -120,7 +120,7 @@ class TestAssumption2:
     def test_singleton_holds(self, coin):
         params = make_params(n=1, d=64)
         x = Point(64, 31)
-        sets = exact_sets(x, Database([x]), coin, params, s_real=2.0)
+        sets = exact_sets(x, Database.from_points([x]), coin, params, s_real=2.0)
         assert check_assumption2(sets, 2.0, 1)
 
     def test_empty_candidate_sets_are_vacuous(self, coin):
@@ -151,7 +151,7 @@ class TestIsGammaApprox:
         z5 = Point(d, (1 << 5) - 1)  # distance 5: the true NN
         z20 = Point(d, (1 << 20) - 1)  # distance 20
         z21 = Point(d, (1 << 21) - 1)  # distance 21
-        return x, Database([z21, z20, z5])
+        return x, Database.from_points([z21, z20, z5])
 
     def test_exact_nn_is_always_approx(self):
         x, db = self.make_db()

@@ -142,7 +142,7 @@ class TestTranscript:
         assert run().serialize() == run().serialize()
 
     def test_serialized_format(self):
-        db = Database([Point(8, 0x0F)])
+        db = Database.from_points([Point(8, 0x0F)])
         params = make_params(n=1, d=8, c1=0.5)  # r_main = 1 bit addresses
         coin = coin_for_trial(100, 0, 0)
         x = Point(8, 0x0F)

@@ -411,8 +411,6 @@ class TestStream:
         assert idx == sorted(idx)
 
     def test_shuffled_is_permutation(self):
-        s = Stream(7)
-        items = list(range(40))
-        out = s.shuffled(items)
-        assert sorted(out) == items
-        assert out != items  # astronomically unlikely to be identity
+        out = Stream(7).permutation(40)
+        assert sorted(out) == list(range(40))
+        assert out != list(range(40))  # astronomically unlikely to be identity

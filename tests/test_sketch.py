@@ -16,13 +16,17 @@ from annsim.sketch import (
     decision_threshold,
     delta_threshold,
     derive_matrix,
-    empirical_density,
     row_collision_prob,
     sketch_apply,
     sketch_apply_batch,
 )
 
 from conftest import make_instance, point_from_bits
+
+
+def empirical_density(matrix: SketchMatrix) -> float:
+    """Fraction of ones in the matrix."""
+    return float(np.bitwise_count(matrix.packed).sum()) / (matrix.rows * matrix.dim)
 
 
 def mp_delta(beta, alpha):
@@ -143,7 +147,7 @@ class TestSketchApply:
         got = sketch_bits(m, p)
         for r in range(16):
             naive = sum(
-                int(a) & int(b) for a, b in zip(m.row_bits(r), _bits_of(p))
+                int(a) & int(b) for a, b in zip(m.bits_matrix()[r], _bits_of(p))
             ) % 2
             assert got[r] == naive
 

@@ -36,7 +36,7 @@ class TestMainCell:
     def test_own_sketch_hits_self(self, coin):
         params = make_params(n=1, d=64)
         x = Point(64, 0xDEADBEEF)
-        db = Database([x])
+        db = Database.from_points([x])
         content = main_cell(db, coin, params, 2, query_sketch(coin, params, x, 2))
         assert content == x
 
@@ -82,7 +82,7 @@ class TestMainCell:
         params = Params(n=2, d=8, gamma=4.0, k=1, c1=4.0)
         assert params.r_main == 4
         p0, p1 = Point(8, 0b00001111), Point(8, 0b11110000)
-        db = Database([p0, p1])
+        db = Database.from_points([p0, p1])
         for scale in range(params.scale_count + 1):
             thr = main_threshold(params, scale)
             a0 = sketch_apply_scale(db, coin, params, scale, 0)
@@ -116,7 +116,7 @@ class TestMembershipCell:
         # Index 1 is at distance 1 of x while index 3 equals x: the lowest
         # index within the unit ball wins, not the exact match.
         pts = [Point(8, 0b1111), Point(8, 0b0001), Point(8, 0b1000), Point(8, 0)]
-        db = Database(pts)
+        db = Database.from_points(pts)
         x = Point(8, 0)
         assert membership_cell(db, KIND_MEMBER_NEAR1, x) == pts[1]
 
@@ -213,7 +213,7 @@ class TestAuxCell:
                 if v not in values:
                     values.add(v)
                     break
-        db = Database([Point(d, v) for v in sorted(values)])
+        db = Database.from_points([Point(d, v) for v in sorted(values)])
         params = make_params(n=n, d=d, c1=16.0, c2=16.0)
         top = params.scale_count
         scales = [0, 5, 6]
