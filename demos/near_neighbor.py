@@ -34,7 +34,7 @@ for group, (label, dataset) in enumerate([
         answer = run_near(x, lam, session, params)
         t = session.close()
         _, true_dist = exact_nn(x, db)
-        shown = "NO" if answer.is_no else f"point at distance {hamming_dist(x, answer.point)}"
+        shown = "NO" if answer is None else f"point at distance {hamming_dist(x, answer)}"
         print(
             f"  trial {trial}: true NN distance {true_dist:>3}, answer {shown:<24}"
             f" probes={t.probes_total} rounds={t.rounds_used}"

@@ -19,12 +19,11 @@ from annsim import (
     SearchTrace,
     coin_for_trial,
     exact_nn,
-    gen_database,
     hamming_dist,
     override_params,
     run_general,
 )
-from annsim.randomness import TAG_DATA, PublicCoin
+from annsim.harness import trial_instance
 
 n, d, k = 128, 4096, 8
 gp = override_params(2, 4)  # desk-scale override: s=2, tau=4
@@ -35,7 +34,7 @@ for label, dataset, seed in [
     ("uniform cloud", DatasetSpec(), 3),
     ("planted neighbor at distance 6", DatasetSpec("planted", plant_dist=6, plant_gap=40), 5),
 ]:
-    db, x = gen_database(n, d, dataset, seed=PublicCoin(seed).stream_key(TAG_DATA, 0))
+    db, x = trial_instance(seed, 0, n, d, dataset)
     coin = coin_for_trial(seed, 0, 0)
     session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
     trace = SearchTrace()

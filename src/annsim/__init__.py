@@ -46,7 +46,7 @@ from .harness import (
     summarize,
     write_csv,
 )
-from .near_search import NO, NearAnswer, near_scale, run_near
+from .near_search import near_scale, run_near
 from .oracle import (
     ScaleSets,
     check_assumption1,
@@ -89,8 +89,6 @@ __all__ = [
     "ExperimentConfig",
     "GeneralParams",
     "InvalidRoundBudget",
-    "NO",
-    "NearAnswer",
     "Params",
     "Point",
     "ProbeSession",

@@ -37,7 +37,7 @@ class Point:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if not 0 <= self.value < (1 << self.dim):
+        if not (self.value >= 0 and self.value.bit_length() <= self.dim):
             raise ValueError("point has bits set beyond its dimension")
 
     def bit(self, j: int) -> int:

@@ -208,6 +208,11 @@ def gen_database(n: int, d: int, dataset: DatasetSpec, seed: int) -> tuple[Datab
     return Database(rows[stream.permutation(n)], d), x
 
 
+def trial_instance(seed: int, trial: int, n: int, d: int, dataset: DatasetSpec) -> tuple[Database, Point]:
+    """The (database, query) of trial `trial` of a run with master seed `seed`."""
+    return gen_database(n, d, dataset, seed=PublicCoin(seed).stream_key(TAG_DATA, trial))
+
+
 def probe_bound(cfg: ExperimentConfig) -> int:
     """Per-repetition worst-case probe count for the configured algorithm."""
     params = params_for(cfg)
@@ -228,8 +233,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     """Run one trial: generate, search (per repetition), validate."""
     params = params_for(cfg)
     gp = general_for(cfg)
-    data_seed = PublicCoin(cfg.seed).stream_key(TAG_DATA, trial)
-    db, x = gen_database(cfg.n, cfg.d, cfg.dataset, seed=data_seed)
+    db, x = trial_instance(cfg.seed, trial, cfg.n, cfg.d, cfg.dataset)
 
     probes_sum = 0
     rounds_max = 0
@@ -243,15 +247,13 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
             s_int=gp.s_int if gp else None,
             s_real=gp.s_real if gp else None,
         )
-        candidate: Point | None = None
         try:
             if cfg.algo == "simple":
                 candidate = run_simple(x, session, params)
             elif cfg.algo == "general":
                 candidate = run_general(x, session, params, gp)
             else:
-                answer = run_near(x, cfg.lam, session, params)
-                candidate = answer.point
+                candidate = run_near(x, cfg.lam, session, params)
         except AssumptionViolated:
             candidate = None
         except RoundBudgetExceeded as exc:
@@ -414,39 +416,27 @@ def calibrate(
     c1, c2 = max(c1_grid), max(c2_grid)
     _check_matrix_sizes(n, d, [("c1", c1, "main", c1), ("c2", c2, "aux", c2 / s_real)])
 
-    def instance(i: int, c1: float, c2: float):
-        data_seed = PublicCoin(seed).stream_key(TAG_DATA, i)
-        db, x = gen_database(n, d, dataset, seed=data_seed)
-        coin = coin_for_trial(seed, i, 0)
+    def sets(i: int, c1: float, c2: float, s: float | None = None):
+        db, x = trial_instance(seed, i, n, d, dataset)
         params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2)
-        return db, x, coin, params
+        return exact_sets(x, db, coin_for_trial(seed, i, 0), params, s_real=s)
 
-    c1_rates = []
-    chosen_c1 = c1_grid[-1]
-    for c1 in c1_grid:
-        hits = 0
-        for i in range(seeds):
-            db, x, coin, params = instance(i, c1, c2_grid[0])
-            hits += check_assumption1(exact_sets(x, db, coin, params))
-        rate = hits / seeds
-        c1_rates.append((c1, rate))
-        if rate >= target:
-            chosen_c1 = c1
-            break
+    def sweep(grid: tuple[float, ...], passes) -> tuple[list[tuple[float, float]], float]:
+        """(factor, rate) up to the first factor whose rate reaches `target`, and that factor."""
+        rates = []
+        for value in grid:
+            rate = sum(passes(value, i) for i in range(seeds)) / seeds
+            rates.append((value, rate))
+            if rate >= target:
+                return rates, value
+        return rates, grid[-1]
 
-    c2_rates = []
-    chosen_c2 = c2_grid[-1]
-    for c2 in c2_grid:
-        hits = 0
-        for i in range(seeds):
-            db, x, coin, params = instance(i, chosen_c1, c2)
-            sets = exact_sets(x, db, coin, params, s_real=s_real)
-            hits += check_assumption1(sets) and check_assumption2(sets, s_real, n)
-        rate = hits / seeds
-        c2_rates.append((c2, rate))
-        if rate >= target:
-            chosen_c2 = c2
-            break
+    def joint(c2: float, i: int) -> bool:
+        scale_sets = sets(i, chosen_c1, c2, s_real)
+        return check_assumption1(scale_sets) and check_assumption2(scale_sets, s_real, n)
+
+    c1_rates, chosen_c1 = sweep(c1_grid, lambda c1, i: check_assumption1(sets(i, c1, c2_grid[0])))
+    c2_rates, chosen_c2 = sweep(c2_grid, joint)
 
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
@@ -495,7 +485,7 @@ def selftest(verbose: bool = True) -> bool:
         )
         # Dense rows (scale 0), rows with few nonzero words (scale 6) and an
         # all-zero row: 81 rows, so each point's sketch fills two words.
-        db, _ = gen_database(20, 300, DatasetSpec(), seed=coin.stream_key(TAG_DATA, 0))
+        db, _ = trial_instance(coin.seed, 0, 20, 300, DatasetSpec())
         packed = np.vstack([derive_matrix(coin, "main", scale, 40, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
         m = SketchMatrix(rows=81, dim=300, packed=packed)
@@ -523,8 +513,7 @@ def selftest(verbose: bool = True) -> bool:
     params = params_for(cfg)
     agree = True
     for t in range(6):
-        data_seed = PublicCoin(7).stream_key(TAG_DATA, t)
-        db, x = gen_database(32, 64, DatasetSpec(), seed=data_seed)
+        db, x = trial_instance(7, t, 32, 64, DatasetSpec())
         coin = coin_for_trial(7, t, 0)
         sets = exact_sets(x, db, coin, params)
         for i in range(params.scale_count + 1):

@@ -9,25 +9,9 @@ gamma*lambda the cell is empty and the answer is NO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Params, Point
 from .probe_engine import ProbeSession
 from .search_common import main_address
-
-
-@dataclass(frozen=True)
-class NearAnswer:
-    """Either a database point or NO."""
-
-    point: Point | None = None
-
-    @property
-    def is_no(self) -> bool:
-        return self.point is None
-
-
-NO = NearAnswer()
 
 
 def near_scale(lam: float, params: Params) -> int:
@@ -39,12 +23,11 @@ def near_scale(lam: float, params: Params) -> int:
     return i
 
 
-def run_near(x: Point, lam: float, session: ProbeSession, params: Params) -> NearAnswer:
-    """Answer a lambda-near-neighbor query with exactly one probe."""
+def run_near(x: Point, lam: float, session: ProbeSession, params: Params) -> Point | None:
+    """Answer a lambda-near-neighbor query with exactly one probe: the
+    cell's point, or None (an empty cell) for NO."""
     if session.rounds_used != 0:
         raise ValueError("run_near needs a fresh session")
     scale = near_scale(lam, params)
     (content,) = session.probe_round([main_address(session.coin, params, x, scale)])
-    if content is None:
-        return NO
-    return NearAnswer(content)
+    return content

@@ -178,45 +178,16 @@ def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
     many words is the parity of the XOR of the per-word ANDs, to which zero
-    words add nothing. A dense row (at least half its words nonzero) ANDs
-    the whole word-major database array (`db.words`) into one reused buffer
-    and XOR-folds it. The other nonzero rows are taken in order of their
-    nonzero-word count, in chunks of about `_CHUNK_WORDS` gathered words:
-    each row's nonzero word indices come first, padded with indices of its
-    zero words to the chunk's longest row, so a chunk is one gather, one AND
-    and one XOR fold of a (rows, longest, n) block. All-zero rows give 0.
+    words add nothing. So each row gathers its nonzero words of the
+    word-major database array (`db.words`), ANDs them with the row's words
+    and XOR-folds them; an all-zero row folds nothing and gives 0.
     """
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
-    words, packed = db.words, matrix.packed
-    nonzero = np.count_nonzero(packed, axis=1)
-    dense = 2 * nonzero >= packed.shape[1]
-    out = np.zeros((matrix.rows, db.n), dtype=np.uint8)
-    buf = np.empty_like(words)
-    fold = np.empty(db.n, dtype=np.uint64)
-    for r in np.flatnonzero(dense):
-        np.bitwise_and(words, packed[r, :, None], out=buf)
-        np.bitwise_xor.reduce(buf, axis=0, out=fold)
-        np.bitwise_and(np.bitwise_count(fold), 1, out=out[r])
-    sparse = np.flatnonzero(~dense & (nonzero > 0))
-    sparse = sparse[np.argsort(nonzero[sparse], kind="stable")]
-    counts = nonzero[sparse]
-    rows = packed[sparse]
-    cols = np.argsort(rows == 0, axis=1, kind="stable")  # nonzero words first
-    per_point = max(1, _CHUNK_WORDS // db.n)
-    lo = 0
-    while lo < len(sparse):
-        # counts ascend, so a chunk ending at row j gathers (j - lo + 1) * counts[j] words per point
-        fits = np.arange(1, len(sparse) - lo + 1) * counts[lo:]
-        hi = lo + max(1, int(np.searchsorted(fits, per_point, side="right")))
-        chunk_cols = cols[lo:hi, : counts[hi - 1]]
-        gathered = words[chunk_cols]
-        gathered &= np.take_along_axis(rows[lo:hi], chunk_cols, axis=1)[:, :, None]
-        folded = np.bitwise_xor.reduce(gathered, axis=1)
-        out[sparse[lo:hi]] = np.bitwise_count(folded) & 1
-        lo = hi
-    return np.ascontiguousarray(out.T)
-
-
-# Words gathered per chunk of sparse rows: 512 KB of uint64, inside L2.
-_CHUNK_WORDS = 1 << 16
+    out = np.empty((db.n, matrix.rows), dtype=np.uint8)
+    for r, row in enumerate(matrix.packed):
+        cols = np.flatnonzero(row)
+        gathered = db.words[cols]
+        gathered &= row[cols, None]  # in place: no second (count, n) block per row
+        out[:, r] = np.bitwise_count(np.bitwise_xor.reduce(gathered, axis=0)) & 1
+    return out

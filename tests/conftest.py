@@ -2,8 +2,8 @@ import pytest
 
 from annsim import _native
 from annsim.core import Params, Point
-from annsim.harness import DatasetSpec, gen_database
-from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
+from annsim.harness import DatasetSpec, trial_instance
+from annsim.randomness import coin_for_trial
 
 
 @pytest.fixture
@@ -27,8 +27,7 @@ def make_params(n=32, d=64, gamma=4.0, k=2, c1=8.0, c2=8.0, **kw):
 
 
 def make_instance(n=32, d=64, seed=1, dataset=DatasetSpec(), trial=0):
-    data_seed = PublicCoin(seed).stream_key(TAG_DATA, trial)
-    return gen_database(n, d, dataset, seed=data_seed)
+    return trial_instance(seed, trial, n, d, dataset)
 
 
 def point_from_bits(bits: str) -> Point:

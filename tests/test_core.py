@@ -57,6 +57,12 @@ class TestPoint:
     def test_rejects_overflow_bits(self):
         with pytest.raises(ValueError):
             Point(4, 16)
+        with pytest.raises(ValueError):
+            Point(4, -1)  # (-1).bit_length() is 1, so only the sign test rejects it
+        d = 1 << 14
+        with pytest.raises(ValueError):
+            Point(d, 1 << d)
+        assert Point(d, (1 << d) - 1).value.bit_length() == d
 
     def test_packed_padding_is_zero(self):
         p = Point(70, (1 << 69) | 1)

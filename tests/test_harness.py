@@ -416,6 +416,18 @@ class TestCalibrate:
         assert report.c1_rates[0][1] <= report.c1_rates[-1][1] + 0.3
         assert report.chosen_c1 in (4.0, 32.0)
 
+    def test_csv_is_pinned(self, tmp_path):
+        # c1 reaches the target at 32 and stops early; no c2 reaches it, so
+        # the sweep runs the whole grid and falls back to its last factor.
+        out = tmp_path / "cal.csv"
+        report = calibrate(n=32, d=64, seeds=10, seed=3, target=0.9, out=str(out))
+        assert out.read_bytes() == (
+            b"factor,value,rate\n"
+            b"c1,8,0.1\nc1,16,0.3\nc1,32,0.9\n"
+            b"c2,16,0.4\nc2,32,0.5\nc2,48,0.7\nc2,64,0.8\nc2,96,0.8\n"
+        )
+        assert (report.chosen_c1, report.chosen_c2) == (32.0, 96.0)
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -216,9 +215,8 @@ class TestSketchApplyBatchDifferential:
 
 class TestSketchApplyBatchRowKinds:
     """Matrices built row by row from dense, sparse and all-zero rows, so that
-    both access patterns of sketch_apply_batch and its chunking of sparse rows
-    are exercised at every mix, against the oracle route and the per-point
-    kernel."""
+    sketch_apply_batch is exercised at every mix of row densities, against
+    the oracle route and the per-point kernel."""
 
     @staticmethod
     def mixed_matrix(kinds: list[str], d: int, seed: int) -> SketchMatrix:
@@ -259,29 +257,14 @@ class TestSketchApplyBatchRowKinds:
         d=st.integers(5, 700),
         kinds=st.lists(st.sampled_from(["dense", "half", "sparse", "one", "zero"]),
                        min_size=1, max_size=20),
-        chunk_rows=st.integers(1, 4),
         seed=st.integers(0, 2**32),
     )
-    @example(n=1, d=700, kinds=["sparse", "zero", "dense", "one", "sparse"], chunk_rows=1, seed=1)
-    @example(n=5, d=130, kinds=["one", "one", "zero", "one", "half", "one"], chunk_rows=2, seed=2)
-    @example(n=3, d=64, kinds=["zero", "zero"], chunk_rows=1, seed=3)
-    def test_matches_oracle_and_single(self, n, d, kinds, chunk_rows, seed):
+    @example(n=1, d=700, kinds=["sparse", "zero", "dense", "one", "sparse"], seed=1)
+    @example(n=5, d=130, kinds=["one", "one", "zero", "one", "half", "one"], seed=2)
+    @example(n=3, d=64, kinds=["zero", "zero"], seed=3)
+    def test_matches_oracle_and_single(self, n, d, kinds, seed):
         db, _ = make_instance(n=n, d=d, seed=seed % 1000)
-        m = self.mixed_matrix(kinds, d, seed)
-        # Chunks hold about `chunk_rows` one-word rows, so sparse rows split
-        # across several chunks.
-        with mock.patch.object(sketch, "_CHUNK_WORDS", chunk_rows * n):
-            self.check(m, db)
-        self.check(m, db)
-
-    def test_sparse_rows_split_across_chunks_at_full_chunk_size(self):
-        # 300 points: a default chunk holds 218 row words per point, so these
-        # 90 rows of 1 to 7 nonzero words (of 16) span two chunks or more.
-        db, _ = make_instance(n=300, d=1000, seed=4)
-        m = self.mixed_matrix(["sparse"] * 90 + ["dense", "zero"], 1000, 4)
-        per_row = np.count_nonzero(m.packed, axis=1)
-        assert per_row[:90].sum() * db.n > sketch._CHUNK_WORDS
-        self.check(m, db)
+        self.check(self.mixed_matrix(kinds, d, seed), db)
 
 
 @pytest.mark.usefixtures("numpy_kernel")
