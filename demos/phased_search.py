@@ -16,7 +16,6 @@ from annsim import (
     DatasetSpec,
     Params,
     ProbeSession,
-    SearchTrace,
     coin_for_trial,
     exact_nn,
     hamming_dist,
@@ -37,19 +36,18 @@ for label, dataset, seed in [
     db, x = trial_instance(seed, 0, n, d, dataset)
     coin = coin_for_trial(seed, 0, 0)
     session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
-    trace = SearchTrace()
-    result = run_general(x, session, params, gp, trace=trace)
+    result = run_general(x, session, params, gp)
     t = session.close()
     _, best = exact_nn(x, db)
 
     print(f"{label}:")
-    for i, phase in enumerate(trace.phases, start=1):
+    for i, phase in enumerate(t.phases, start=1):
         print(
             f"  phase {i}: window {phase['window']} grid {phase['grid']}"
             f" -> slot r*={phase['r_star']}, CASE {phase['case']},"
             f" new window {phase['new_window']}"
         )
-    print(f"  completion window {trace.final_window}, hit at scale {trace.result_scale}")
+    print(f"  completion window {t.final_window}, hit at scale {t.result_scale}")
     print(
         f"  returned distance {hamming_dist(x, result)} vs true {best}"
         f" (ratio <= {params.gamma:g} required)"

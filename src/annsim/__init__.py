@@ -57,7 +57,6 @@ from .oracle import (
 )
 from .probe_engine import ProbeSession, ProbeTranscript
 from .randomness import PublicCoin, coin_for_trial
-from .search_common import SearchTrace
 from .sketch import (
     SketchMatrix,
     decision_threshold,
@@ -96,7 +95,6 @@ __all__ = [
     "PublicCoin",
     "RoundBudgetExceeded",
     "ScaleSets",
-    "SearchTrace",
     "SessionClosed",
     "SketchMatrix",
     "TrialRecord",

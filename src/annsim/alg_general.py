@@ -29,7 +29,6 @@ from .errors import InvalidRoundBudget
 from .probe_engine import ProbeSession
 from .randomness import PublicCoin
 from .search_common import (
-    SearchTrace,
     completion_round,
     main_address,
     membership_addresses,
@@ -128,8 +127,9 @@ def probe_bound_general(params: Params, gp: GeneralParams) -> int:
     (k-1)/2 phases of ceil((tau-1)/s)+2 probes, a completion round of at
     most max(3*tau, k) probes, and the two membership probes.
     """
-    phase = math.ceil((gp.tau - 1) / gp.s_int) + 2
-    return math.ceil((params.k - 1) / 2) * phase + max(3 * gp.tau, params.k) + 2
+    # Integer ceilings, exact for any tau and k: ceil((k-1)/2) is k // 2.
+    phase = -(-(gp.tau - 1) // gp.s_int) + 2
+    return params.k // 2 * phase + max(3 * gp.tau, params.k) + 2
 
 
 def run_general(
@@ -137,10 +137,9 @@ def run_general(
     session: ProbeSession,
     params: Params,
     gp: GeneralParams,
-    trace: SearchTrace | None = None,
 ) -> Point:
     """Run the phased k-round search for one query on a fresh session."""
-    if session.rounds_used != 0:
+    if session.transcript.rounds:
         raise ValueError("run_general needs a fresh session")
     if x.dim != params.d:
         raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
@@ -148,17 +147,17 @@ def run_general(
     l, u = 0, params.scale_count
     pending = membership_addresses(x)
     threshold = max(3 * tau, params.k)
+    record = session.transcript
 
     while u - l >= threshold:
-        if trace is not None:
-            trace.windows.append((l, u))
+        record.windows.append((l, u))
         grid = scale_grid(l, u, tau)
         top_sketch = main_address(session.coin, params, x, u)
         aux_groups = build_group_addresses(l, u, tau, s_int, x, session.coin, params, s_real)
         aux_addrs = [
             CellAddress.aux_cell(u, top_sketch.sketch, g) for g in aux_groups
         ]
-        hit, contents = search_round(session, pending, [top_sketch] + aux_addrs, trace)
+        hit, contents = search_round(session, pending, [top_sketch] + aux_addrs)
         if hit is not None:
             return hit
 
@@ -185,17 +184,14 @@ def run_general(
             else:
                 u = below
                 case = 3
-        if trace is not None:
-            trace.phases.append(
-                {
-                    "window": trace.windows[-1],
-                    "grid": grid,
-                    "r_star": r_star,
-                    "case": case,
-                    "new_window": (l, u),
-                }
-            )
+        record.phases.append(
+            {
+                "window": record.windows[-1],
+                "grid": grid,
+                "r_star": r_star,
+                "case": case,
+                "new_window": (l, u),
+            }
+        )
 
-    if trace is not None:
-        trace.final_window = (l, u)
-    return completion_round(session, x, l, u, params, pending, trace)
+    return completion_round(session, x, l, u, params, pending)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from .core import Params, Point, scale_count
 from .probe_engine import ProbeSession
 from .search_common import (
-    SearchTrace,
     completion_round,
     main_address,
     membership_addresses,
@@ -29,11 +28,14 @@ def tau_simple(k: int, d: int, alpha: float) -> int:
     """Smallest integer tau >= 2 with tau * (tau/2)^(k-1) >= ceil(log_alpha d).
 
     The inequality is evaluated exactly as tau^k >= I * 2^(k-1) in integer
-    arithmetic.
+    arithmetic. From k = 2 * I.bit_length() + 2 on, tau is at its floor (3,
+    or 2 when I <= 2), so a larger k is clamped to that one.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    target = scale_count(d, alpha) << (k - 1)
+    count = scale_count(d, alpha)
+    k = min(k, 2 * count.bit_length() + 2)
+    target = count << (k - 1)
     tau = 2
     while tau**k < target:
         tau += 1
@@ -46,14 +48,9 @@ def probe_bound_simple(params: Params) -> int:
     return (tau - 1) * (params.k - 1) + tau + 2
 
 
-def run_simple(
-    x: Point,
-    session: ProbeSession,
-    params: Params,
-    trace: SearchTrace | None = None,
-) -> Point:
+def run_simple(x: Point, session: ProbeSession, params: Params) -> Point:
     """Run the k-round search for one query on a fresh session."""
-    if session.rounds_used != 0:
+    if session.transcript.rounds:
         raise ValueError("run_simple needs a fresh session")
     if x.dim != params.d:
         raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
@@ -65,12 +62,11 @@ def run_simple(
     # Shrinking rounds; capped at k-1 so the completion round always fits
     # the budget even when the tau inequality is tight.
     while u - l >= tau and shrinks < k - 1:
-        if trace is not None:
-            trace.windows.append((l, u))
+        session.transcript.windows.append((l, u))
         grid = scale_grid(l, u, tau)
         probe_scales = grid[1:tau]
         addresses = [main_address(session.coin, params, x, i) for i in probe_scales]
-        hit, contents = search_round(session, pending, addresses, trace)
+        hit, contents = search_round(session, pending, addresses)
         if hit is not None:
             return hit
         r_star = tau
@@ -84,6 +80,4 @@ def run_simple(
         l, u = new_l, new_u
         shrinks += 1
 
-    if trace is not None:
-        trace.final_window = (l, u)
-    return completion_round(session, x, l, u, params, pending, trace)
+    return completion_round(session, x, l, u, params, pending)

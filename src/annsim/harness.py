@@ -82,11 +82,12 @@ class TrialRecord:
     returned_dist: int
 
 
-# Bits (rows x d) one sketch matrix may hold. The C generator writes a
-# matrix as packed words (2^30 bits are 128 MiB), the numpy generator first
-# as one byte per bit (1 GiB), and the oracle unpacks it to float32 (4 GiB),
-# so a larger matrix would exhaust memory partway through a run. The largest
-# shipped configuration, d = 2^16 with 384 main rows, holds about 2^24.6.
+# Bits one sketch matrix (rows x d) or the database (n x d) may hold. The C
+# generator writes a matrix as packed words (2^30 bits are 128 MiB), the
+# numpy generator first as one byte per bit (1 GiB), and the oracle unpacks
+# both to float32 (4 GiB), so a larger one would exhaust memory partway
+# through a run. The largest shipped configurations hold about 2^24.6 bits
+# (d = 2^16 with 384 main rows) and 2^24 (256 points of d = 2^16).
 _MAX_MATRIX_BITS = 1 << 30
 
 
@@ -104,6 +105,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"jobs must lie in [1, {cpus}] (the cpu count)")
     if cfg.n < 1 or cfg.d < 2:
         raise ConfigError("need n >= 1 and d >= 2")
+    if cfg.n * cfg.d > _MAX_MATRIX_BITS:
+        raise ConfigError(f"n={cfg.n} points of d={cfg.d} bits pass the cap of 2^30 bits "
+                          "for the database")
     if cfg.d < 64 and cfg.n > 2**cfg.d:
         raise ConfigError("n distinct points do not fit in the cube")
     if cfg.algo == "near" and not cfg.lam >= 1:  # NaN fails this too
@@ -122,7 +126,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     try:
         params_for(cfg)
         general = general_for(cfg)
-    except (ValueError, ConfigError) as exc:
+    except (ValueError, OverflowError) as exc:  # an int past float range for k or s
         raise ConfigError(str(exc)) from exc
     factors = [("c1", cfg.c1, "main", cfg.c1)]
     if general is not None:

@@ -26,7 +26,7 @@ def near_scale(lam: float, params: Params) -> int:
 def run_near(x: Point, lam: float, session: ProbeSession, params: Params) -> Point | None:
     """Answer a lambda-near-neighbor query with exactly one probe: the
     cell's point, or None (an empty cell) for NO."""
-    if session.rounds_used != 0:
+    if session.transcript.rounds:
         raise ValueError("run_near needs a fresh session")
     scale = near_scale(lam, params)
     (content,) = session.probe_round([main_address(session.coin, params, x, scale)])

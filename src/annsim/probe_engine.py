@@ -10,7 +10,7 @@ real table answers a cell once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Database, Params, Point
 from .errors import RoundBudgetExceeded, SessionClosed
@@ -18,12 +18,24 @@ from .randomness import PublicCoin
 from .tables import CellAddress, CellContent, cell_content
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProbeTranscript:
-    """Immutable record of a finished session."""
+    """One repetition's record, filled in by its session as the search runs.
+
+    `rounds` holds each round's distinct (address, content) pairs. The
+    searches note the rest: the windows (l, u) the shrinking rounds or
+    phases start from, one dict per phase of the general search, the window
+    the completion round covers, which membership probe ended the search
+    early, and the scale whose cell gave the answer.
+    """
 
     round_budget: int
-    rounds: tuple[tuple[tuple[CellAddress, CellContent], ...], ...]
+    rounds: list[tuple[tuple[CellAddress, CellContent], ...]] = field(default_factory=list)
+    windows: list[tuple[int, int]] = field(default_factory=list)
+    phases: list[dict] = field(default_factory=list)
+    final_window: tuple[int, int] | None = None
+    early_exit: str | None = None
+    result_scale: int | None = None
 
     @property
     def rounds_used(self) -> int:
@@ -63,9 +75,7 @@ class ProbeSession:
         self.params = params
         self.s_int = s_int
         self.s_real = s_real
-        self.rounds_used = 0
-        self.probes_total = 0
-        self._rounds: list[tuple[tuple[CellAddress, CellContent], ...]] = []
+        self.transcript = ProbeTranscript(k)
         self._closed = False
 
     def probe_round(self, addresses: list[CellAddress]) -> list[CellContent]:
@@ -74,7 +84,7 @@ class ProbeSession:
             raise SessionClosed("session already closed")
         if not addresses:
             raise ValueError("a probe round must contain at least one address")
-        if self.rounds_used >= self.round_budget:
+        if self.transcript.rounds_used >= self.round_budget:
             raise RoundBudgetExceeded(
                 f"round budget {self.round_budget} exhausted"
             )
@@ -84,16 +94,14 @@ class ProbeSession:
                 distinct[addr] = cell_content(
                     self.db, self.coin, self.params, addr, self.s_int, self.s_real
                 )
-        self.rounds_used += 1
-        self.probes_total += len(distinct)
-        self._rounds.append(tuple(distinct.items()))
+        self.transcript.rounds.append(tuple(distinct.items()))
         return [distinct[addr] for addr in addresses]
 
     def close(self) -> ProbeTranscript:
         if self._closed:
             raise SessionClosed("session already closed")
         self._closed = True
-        return ProbeTranscript(round_budget=self.round_budget, rounds=tuple(self._rounds))
+        return self.transcript
 
 
 def _address_str(addr: CellAddress) -> str:

@@ -7,8 +7,6 @@ round over the remaining window of scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import Params, Point
 from .errors import AssumptionViolated
 from .probe_engine import ProbeSession
@@ -37,28 +35,17 @@ def membership_addresses(x: Point) -> list[CellAddress]:
     ]
 
 
-@dataclass
-class SearchTrace:
-    """Optional instrumentation for invariant checks in tests."""
-
-    windows: list[tuple[int, int]] = field(default_factory=list)
-    final_window: tuple[int, int] | None = None
-    phases: list[dict] = field(default_factory=list)
-    early_exit: str | None = None
-    result_scale: int | None = None
-
-
 def search_round(
     session: ProbeSession,
     pending: list[CellAddress],
     addresses: list[CellAddress],
-    trace: SearchTrace | None,
 ) -> tuple[Point | None, list[CellContent]]:
     """Send one round of `addresses` with the pending membership probes in front.
 
     The membership probes ride along once: `pending` is emptied here. When one
     of them hits, the hit comes back first (an exact match wins over a
-    distance-1 point) and the search is over; otherwise the hit is None.
+    distance-1 point), the record notes which one, and the search is over;
+    otherwise the hit is None.
     The contents of `addresses` come back second, in request order.
     """
     contents = session.probe_round(pending + addresses)
@@ -67,8 +54,8 @@ def search_round(
     pending.clear()
     exact, near1, *contents = contents
     hit = exact if exact is not None else near1
-    if hit is not None and trace is not None:
-        trace.early_exit = "exact" if exact is not None else "near1"
+    if hit is not None:
+        session.transcript.early_exit = "exact" if exact is not None else "near1"
     return hit, contents
 
 
@@ -79,23 +66,24 @@ def completion_round(
     u: int,
     params: Params,
     pending: list[CellAddress],
-    trace: SearchTrace | None,
 ) -> Point:
     """Probe every scale in (l, u] in parallel; return the smallest hit.
+
+    The record notes the window and the scale of the hit.
 
     An all-empty window means the sketch sandwich failed for this coin, so
     the condition is surfaced as AssumptionViolated rather than guessed
     around.
     """
+    session.transcript.final_window = (l, u)
     scales = list(range(l + 1, u + 1))
     addresses = [main_address(session.coin, params, x, i) for i in scales]
-    hit, contents = search_round(session, pending, addresses, trace)
+    hit, contents = search_round(session, pending, addresses)
     if hit is not None:
         return hit
     for scale, content in zip(scales, contents):
         if content is not None:
-            if trace is not None:
-                trace.result_scale = scale
+            session.transcript.result_scale = scale
             return content
     raise AssumptionViolated(
         f"no candidate in completion window ({l}, {u}]: sketch sandwich failed"

@@ -22,14 +22,13 @@ from annsim.harness import (
     CALIBRATED_C2,
     DatasetSpec,
     ExperimentConfig,
-    gen_database,
     run_experiment,
     summarize,
+    trial_instance,
 )
 from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.probe_engine import ProbeSession
-from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
-from annsim.search_common import SearchTrace
+from annsim.randomness import coin_for_trial
 from annsim.sketch import derive_matrix, row_collision_prob, sketch_apply
 
 
@@ -99,13 +98,11 @@ def test_criterion_2_conditional_correctness_general():
     for ds_idx, dataset in enumerate(datasets):
         for t in range(trials_per):
             total += 1
-            data_seed = PublicCoin(5000 + ds_idx).stream_key(TAG_DATA, t)
-            db, x = gen_database(n, d, dataset, seed=data_seed)
+            db, x = trial_instance(5000 + ds_idx, t, n, d, dataset)
             coin = coin_for_trial(5000 + ds_idx, t, 0)
             session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
-            trace = SearchTrace()
             try:
-                result = run_general(x, session, params, gp, trace=trace)
+                result = run_general(x, session, params, gp)
             except AssumptionViolated:
                 result = None
             transcript = session.close()
@@ -118,7 +115,7 @@ def test_criterion_2_conditional_correctness_general():
             _, best = exact_nn(x, db)
             if result is None or hamming_dist(x, result) > params.gamma * best:
                 success_violations += 1
-            for phase in trace.phases:
+            for phase in transcript.phases:
                 l0, u0 = phase["window"]
                 l1, u1 = phase["new_window"]
                 gap_ok = (u1 - l1) <= (u0 - l0) / gp.tau + 3
@@ -166,8 +163,7 @@ def test_criterion_4_assumption_statistics():
     params = Params(n=n, d=d, gamma=4.0, k=1, c1=CALIBRATED_C1, c2=CALIBRATED_C2)
     hits = 0
     for i in range(seeds):
-        data_seed = PublicCoin(900).stream_key(TAG_DATA, i)
-        db, x = gen_database(n, d, DatasetSpec(), seed=data_seed)
+        db, x = trial_instance(900, i, n, d, DatasetSpec())
         coin = coin_for_trial(900, i, 0)
         sets = exact_sets(x, db, coin, params, s_real=s_real)
         hits += check_assumption1(sets) and check_assumption2(sets, s_real, n)
@@ -288,8 +284,7 @@ def test_criterion_9_oracle_cross_check():
     for case in range(100):
         d = int(rng.choice([16, 32, 48, 64]))
         n = int(rng.integers(2, 65))
-        data_seed = PublicCoin(600).stream_key(TAG_DATA, case)
-        db, x = gen_database(n, d, DatasetSpec(), seed=data_seed)
+        db, x = trial_instance(600, case, n, d, DatasetSpec())
         params = Params(n=n, d=d, gamma=4.0, k=1, c1=8.0, c2=8.0)
         coin = coin_for_trial(600, case, 0)
         sets = exact_sets(x, db, coin, params)

@@ -16,7 +16,7 @@ from annsim.harness import DatasetSpec
 from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
-from annsim.search_common import SearchTrace, scale_grid
+from annsim.search_common import scale_grid
 from annsim.tables import KIND_AUX, cell_content
 
 from conftest import make_instance, make_params
@@ -77,10 +77,10 @@ class TestGroupAddresses:
         assert all(sk.dim == rows for g in groups for sk in g.sketches)
 
 
-def run_one(db, x, params, gp, trace=None, seed=0):
+def run_one(db, x, params, gp, seed=0):
     coin = coin_for_trial(seed, 0, 0)
     session = ProbeSession(db, coin, params.k, params, s_int=gp.s_int, s_real=gp.s_real)
-    result = run_general(x, session, params, gp, trace=trace)
+    result = run_general(x, session, params, gp)
     return result, session.close(), coin
 
 
@@ -93,9 +93,8 @@ class TestSmallWindowEqualsSimpleCompletion:
         gp = override_params(2, 4)
         params_g = make_params(n=32, d=64, k=8, c1=16.0)
         params_s = make_params(n=32, d=64, k=1, c1=16.0)
-        trace = SearchTrace()
         try:
-            got, transcript, coin = run_one(db, x, params_g, gp, trace, seed=17)
+            got, transcript, coin = run_one(db, x, params_g, gp, seed=17)
         except AssumptionViolated:
             got, transcript, coin = None, None, coin_for_trial(17, 0, 0)
         session = ProbeSession(db, coin, 1, params_s)
@@ -106,7 +105,7 @@ class TestSmallWindowEqualsSimpleCompletion:
         assert got == want
         if transcript is not None:
             assert transcript.rounds_used == 1
-            assert trace.phases == []
+            assert transcript.phases == []
 
 
 class TestCaseBranches:
@@ -129,9 +128,8 @@ class TestCaseBranches:
         db, x = self.cluster_instance()
         params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
         gp = override_params(2, 4)
-        trace = SearchTrace()
-        result, transcript, coin = run_one(db, x, params, gp, trace, seed=31)
-        phase = trace.phases[0]
+        result, transcript, coin = run_one(db, x, params, gp, seed=31)
+        phase = transcript.phases[0]
         assert phase["case"] == 1
         assert phase["new_window"][1] == phase["grid"][1] + 1
         # Oracle confirms the branch condition: the first refinement slot
@@ -152,12 +150,11 @@ class TestCaseBranches:
             db, x = make_instance(n=128, d=4096, seed=seed)
             params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
-            trace = SearchTrace()
             try:
-                run_one(db, x, params, gp, trace, seed=seed)
+                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 continue
-            for phase in trace.phases:
+            for phase in transcript.phases:
                 if phase["case"] == 2:
                     seen = True
                     l_new = phase["new_window"][0]
@@ -173,12 +170,11 @@ class TestCaseBranches:
             )
             params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
-            trace = SearchTrace()
             try:
-                run_one(db, x, params, gp, trace, seed=seed)
+                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 continue
-            for phase in trace.phases:
+            for phase in transcript.phases:
                 if phase["case"] == 3:
                     seen = True
                     assert phase["new_window"][0] == phase["window"][0]
@@ -213,15 +209,14 @@ class TestConditionalCorrectness:
             db, x = make_instance(n=128, d=2**12, seed=seed)
             params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
-            trace = SearchTrace()
             try:
-                _, _, coin = run_one(db, x, params, gp, trace, seed=seed)
+                _, transcript, coin = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 continue
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
             if not (check_assumption1(sets) and check_assumption2(sets, gp.s_real, 128)):
                 continue
-            for phase in trace.phases:
+            for phase in transcript.phases:
                 l0, u0 = phase["window"]
                 l1, u1 = phase["new_window"]
                 gap_ok = (u1 - l1) <= (u0 - l0) / gp.tau + 3
@@ -239,18 +234,17 @@ class TestWindowInvariant:
             db, x = make_instance(n=128, d=2**12, seed=seed)
             params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
             gp = override_params(2, 4)
-            trace = SearchTrace()
             try:
-                _, _, coin = run_one(db, x, params, gp, trace, seed=seed)
+                _, transcript, coin = run_one(db, x, params, gp, seed=seed)
             except AssumptionViolated:
                 continue
             sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
             if (
                 not (check_assumption1(sets) and check_assumption2(sets, gp.s_real, 128))
-                or trace.final_window is None
+                or transcript.final_window is None
             ):
                 continue
-            for l, u in trace.windows + [trace.final_window]:
+            for l, u in transcript.windows + [transcript.final_window]:
                 assert sets.sketch_ball(u), "upper end must stay nonempty"
                 if l >= 1:
                     assert not sets.sketch_ball(l), "lower end must stay empty"
@@ -269,12 +263,11 @@ class TestAsymptoticMode:
         params = make_params(n=64, d=2**16, k=41, c1=8.0, c2=8.0)
         gp = params_general(41, 4.0, 2**16, params.alpha)
         assert gp.mode == "asymptotic"
-        trace = SearchTrace()
         try:
-            _, transcript, _ = run_one(db, x, params, gp, trace, seed=2)
+            _, transcript, _ = run_one(db, x, params, gp, seed=2)
         except AssumptionViolated:
             pytest.skip("sketch sandwich failed on this coin")
-        assert trace.phases == []
+        assert transcript.phases == []
         assert transcript.rounds_used == 1
         assert transcript.probes_total <= probe_bound_general(params, gp)
 
@@ -291,6 +284,11 @@ class TestBudgets:
                 continue
             assert transcript.rounds_used <= 8
             assert transcript.probes_total <= probe_bound_general(params, gp)
+
+    def test_probe_bound_is_exact_past_float_range(self):
+        tau = 10**400
+        params = make_params(n=16, d=64, k=9)
+        assert probe_bound_general(params, override_params(2, tau)) == 4 * (tau // 2 + 2) + 3 * tau + 2
 
     def test_budget_exhaustion_surfaces_in_override_mode(self):
         # k=2 cannot fit a two-round phase plus a completion round unless

@@ -12,7 +12,6 @@ from annsim.harness import DatasetSpec
 from annsim.oracle import check_assumption1, exact_nn, exact_sets
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
-from annsim.search_common import SearchTrace
 
 from conftest import make_instance, make_params
 
@@ -39,11 +38,27 @@ class TestTauSimple:
         assert tau**k >= target
         assert tau == 2 or (tau - 1) ** k < target
 
+    def test_clamped_k_matches_the_unclamped_formula(self, monkeypatch):
+        def unclamped(k, count):
+            target = count << (k - 1)
+            tau = 2
+            while tau**k < target:
+                tau += 1
+            return tau
 
-def run_one(db, x, params, trace=None, seed=0):
+        # Feed scale counts straight in: scale_count(d, alpha) is d here.
+        monkeypatch.setattr(alg_simple, "scale_count", lambda d, alpha: d)
+        mismatches = [(count, k) for count in range(1, 3000) for k in range(2, 160)
+                      if tau_simple(k, count, 2.0) != unclamped(k, count)]
+        assert mismatches == []
+        assert tau_simple(10**30, 3000, 2.0) == unclamped(159, 3000) == 3
+        assert tau_simple(10**30, 2, 2.0) == 2
+
+
+def run_one(db, x, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
     session = ProbeSession(db, coin, params.k, params)
-    result = run_simple(x, session, params, trace=trace)
+    result = run_simple(x, session, params)
     return result, session.close(), coin
 
 
@@ -69,10 +84,9 @@ class TestRoundStructure:
     def test_k1_is_single_completion_round(self):
         db, x = make_instance(n=16, d=256, seed=5)
         params = make_params(n=16, d=256, k=1)
-        trace = SearchTrace()
-        _, transcript, _ = run_one(db, x, params, trace, seed=5)
+        _, transcript, _ = run_one(db, x, params, seed=5)
         assert transcript.rounds_used == 1
-        assert trace.windows == []  # no shrinking rounds ran
+        assert transcript.windows == []  # no shrinking rounds ran
         # completion probes scales 1..I plus the two membership probes
         assert transcript.probes_total == params.scale_count + 2
 
@@ -81,22 +95,20 @@ class TestRoundStructure:
         for seed in range(6):
             db, x = make_instance(n=32, d=128, seed=seed)
             params = make_params(n=32, d=128, k=k, c1=16.0)
-            trace = SearchTrace()
             try:
-                _, transcript, _ = run_one(db, x, params, trace, seed=seed)
+                _, transcript, _ = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
             assert transcript.rounds_used <= k
-            assert len(trace.windows) <= k - 1
+            assert len(transcript.windows) <= k - 1
             assert transcript.probes_total <= probe_bound_simple(params)
 
     def test_gap_shrinks_per_round(self):
         db, x = make_instance(n=32, d=2**14, seed=6)
         params = make_params(n=32, d=2**14, k=3, c1=16.0)
         tau = tau_simple(3, 2**14, params.alpha)
-        trace = SearchTrace()
-        run_one(db, x, params, trace, seed=6)
-        windows = trace.windows + [trace.final_window]
+        _, transcript, _ = run_one(db, x, params, seed=6)
+        windows = transcript.windows + [transcript.final_window]
         for (l0, u0), (l1, u1) in zip(windows, windows[1:]):
             assert u1 - l1 <= (u0 - l0) / tau + 1
 
@@ -150,15 +162,15 @@ class TestWindowInvariant:
             params = make_params(n=64, d=2**12, k=3, c1=32.0)
             coin = coin_for_trial(seed, 0, 0)
             session = ProbeSession(db, coin, 3, params)
-            trace = SearchTrace()
             try:
-                run_simple(x, session, params, trace=trace)
+                run_simple(x, session, params)
             except AssumptionViolated:
                 continue
+            transcript = session.close()
             sets = exact_sets(x, db, coin, params)
-            if not check_assumption1(sets) or trace.final_window is None:
+            if not check_assumption1(sets) or transcript.final_window is None:
                 continue
-            for l, u in trace.windows + [trace.final_window]:
+            for l, u in transcript.windows + [transcript.final_window]:
                 assert sets.sketch_ball(u), "upper end must stay nonempty"
                 if l >= 1:
                     assert not sets.sketch_ball(l), "lower end must stay empty"

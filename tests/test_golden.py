@@ -16,9 +16,9 @@ import pytest
 from annsim.alg_general import override_params, run_general
 from annsim.alg_simple import run_simple
 from annsim.core import Params
-from annsim.harness import DatasetSpec, ExperimentConfig, gen_database, run_experiment
+from annsim.harness import DatasetSpec, ExperimentConfig, run_experiment, trial_instance
 from annsim.probe_engine import ProbeSession
-from annsim.randomness import TAG_DATA, PublicCoin, coin_for_trial
+from annsim.randomness import coin_for_trial
 
 SEED = 2718
 
@@ -49,7 +49,7 @@ def test_csv_bytes(cfg, digest, tmp_path):
 
 
 def instance():
-    return gen_database(64, 128, DatasetSpec(), seed=PublicCoin(SEED).stream_key(TAG_DATA, 0))
+    return trial_instance(SEED, 0, 64, 128, DatasetSpec())
 
 
 def test_simple_transcript_bytes():

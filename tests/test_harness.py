@@ -1,4 +1,5 @@
 import contextlib
+import io
 import itertools
 import os
 import shutil
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from annsim import _native, harness, randomness
+from annsim import _native, cli, harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
 from annsim.alg_general import run_general
 from annsim.alg_simple import run_simple
@@ -28,13 +29,14 @@ from annsim.harness import (
     run_experiment,
     selftest,
     summarize,
+    trial_instance,
     validate_config,
     write_csv,
 )
 from annsim.near_search import run_near
 from annsim.oracle import exact_nn
 from annsim.probe_engine import ProbeSession
-from annsim.randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
+from annsim.randomness import Stream, coin_for_trial
 from reference_data import ScalarStream, reference_database
 
 
@@ -250,6 +252,14 @@ class TestRunExperiment:
             validate_config(small_cfg(**kw))
         assert str(err.value) == f"{message}, past the cap of 2^30 bits per matrix"
 
+    def test_database_past_the_cap_rejected(self):
+        # 2^24 points of d = 64 are exactly 2^30 bits; validation draws no instance.
+        validate_config(small_cfg(n=2**24, d=64))
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_cfg(n=2**24 + 1, d=64))
+        assert str(err.value) == ("n=16777217 points of d=64 bits pass the cap of 2^30 bits "
+                                  "for the database")
+
     def test_matrix_cap_is_exact(self):
         # n = 2 makes the row count ceil(c1); 1024 rows of d = 2^20 are 2^30 bits.
         validate_config(small_cfg(n=2, d=2**20, c1=1024.0))
@@ -353,7 +363,8 @@ class TestRunExperiment:
 class TestTranscriptInvariants:
     """Every search, on any small instance, keeps the cost model's rules:
     distinct addresses within a round, at most k rounds, and at most
-    `probe_bound` probes."""
+    `probe_bound` probes. Its record's windows nest, the answer's scale lies
+    in the last one, and an early exit ends the first round."""
 
     # The phased search spends up to two rounds per phase, and validation does
     # not yet reject an override whose phases need more than k rounds, so
@@ -379,7 +390,7 @@ class TestTranscriptInvariants:
                         lam=4.0 if algo == "near" else 0.0)
         validate_config(cfg)
         params, gp = harness.params_for(cfg), harness.general_for(cfg)
-        db, x = gen_database(n, d, cfg.dataset, seed=PublicCoin(seed).stream_key(TAG_DATA, 0))
+        db, x = trial_instance(seed, 0, n, d, cfg.dataset)
         session = ProbeSession(db, coin_for_trial(seed, 0, 0), k, params,
                                s_int=gp.s_int if gp else None, s_real=gp.s_real if gp else None)
         try:
@@ -398,6 +409,24 @@ class TestTranscriptInvariants:
             assert len(set(addresses)) == len(addresses) > 0
         assert transcript.probes_total == sum(len(b) for b in transcript.rounds)
         assert transcript.probes_total <= probe_bound(cfg)
+
+        windows = transcript.windows
+        if transcript.final_window is not None:
+            windows = windows + [transcript.final_window]
+        for (l0, u0), (l1, u1) in zip(windows, windows[1:]):
+            assert l0 <= l1 < u1 <= u0
+        if transcript.result_scale is not None:
+            l, u = transcript.final_window
+            assert l < transcript.result_scale <= u
+        if transcript.early_exit is not None:
+            assert transcript.rounds_used == 1 and transcript.result_scale is None
+        if algo == "general":
+            assert [phase["window"] for phase in transcript.phases] == transcript.windows
+        else:
+            assert transcript.phases == []
+        if algo == "near":
+            assert transcript.windows == [] and transcript.final_window is None
+            assert transcript.early_exit is None and transcript.result_scale is None
 
 
 class TestSummarize:
@@ -610,6 +639,79 @@ class TestCli:
             "config error: c1=1e+300 gives main sketch matrices of 3e+300 rows x d=64, "
             "past the cap of 2^30 bits per matrix"
         ]
+
+    def test_database_past_the_cap_exit_code(self, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        argv = ["run", "--algo", "simple", "--n", "1000000000000", "--d", "64", "--gamma", "4",
+                "--k", "2", "--trials", "1", "--seed", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: n=1000000000000 points of d=64 bits pass the cap of 2^30 bits "
+            "for the database"
+        ]
+
+    @pytest.mark.parametrize("k", ["10000000000", str(10**30)])
+    def test_huge_round_budget_runs(self, k, capsys):
+        argv = ["run", "--algo", "simple", "--n", "16", "--d", "64", "--gamma", "4", "--k", k,
+                "--trials", "1", "--seed", "0"]
+        assert main(argv) == 0
+        assert "mean rounds" in capsys.readouterr().out
+
+    # Every value flag of `annsim run`, and values of each kind a user could
+    # type: in range, negative, past float range, non-finite, or not a number.
+    RUN_FLAGS = ["--algo", "--n", "--d", "--gamma", "--k", "--c1", "--c2", "--c", "--lambda",
+                 "--dataset", "--plant-dist", "--plant-gap", "--override-s", "--override-tau",
+                 "--repeat", "--jobs", "--trials", "--seed", "--out"]
+    RUN_VALUES = st.one_of(
+        st.integers(-3, 80).map(str),
+        st.integers(-(2**80), 2**80).map(str),
+        st.sampled_from(["9" * 400, "-" + "9" * 400, "1e400", "nan", "inf", "-inf", "1e-320"]),
+        st.floats().map(repr),
+        st.sampled_from(["simple", "general", "near", "uniform", "planted", "", "-", "0x10",
+                         "four", "/", "."]),
+        st.text(max_size=6),
+    )
+    # A valid command line per algorithm, for the drawn flags to change.
+    RUN_BASES = {
+        "simple": {"--k": "2"},
+        "general": {"--k": "8", "--override-s": "2", "--override-tau": "4"},
+        "near": {"--k": "1", "--lambda": "4"},
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(algo=st.sampled_from(sorted(RUN_BASES)),
+           changes=st.dictionaries(st.sampled_from(RUN_FLAGS), RUN_VALUES, max_size=4),
+           dropped=st.sets(st.sampled_from(["--algo", "--n", "--k", "--seed"]), max_size=1),
+           no_checks=st.booleans())
+    @example(algo="general", changes={"--k": "9" * 400}, dropped=set(), no_checks=False)
+    @example(algo="general", changes={"--override-s": "9" * 400}, dropped=set(), no_checks=True)
+    def test_fuzzed_run_arguments_exit_cleanly(self, algo, changes, dropped, no_checks):
+        """Validation passed, a usage error or a one-line config error: no
+        traceback. A valid configuration runs no trial."""
+        def validate_only(cfg):
+            validate_config(cfg)
+            return [harness.TrialRecord(trial=0, seed=0, algo=cfg.algo, success=True,
+                                        probes_total=1, rounds_used=1, assumption1=None,
+                                        assumption2=None, exact_dist=0, returned_dist=0)]
+
+        flags = {"--algo": algo, "--n": "16", "--d": "64", "--gamma": "4", "--trials": "1",
+                 "--seed": "0", **self.RUN_BASES[algo], **changes}
+        argv = ["run", *(f"{flag}={value}" for flag, value in flags.items() if flag not in dropped)]
+        if no_checks:
+            argv.append("--no-assumption-checks")
+        stderr = io.StringIO()
+        with (mock.patch.object(cli, "run_experiment", validate_only),
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if stderr.getvalue().startswith("config error"):
+            assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
 
     def test_calibrate_grid_past_the_cap_exit_code(self, capsys, monkeypatch):
         # The default c2 of 64 at s = 1e-12 passes the cap too, but the sweep

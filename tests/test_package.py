@@ -11,7 +11,7 @@ import annsim
 
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ["open_session", "probe_round", "close_session", "SearchState", "EMPTY",
-           "DataPoint", "SmallInt", "SketchVector", "NearAnswer", "NO"]
+           "DataPoint", "SmallInt", "SketchVector", "NearAnswer", "NO", "SearchTrace"]
 DEMOS = ["near_neighbor", "phased_search", "round_tradeoff", "sketch_separation"]
 
 

@@ -22,8 +22,8 @@ class TestSessionLifecycle:
     def test_fresh_session(self, setup):
         db, _, params, coin = setup
         s = ProbeSession(db, coin, 3, params)
-        assert s.rounds_used == 0
-        assert s.probes_total == 0
+        assert s.transcript.rounds_used == 0
+        assert s.transcript.probes_total == 0
         assert s.round_budget == 3
 
     def test_sessions_are_independent(self, setup):
@@ -31,8 +31,8 @@ class TestSessionLifecycle:
         s1 = ProbeSession(db, coin, 2, params)
         s2 = ProbeSession(db, coin, 2, params)
         s1.probe_round([main_address(coin, params, x, 1)])
-        assert s1.rounds_used == 1
-        assert s2.rounds_used == 0
+        assert s1.transcript.rounds_used == 1
+        assert s2.transcript.rounds_used == 0
 
     def test_zero_budget_rejected(self, setup):
         db, _, params, coin = setup
@@ -61,8 +61,8 @@ class TestRoundAccounting:
         batch = [main_address(coin, params, x, i) for i in (1, 2, 3)]
         contents = s.probe_round(batch)
         assert len(contents) == 3
-        assert s.probes_total == 3
-        assert s.rounds_used == 1
+        assert s.transcript.probes_total == 3
+        assert s.transcript.rounds_used == 1
 
     def test_duplicates_coalesce(self, setup):
         db, x, params, coin = setup
@@ -70,7 +70,7 @@ class TestRoundAccounting:
         a = main_address(coin, params, x, 1)
         b = main_address(coin, params, x, 2)
         contents = s.probe_round([a, a, b])
-        assert s.probes_total == 2
+        assert s.transcript.probes_total == 2
         assert contents[0] == contents[1]
 
     def test_budget_enforced(self, setup):
@@ -117,7 +117,7 @@ class TestStructuralNonAdaptivity:
         first = s.probe_round([main_address(coin, params, x, 6)])
         dependent_scale = 1 if first[0] is None else 2
         s.probe_round([main_address(coin, params, x, dependent_scale)])
-        assert s.rounds_used == 2  # the dependence cost a second round
+        assert s.transcript.rounds_used == 2  # the dependence cost a second round
 
 
 class TestTranscript:
