@@ -30,8 +30,8 @@ for group, (label, dataset) in enumerate([
     for trial in range(4):
         db, x = gen_database(n, d, dataset, seed=1000 * group + trial)
         coin = coin_for_trial(123, trial, 0)
-        session = ProbeSession(db, coin, 1, params)
-        answer = run_near(x, lam, session, params)
+        session = ProbeSession(db, coin, params)
+        answer = run_near(x, lam, session)
         t = session.close()
         _, true_dist = exact_nn(x, db)
         shown = "NO" if answer is None else f"point at distance {hamming_dist(x, answer)}"

@@ -19,15 +19,14 @@ from annsim import (
     coin_for_trial,
     exact_nn,
     hamming_dist,
-    override_params,
     run_general,
 )
 from annsim.harness import trial_instance
 
 n, d, k = 128, 4096, 8
-gp = override_params(2, 4)  # desk-scale override: s=2, tau=4
-params = Params(n=n, d=d, gamma=4.0, k=k, c1=48.0, c2=64.0)
-print(f"n={n}, d={d}, k={k}, s={gp.s_int}, tau={gp.tau}, scales 0..{params.scale_count}\n")
+# desk-scale s=2, tau=4 in place of the asymptotic rules' values
+params = Params(n=n, d=d, gamma=4.0, k=k, c1=48.0, c2=64.0, s=2.0, tau=4)
+print(f"n={n}, d={d}, k={k}, s={params.s_int}, tau={params.tau}, scales 0..{params.scale_count}\n")
 
 for label, dataset, seed in [
     ("uniform cloud", DatasetSpec(), 3),
@@ -35,8 +34,8 @@ for label, dataset, seed in [
 ]:
     db, x = trial_instance(seed, 0, n, d, dataset)
     coin = coin_for_trial(seed, 0, 0)
-    session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
-    result = run_general(x, session, params, gp)
+    session = ProbeSession(db, coin, params)
+    result = run_general(x, session)
     t = session.close()
     _, best = exact_nn(x, db)
 

@@ -9,9 +9,7 @@ guarantees rely on.
 """
 
 from .alg_general import (
-    GeneralParams,
     build_group_addresses,
-    override_params,
     params_general,
     probe_bound_general,
     run_general,
@@ -86,7 +84,6 @@ __all__ = [
     "DatasetSpec",
     "DimensionMismatch",
     "ExperimentConfig",
-    "GeneralParams",
     "InvalidRoundBudget",
     "Params",
     "Point",
@@ -116,7 +113,6 @@ __all__ = [
     "main_cell",
     "membership_cell",
     "near_scale",
-    "override_params",
     "params_general",
     "probe_bound_general",
     "probe_bound_simple",

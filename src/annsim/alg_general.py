@@ -14,17 +14,17 @@ about tau, or the candidate set at the window top drops by an n^(-1/s)
 factor; both can happen only boundedly often, so at most (k-1)/2 phases run
 before the completion round.
 
-The asymptotic parameter rules need k beyond any desk-scale budget, so an
-override mode accepts explicit (s, tau); the case logic and its correctness
-contract are identical in both modes.
+The asymptotic parameter rules need k beyond any desk-scale budget, so a
+caller may also set (s, tau) in `Params` directly; the case logic and its
+correctness contract are the same either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .core import Params, Point, scale_count
+from .core import Params, Point
 from .errors import InvalidRoundBudget
 from .probe_engine import ProbeSession
 from .randomness import PublicCoin
@@ -39,73 +39,42 @@ from .sketch import derive_matrix, sketch_apply
 from .tables import AuxAddress, CellAddress
 
 
-@dataclass(frozen=True)
-class GeneralParams:
-    """Refinement depth s and branching factor tau for the phased search."""
-
-    s_real: float
-    s_int: int
-    tau: int
-    mode: str = "asymptotic"
-
-    def __post_init__(self) -> None:
-        if self.s_int < 1:
-            raise ValueError("s must be >= 1")
-        if self.tau < 2:
-            raise ValueError("tau must be >= 2")
-
-
-def params_general(k: int, c: float, d: int, alpha: float) -> GeneralParams:
-    """Derive (s, tau) from the round budget by the asymptotic rules.
+def params_general(params: Params) -> Params:
+    """`params` with (s, tau) derived from its round budget by the asymptotic rules.
 
     Requires k > 5c^2/(c-2); s = (1/4 - 1/(2c))k - 1/4, and tau is the
     smallest integer >= 2 with (tau/2)^((k-1)/2 - 2s) >= ceil(I/k) where I
     is the number of scales.
     """
-    if c <= 2:
-        raise ValueError("c must be > 2")
+    k, c = params.k, params.c
     if k <= 5 * c * c / (c - 2):
         raise InvalidRoundBudget(
             f"k={k} too small: the phased search needs k > 5c^2/(c-2) = {5 * c * c / (c - 2):g}"
         )
-    s_real = (0.25 - 1.0 / (2.0 * c)) * k - 0.25
-    s_int = max(1, round(s_real))
-    exponent = (k - 1) / 2.0 - 2.0 * s_real  # equals k/c
-    target = math.ceil(scale_count(d, alpha) / k)
+    s = (0.25 - 1.0 / (2.0 * c)) * k - 0.25
+    exponent = (k - 1) / 2.0 - 2.0 * s  # equals k/c
+    target = math.ceil(params.scale_count / k)
     tau = 2
     while (tau / 2.0) ** exponent < target:
         tau += 1
-    return GeneralParams(s_real=s_real, s_int=s_int, tau=tau, mode="asymptotic")
-
-
-def override_params(s_int: int, tau: int) -> GeneralParams:
-    """Explicit (s, tau) for desk-scale experiments; s_real is set to s."""
-    return GeneralParams(s_real=float(s_int), s_int=s_int, tau=tau, mode="override")
+    return replace(params, s=s, tau=tau)
 
 
 def build_group_addresses(
-    l: int,
-    u: int,
-    tau: int,
-    s_int: int,
-    x: Point,
-    coin: PublicCoin,
-    params: Params,
-    s_real: float,
+    l: int, u: int, x: Point, coin: PublicCoin, params: Params
 ) -> list[AuxAddress]:
     """Group descriptors for the grid scales rho(1)..rho(tau-1).
 
     Group j covers grid slots 1+(j-1)s .. min(js, tau-1); every group holds
     s scales except possibly the last, which holds the remainder. Each
     descriptor carries the covered scales, the query's auxiliary sketches at
-    those scales, and the group's grid bounds.
+    those scales, and the group's grid bounds. s and tau come from `params`.
     """
     if u - l < 1:
         raise ValueError("window must be nonempty")
-    if tau < 2:
-        raise ValueError("tau must be >= 2")
+    tau, s_int = params.tau, params.s_int
     grid = scale_grid(l, u, tau)
-    rows = params.r_aux(s_real)
+    rows = params.r_aux(params.s)
     groups = []
     n_groups = math.ceil((tau - 1) / s_int)
     for j in range(1, n_groups + 1):
@@ -121,29 +90,28 @@ def build_group_addresses(
     return groups
 
 
-def probe_bound_general(params: Params, gp: GeneralParams) -> int:
+def probe_bound_general(params: Params) -> int:
     """Worst-case total probes for the phased search.
 
     (k-1)/2 phases of ceil((tau-1)/s)+2 probes, a completion round of at
     most max(3*tau, k) probes, and the two membership probes.
     """
     # Integer ceilings, exact for any tau and k: ceil((k-1)/2) is k // 2.
-    phase = -(-(gp.tau - 1) // gp.s_int) + 2
-    return params.k // 2 * phase + max(3 * gp.tau, params.k) + 2
+    phase = -(-(params.tau - 1) // params.s_int) + 2
+    return params.k // 2 * phase + max(3 * params.tau, params.k) + 2
 
 
-def run_general(
-    x: Point,
-    session: ProbeSession,
-    params: Params,
-    gp: GeneralParams,
-) -> Point:
-    """Run the phased k-round search for one query on a fresh session."""
+def run_general(x: Point, session: ProbeSession) -> Point:
+    """Run the phased k-round search for one query on a fresh session,
+    with the session's params, which carry s and tau."""
+    params = session.params
     if session.transcript.rounds:
         raise ValueError("run_general needs a fresh session")
     if x.dim != params.d:
         raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
-    tau, s_int, s_real = gp.tau, gp.s_int, gp.s_real
+    if params.s is None or params.tau is None:
+        raise ValueError("run_general needs params with s and tau (see params_general)")
+    tau, s_int = params.tau, params.s_int
     l, u = 0, params.scale_count
     pending = membership_addresses(x)
     threshold = max(3 * tau, params.k)
@@ -153,7 +121,7 @@ def run_general(
         record.windows.append((l, u))
         grid = scale_grid(l, u, tau)
         top_sketch = main_address(session.coin, params, x, u)
-        aux_groups = build_group_addresses(l, u, tau, s_int, x, session.coin, params, s_real)
+        aux_groups = build_group_addresses(l, u, x, session.coin, params)
         aux_addrs = [
             CellAddress.aux_cell(u, top_sketch.sketch, g) for g in aux_groups
         ]
@@ -194,4 +162,4 @@ def run_general(
             }
         )
 
-    return completion_round(session, x, l, u, params, pending)
+    return completion_round(session, x, l, u, pending)

@@ -48,8 +48,9 @@ def probe_bound_simple(params: Params) -> int:
     return (tau - 1) * (params.k - 1) + tau + 2
 
 
-def run_simple(x: Point, session: ProbeSession, params: Params) -> Point:
-    """Run the k-round search for one query on a fresh session."""
+def run_simple(x: Point, session: ProbeSession) -> Point:
+    """Run the k-round search for one query on a fresh session, with the session's params."""
+    params = session.params
     if session.transcript.rounds:
         raise ValueError("run_simple needs a fresh session")
     if x.dim != params.d:
@@ -80,4 +81,4 @@ def run_simple(x: Point, session: ProbeSession, params: Params) -> Point:
         l, u = new_l, new_u
         shrinks += 1
 
-    return completion_round(session, x, l, u, params, pending)
+    return completion_round(session, x, l, u, pending)

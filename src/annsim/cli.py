@@ -125,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     report = calibrate(
         n=args.n, d=args.d, gamma=args.gamma, seeds=args.seeds,
-        seed=args.seed, s_real=args.s, target=args.target, out=args.out,
+        seed=args.seed, s=args.s, target=args.target, out=args.out,
     )
     print(f"sandwich rate by c1 ({report.seeds} seeds):")
     for c1, rate in report.c1_rates:

@@ -183,12 +183,17 @@ CALIBRATED_C2 = 64.0
 
 @dataclass(frozen=True)
 class Params:
-    """Shared problem parameters.
+    """Shared problem parameters, one record per query.
 
     gamma is the approximation ratio the caller asked for; the working scale
     base is alpha = sqrt(min(gamma, 4)). Ratios of 4 or more are clamped to
     alpha = 2 (a larger ratio only loosens the target), while the reported
     guarantee keeps the caller's gamma.
+
+    The phased search also reads the refinement depth s and the branching
+    factor tau (see `alg_general.params_general`); they stay None elsewhere.
+    s is real-valued in the thresholds and rounded in the group sizes
+    (`s_int`).
     """
 
     n: int
@@ -198,6 +203,8 @@ class Params:
     c1: float = CALIBRATED_C1
     c2: float = CALIBRATED_C2
     c: float = 4.0
+    s: float | None = None
+    tau: int | None = None
     alpha: float = field(init=False)
     scale_count: int = field(init=False)
 
@@ -216,6 +223,10 @@ class Params:
             raise ValueError("c1 and c2 must be positive")
         if self.c <= 2:
             raise ValueError("c must be > 2")
+        if self.s is not None and not 0 < self.s < math.inf:  # NaN fails this too
+            raise ValueError("s must be positive and finite")
+        if self.tau is not None and self.tau < 2:
+            raise ValueError("tau must be >= 2")
         alpha = math.sqrt(min(self.gamma, 4.0))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "scale_count", scale_count(self.d, alpha))
@@ -224,6 +235,11 @@ class Params:
     def r_main(self) -> int:
         """Row count of main sketch matrices: ceil(c1 * log2 n)."""
         return max(1, math.ceil(self.c1 * math.log2(max(self.n, 2))))
+
+    @property
+    def s_int(self) -> int:
+        """The refinement depth as a group size: s rounded, at least 1."""
+        return max(1, round(self.s))
 
     def r_aux(self, s_real: float) -> int:
         """Row count of auxiliary sketch matrices: ceil((c2/s) * log2 n)."""

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .alg_general import GeneralParams, override_params, params_general, probe_bound_general, run_general
+from .alg_general import params_general, probe_bound_general, run_general
 from .alg_simple import probe_bound_simple, run_simple
 from .core import (CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, first_occurrences,
                    hamming_dist, pack_words)
@@ -90,6 +90,12 @@ class TrialRecord:
 # (d = 2^16 with 384 main rows) and 2^24 (256 points of d = 2^16).
 _MAX_MATRIX_BITS = 1 << 30
 
+# Scales a run may walk: I = ceil(log_alpha d) grows without bound as gamma
+# nears 1. Each scale costs about 0.2 ms per repetition (n=16, d=64: gamma
+# 1.001 gives 8,322 scales and takes 1.8 s, gamma 1.0003 gives 27,731 and
+# 6.2 s), so a trial past 2^16 scales runs for many seconds.
+_MAX_SCALES = 1 << 16
+
 
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ("simple", "general", "near"):
@@ -124,13 +130,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.dataset.plant_gap <= cfg.gamma * cfg.dataset.plant_dist:
             raise ConfigError("plant gap must exceed gamma * plant distance")
     try:
-        params_for(cfg)
-        general = general_for(cfg)
+        params = params_for(cfg)
     except (ValueError, OverflowError) as exc:  # an int past float range for k or s
         raise ConfigError(str(exc)) from exc
+    if params.scale_count > _MAX_SCALES:
+        raise ConfigError(f"gamma={cfg.gamma!r} gives I={params.scale_count} scales at d={cfg.d}, "
+                          "past the cap of 2^16 scales")
     factors = [("c1", cfg.c1, "main", cfg.c1)]
-    if general is not None:
-        factors.append(("c2", cfg.c2, "aux", cfg.c2 / general.s_real))
+    if params.s is not None:
+        factors.append(("c2", cfg.c2, "aux", cfg.c2 / params.s))
     _check_matrix_sizes(cfg.n, cfg.d, factors)
 
 
@@ -146,19 +154,15 @@ def _check_matrix_sizes(n: int, d: int, factors: list[tuple[str, float, str, flo
 
 
 def params_for(cfg: ExperimentConfig) -> Params:
-    return Params(
-        n=cfg.n, d=cfg.d, gamma=cfg.gamma, k=cfg.k,
-        c1=cfg.c1, c2=cfg.c2, c=cfg.c,
-    )
-
-
-def general_for(cfg: ExperimentConfig) -> GeneralParams | None:
+    """The run's parameter record. For the general search it carries s and
+    tau: the override's, else those of `params_general`."""
+    params = Params(n=cfg.n, d=cfg.d, gamma=cfg.gamma, k=cfg.k, c1=cfg.c1, c2=cfg.c2, c=cfg.c)
     if cfg.algo != "general":
-        return None
-    if cfg.override is not None:
-        return override_params(*cfg.override)
-    params = params_for(cfg)
-    return params_general(cfg.k, cfg.c, cfg.d, params.alpha)
+        return params
+    if cfg.override is None:
+        return params_general(params)
+    s, tau = cfg.override
+    return replace(params, s=float(s), tau=tau)
 
 
 # Planted datasets: draws allowed per database point before the gap counts as too large.
@@ -224,7 +228,7 @@ def probe_bound(cfg: ExperimentConfig) -> int:
         return probe_bound_simple(params)
     if cfg.algo == "near":
         return 1
-    return probe_bound_general(params, general_for(cfg))
+    return probe_bound_general(params)
 
 
 def _near_success(answer_dist: int, exact_dist: int, gamma: float, lam: float) -> bool:
@@ -236,7 +240,6 @@ def _near_success(answer_dist: int, exact_dist: int, gamma: float, lam: float) -
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     """Run one trial: generate, search (per repetition), validate."""
     params = params_for(cfg)
-    gp = general_for(cfg)
     db, x = trial_instance(cfg.seed, trial, cfg.n, cfg.d, cfg.dataset)
 
     probes_sum = 0
@@ -246,18 +249,14 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     a2_any: bool | None = None
     for rep in range(cfg.repeat):
         coin = coin_for_trial(cfg.seed, trial, rep)
-        session = ProbeSession(
-            db, coin, cfg.k, params,
-            s_int=gp.s_int if gp else None,
-            s_real=gp.s_real if gp else None,
-        )
+        session = ProbeSession(db, coin, params)
         try:
             if cfg.algo == "simple":
-                candidate = run_simple(x, session, params)
+                candidate = run_simple(x, session)
             elif cfg.algo == "general":
-                candidate = run_general(x, session, params, gp)
+                candidate = run_general(x, session)
             else:
-                candidate = run_near(x, cfg.lam, session, params)
+                candidate = run_near(x, cfg.lam, session)
         except AssumptionViolated:
             candidate = None
         except RoundBudgetExceeded as exc:
@@ -273,11 +272,11 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         candidates.append(candidate)
 
         if cfg.check_assumptions:
-            sets = exact_sets(x, db, coin, params, s_real=gp.s_real if gp else None)
+            sets = exact_sets(x, db, coin, params)
             a1 = check_assumption1(sets)
             a1_any = a1 if a1_any is None else (a1_any or a1)
             if cfg.algo == "general":
-                joint = a1 and check_assumption2(sets, gp.s_real, cfg.n)
+                joint = a1 and check_assumption2(sets)
                 a2_any = joint if a2_any is None else (a2_any or joint)
 
     best_candidate = None
@@ -393,7 +392,7 @@ def calibrate(
     gamma: float = 4.0,
     seeds: int = 200,
     seed: int = 7,
-    s_real: float = 2.0,
+    s: float = 2.0,
     target: float = 0.8,
     c1_grid: tuple[float, ...] = (8.0, 16.0, 32.0, 48.0, 64.0, 96.0),
     c2_grid: tuple[float, ...] = (16.0, 32.0, 48.0, 64.0, 96.0),
@@ -404,13 +403,13 @@ def calibrate(
 
     Picks the smallest c1 whose empirical sandwich rate reaches `target`,
     then (holding it fixed) the smallest c2 whose joint rate with the
-    refinement bounds reaches `target`. Rates are measured on fresh
-    (database, query, coin) triples per seed index. With `out`, the rates
-    are also written there as CSV.
+    refinement bounds reaches `target` at refinement depth `s`. Rates are
+    measured on one (database, query, coin) triple per seed index, drawn once
+    for both sweeps. With `out`, the rates are also written there as CSV.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
-    if not 0 < s_real < float("inf"):
+    if not 0 < s < float("inf"):
         raise ConfigError("s must be positive and finite")
     if not 0 <= target <= 1:  # NaN fails this too
         raise ConfigError("target must lie in [0, 1]")
@@ -418,12 +417,16 @@ def calibrate(
                                      seed=seed, dataset=dataset, out=out))
     # The sweep goes up to the largest factors of its grids.
     c1, c2 = max(c1_grid), max(c2_grid)
-    _check_matrix_sizes(n, d, [("c1", c1, "main", c1), ("c2", c2, "aux", c2 / s_real)])
+    _check_matrix_sizes(n, d, [("c1", c1, "main", c1), ("c2", c2, "aux", c2 / s)])
+    if seeds * n * d > _MAX_MATRIX_BITS:
+        raise ConfigError(f"{seeds} databases of n={n} points of d={d} bits pass the cap of "
+                          "2^30 bits for the databases calibrate holds at once")
+    instances = [(*trial_instance(seed, i, n, d, dataset), coin_for_trial(seed, i, 0))
+                 for i in range(seeds)]
 
-    def sets(i: int, c1: float, c2: float, s: float | None = None):
-        db, x = trial_instance(seed, i, n, d, dataset)
-        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2)
-        return exact_sets(x, db, coin_for_trial(seed, i, 0), params, s_real=s)
+    def sets(i: int, c1: float, c2: float, depth: float | None = None):
+        db, x, coin = instances[i]
+        return exact_sets(x, db, coin, Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2, s=depth))
 
     def sweep(grid: tuple[float, ...], passes) -> tuple[list[tuple[float, float]], float]:
         """(factor, rate) up to the first factor whose rate reaches `target`, and that factor."""
@@ -436,8 +439,8 @@ def calibrate(
         return rates, grid[-1]
 
     def joint(c2: float, i: int) -> bool:
-        scale_sets = sets(i, chosen_c1, c2, s_real)
-        return check_assumption1(scale_sets) and check_assumption2(scale_sets, s_real, n)
+        scale_sets = sets(i, chosen_c1, c2, s)
+        return check_assumption1(scale_sets) and check_assumption2(scale_sets)
 
     c1_rates, chosen_c1 = sweep(c1_grid, lambda c1, i: check_assumption1(sets(i, c1, c2_grid[0])))
     c2_rates, chosen_c2 = sweep(c2_grid, joint)

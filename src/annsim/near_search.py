@@ -23,11 +23,12 @@ def near_scale(lam: float, params: Params) -> int:
     return i
 
 
-def run_near(x: Point, lam: float, session: ProbeSession, params: Params) -> Point | None:
+def run_near(x: Point, lam: float, session: ProbeSession) -> Point | None:
     """Answer a lambda-near-neighbor query with exactly one probe: the
     cell's point, or None (an empty cell) for NO."""
     if session.transcript.rounds:
         raise ValueError("run_near needs a fresh session")
+    params = session.params
     scale = near_scale(lam, params)
     (content,) = session.probe_round([main_address(session.coin, params, x, scale)])
     return content

@@ -65,19 +65,11 @@ class ScaleSets:
     `ball`, `sketch_ball` and `refined` return them as frozensets.
     """
 
-    def __init__(
-        self,
-        x: Point,
-        db: Database,
-        coin: PublicCoin,
-        params: Params,
-        s_real: float | None = None,
-    ):
+    def __init__(self, x: Point, db: Database, coin: PublicCoin, params: Params):
         self.x = x
         self.db = db
         self.coin = coin
         self.params = params
-        self.s_real = s_real
         self.top = params.scale_count
         dists = np.array([hamming_dist(x, p) for p in db.points])
         radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
@@ -122,13 +114,14 @@ class ScaleSets:
 
     def aux_pass(self, j: int) -> np.ndarray:
         """Mask of the database points that pass the scale-j auxiliary sketch test."""
-        if self.s_real is None:
-            raise ValueError("refined sets need the refinement parameter s")
+        params = self.params
+        if params.s is None:
+            raise ValueError("refined sets need the refinement parameter s in the params")
         cached = self._aux_masks.get(j)
         if cached is None:
-            rows = self.params.r_aux(self.s_real)
-            matrix = derive_matrix(self.coin, "aux", j, rows, self.db.dim, self.params.alpha)
-            cached = self._sketch_dists(matrix) <= aux_threshold(self.params, j, self.s_real)
+            matrix = derive_matrix(self.coin, "aux", j, params.r_aux(params.s), self.db.dim,
+                                   params.alpha)
+            cached = self._sketch_dists(matrix) <= aux_threshold(params, j, params.s)
             self._aux_masks[j] = cached
         return cached
 
@@ -142,15 +135,9 @@ def _members(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
-def exact_sets(
-    x: Point,
-    db: Database,
-    coin: PublicCoin,
-    params: Params,
-    s_real: float | None = None,
-) -> ScaleSets:
+def exact_sets(x: Point, db: Database, coin: PublicCoin, params: Params) -> ScaleSets:
     """Materialize the exact balls and candidate sets for one trial."""
-    return ScaleSets(x, db, coin, params, s_real=s_real)
+    return ScaleSets(x, db, coin, params)
 
 
 def check_assumption1(sets: ScaleSets) -> bool:
@@ -159,8 +146,9 @@ def check_assumption1(sets: ScaleSets) -> bool:
     return not (balls[:-1] & ~cand).any() and not (cand & ~balls[1:]).any()
 
 
-def check_assumption2(sets: ScaleSets, s_real: float, n: int) -> bool:
-    """The refinement quality bounds for every scale pair j <= i.
+def check_assumption2(sets: ScaleSets) -> bool:
+    """The refinement quality bounds for every scale pair j <= i, at the
+    sets' `params.n` and `params.s`.
 
     At most an n^(-1/s) fraction of ball(j) is missing from refined(i, j),
     and at most an n^(-1/s) fraction of sketch_ball(i) \\ ball(j+1) is
@@ -170,6 +158,7 @@ def check_assumption2(sets: ScaleSets, s_real: float, n: int) -> bool:
     For each j, every scale i >= j with a nonempty candidate set is checked
     at once; scale j's auxiliary mask is built only if such an i exists.
     """
+    n, s = sets.params.n, sets.params.s
     live = np.flatnonzero(sets.candidates.any(axis=1))
     for j in range(sets.top + 1):
         scales = live[live >= j]
@@ -184,7 +173,7 @@ def check_assumption2(sets: ScaleSets, s_real: float, n: int) -> bool:
         far_sizes = np.count_nonzero(far, axis=1).tolist()
         whole = int(np.count_nonzero(ball_j))
         for miss, inc, far_size in zip(missing, included, far_sizes):
-            if not (fraction_at_most(miss, whole, n, s_real)
-                    and fraction_at_most(inc, far_size, n, s_real)):
+            if not (fraction_at_most(miss, whole, n, s)
+                    and fraction_at_most(inc, far_size, n, s)):
                 return False
     return True

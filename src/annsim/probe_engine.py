@@ -56,26 +56,17 @@ class ProbeTranscript:
 
 
 class ProbeSession:
-    """One query's view of the tables, good for at most k rounds."""
+    """One query's view of the tables, good for at most `params.k` rounds.
 
-    def __init__(
-        self,
-        db: Database,
-        coin: PublicCoin,
-        k: int,
-        params: Params,
-        s_int: int | None = None,
-        s_real: float | None = None,
-    ):
-        if k < 1:
-            raise ValueError("round budget must be >= 1")
+    `params` is the query's one parameter record: the searches read it here,
+    and the aux cells read its s.
+    """
+
+    def __init__(self, db: Database, coin: PublicCoin, params: Params):
         self.db = db
         self.coin = coin
-        self.round_budget = k
         self.params = params
-        self.s_int = s_int
-        self.s_real = s_real
-        self.transcript = ProbeTranscript(k)
+        self.transcript = ProbeTranscript(params.k)
         self._closed = False
 
     def probe_round(self, addresses: list[CellAddress]) -> list[CellContent]:
@@ -84,16 +75,12 @@ class ProbeSession:
             raise SessionClosed("session already closed")
         if not addresses:
             raise ValueError("a probe round must contain at least one address")
-        if self.transcript.rounds_used >= self.round_budget:
-            raise RoundBudgetExceeded(
-                f"round budget {self.round_budget} exhausted"
-            )
+        if self.transcript.rounds_used >= self.params.k:
+            raise RoundBudgetExceeded(f"round budget {self.params.k} exhausted")
         distinct: dict[CellAddress, CellContent] = {}
         for addr in addresses:
             if addr not in distinct:
-                distinct[addr] = cell_content(
-                    self.db, self.coin, self.params, addr, self.s_int, self.s_real
-                )
+                distinct[addr] = cell_content(self.db, self.coin, self.params, addr)
         self.transcript.rounds.append(tuple(distinct.items()))
         return [distinct[addr] for addr in addresses]
 

@@ -64,7 +64,6 @@ def completion_round(
     x: Point,
     l: int,
     u: int,
-    params: Params,
     pending: list[CellAddress],
 ) -> Point:
     """Probe every scale in (l, u] in parallel; return the smallest hit.
@@ -77,7 +76,7 @@ def completion_round(
     """
     session.transcript.final_window = (l, u)
     scales = list(range(l + 1, u + 1))
-    addresses = [main_address(session.coin, params, x, i) for i in scales]
+    addresses = [main_address(session.coin, session.params, x, i) for i in scales]
     hit, contents = search_round(session, pending, addresses)
     if hit is not None:
         return hit

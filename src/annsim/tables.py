@@ -136,14 +136,14 @@ def _candidate_mask(
 
 
 def _refinement_mask(
-    db: Database, coin: PublicCoin, params: Params, scale: int, sk: Point, s_real: float
+    db: Database, coin: PublicCoin, params: Params, scale: int, sk: Point
 ) -> np.ndarray:
     """Boolean mask of points whose scale-`scale` auxiliary sketch is near `sk`."""
-    rows = params.r_aux(s_real)
+    rows = params.r_aux(params.s)
     if sk.dim != rows:
         raise DimensionMismatch(f"aux sketch has {sk.dim} bits, expected {rows}")
     words = db_sketch_bits(db, coin, params, "aux", scale, rows)
-    return _within(words, sk, aux_threshold(params, scale, s_real))
+    return _within(words, sk, aux_threshold(params, scale, params.s))
 
 
 def main_cell(
@@ -158,29 +158,24 @@ def main_cell(
 
 
 def aux_cell(
-    db: Database,
-    coin: PublicCoin,
-    params: Params,
-    scale: int,
-    subtable: Point,
-    aux: AuxAddress,
-    s_int: int,
-    s_real: float,
+    db: Database, coin: PublicCoin, params: Params, scale: int, subtable: Point, aux: AuxAddress
 ) -> int:
     """Content of the auxiliary table at (scale, subtable)[aux].
 
     Builds the candidate set for the subtable address, refines it through
     the group's auxiliary scales in order, and stores the first slot r whose
     refinement keeps more than an n^(-1/s) fraction of the candidates;
-    stores s+1 when every slot's refinement is small.
+    stores s+1 when every slot's refinement is small. s is `params.s`.
     """
+    if params.s is None:
+        raise ValueError("aux probes require the refinement parameter s in the params")
     cand = _candidate_mask(db, coin, params, scale, subtable)
     csize = int(np.count_nonzero(cand))
     for r, (aux_scale, sk) in enumerate(zip(aux.scales, aux.sketches), start=1):
-        refined = cand & _refinement_mask(db, coin, params, aux_scale, sk, s_real)
-        if not fraction_at_most(int(np.count_nonzero(refined)), csize, db.n, s_real):
+        refined = cand & _refinement_mask(db, coin, params, aux_scale, sk)
+        if not fraction_at_most(int(np.count_nonzero(refined)), csize, db.n, params.s):
             return r
-    return s_int + 1
+    return params.s_int + 1
 
 
 def membership_cell(db: Database, kind: str, x: Point) -> CellContent:
@@ -193,27 +188,19 @@ def membership_cell(db: Database, kind: str, x: Point) -> CellContent:
 
 
 def cell_content(
-    db: Database,
-    coin: PublicCoin,
-    params: Params,
-    address: CellAddress,
-    s_int: int | None = None,
-    s_real: float | None = None,
+    db: Database, coin: PublicCoin, params: Params, address: CellAddress
 ) -> CellContent:
     """Dispatch one address to its table; the probe engine's sole gateway."""
     if address.kind == KIND_MAIN:
         return main_cell(db, coin, params, address.scale, address.sketch)
     if address.kind == KIND_AUX:
-        if s_int is None or s_real is None:
-            raise ValueError("aux probes require the session's refinement parameter s")
-        return aux_cell(
-            db, coin, params, address.scale, address.sketch, address.aux, s_int, s_real
-        )
+        return aux_cell(db, coin, params, address.scale, address.sketch, address.aux)
     return membership_cell(db, address.kind, address.point)
 
 
-def table_metadata(params: Params, s_real: float | None = None) -> dict:
-    """Cell counts the materialized construction would occupy."""
+def table_metadata(params: Params) -> dict:
+    """Cell counts the materialized construction would occupy; the aux
+    tables' when `params` carries s."""
     scales = params.scale_count + 1
     meta = {
         "main_tables": scales,
@@ -221,10 +208,10 @@ def table_metadata(params: Params, s_real: float | None = None) -> dict:
         "member_exact_cells": params.n**2,
         "member_near1_cells": ((params.d + 1) * params.n) ** 2,
     }
-    if s_real is not None:
-        s_int = max(1, round(s_real))
+    if params.s is not None:
+        s_int = params.s_int
         meta["aux_subtables"] = scales * 2**params.r_main
         meta["aux_cells_per_subtable"] = (
-            (params.scale_count + 1) ** 2 * s_int * 2 ** (params.r_aux(s_real) * s_int)
+            (params.scale_count + 1) ** 2 * s_int * 2 ** (params.r_aux(params.s) * s_int)
         )
     return meta

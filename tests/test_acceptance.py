@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annsim.alg_general import override_params, probe_bound_general, run_general
+from annsim.alg_general import probe_bound_general, run_general
 from annsim.alg_simple import probe_bound_simple, tau_simple
 from annsim.core import Params, Point, fraction_at_most, hamming_dist
 from annsim.errors import AssumptionViolated
@@ -87,8 +87,7 @@ def test_criterion_1_conditional_correctness_simple():
 def test_criterion_2_conditional_correctness_general():
     """Override-mode phased search: conditional success and phase progress."""
     n, d, k = 128, 4096, 8
-    gp = override_params(2, 4)
-    params = Params(n=n, d=d, gamma=4.0, k=k, c1=CALIBRATED_C1, c2=CALIBRATED_C2)
+    params = Params(n=n, d=d, gamma=4.0, k=k, c1=CALIBRATED_C1, c2=CALIBRATED_C2, s=2.0, tau=4)
     datasets = [DatasetSpec(), DatasetSpec("planted", plant_dist=6, plant_gap=40)]
     trials_per = 100
     success_violations = 0
@@ -100,16 +99,16 @@ def test_criterion_2_conditional_correctness_general():
             total += 1
             db, x = trial_instance(5000 + ds_idx, t, n, d, dataset)
             coin = coin_for_trial(5000 + ds_idx, t, 0)
-            session = ProbeSession(db, coin, k, params, s_int=gp.s_int, s_real=gp.s_real)
+            session = ProbeSession(db, coin, params)
             try:
-                result = run_general(x, session, params, gp)
+                result = run_general(x, session)
             except AssumptionViolated:
                 result = None
             transcript = session.close()
-            assert transcript.probes_total <= probe_bound_general(params, gp)
+            assert transcript.probes_total <= probe_bound_general(params)
             assert transcript.rounds_used <= k
-            sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
-            if not (check_assumption1(sets) and check_assumption2(sets, gp.s_real, n)):
+            sets = exact_sets(x, db, coin, params)
+            if not (check_assumption1(sets) and check_assumption2(sets)):
                 continue
             joint_held += 1
             _, best = exact_nn(x, db)
@@ -118,10 +117,10 @@ def test_criterion_2_conditional_correctness_general():
             for phase in transcript.phases:
                 l0, u0 = phase["window"]
                 l1, u1 = phase["new_window"]
-                gap_ok = (u1 - l1) <= (u0 - l0) / gp.tau + 3
+                gap_ok = (u1 - l1) <= (u0 - l0) / params.tau + 3
                 shrink_ok = fraction_at_most(
                     len(sets.sketch_ball(u1)), len(sets.sketch_ball(u0)),
-                    n, gp.s_real, factor=2.0,
+                    n, params.s, factor=2.0,
                 )
                 if not (gap_ok or shrink_ok):
                     progress_violations += 1
@@ -159,14 +158,13 @@ def test_criterion_3_probe_round_accounting():
 def test_criterion_4_assumption_statistics():
     """Joint assumption rate at calibrated factors clears 3/4 minus 3 SE."""
     n, d, seeds = 256, 128, 200
-    s_real = 2.0
-    params = Params(n=n, d=d, gamma=4.0, k=1, c1=CALIBRATED_C1, c2=CALIBRATED_C2)
+    params = Params(n=n, d=d, gamma=4.0, k=1, c1=CALIBRATED_C1, c2=CALIBRATED_C2, s=2.0)
     hits = 0
     for i in range(seeds):
         db, x = trial_instance(900, i, n, d, DatasetSpec())
         coin = coin_for_trial(900, i, 0)
-        sets = exact_sets(x, db, coin, params, s_real=s_real)
-        hits += check_assumption1(sets) and check_assumption2(sets, s_real, n)
+        sets = exact_sets(x, db, coin, params)
+        hits += check_assumption1(sets) and check_assumption2(sets)
     rate = hits / seeds
     floor = 0.75 - 3 * math.sqrt(0.75 * 0.25 / seeds)
     ok = report(

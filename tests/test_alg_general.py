@@ -4,7 +4,6 @@ import pytest
 from annsim import probe_engine
 from annsim.alg_general import (
     build_group_addresses,
-    override_params,
     params_general,
     probe_bound_general,
     run_general,
@@ -12,7 +11,7 @@ from annsim.alg_general import (
 from annsim.alg_simple import run_simple
 from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist
 from annsim.errors import AssumptionViolated, InvalidRoundBudget, RoundBudgetExceeded
-from annsim.harness import DatasetSpec
+from annsim.harness import DatasetSpec, ExperimentConfig, params_for
 from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
@@ -24,63 +23,65 @@ from conftest import make_instance, make_params
 
 class TestParamsGeneral:
     def test_derived_refinement_depth(self):
-        gp = params_general(41, 4.0, 2**16, 2.0)
-        assert gp.s_real == pytest.approx(4.875)
-        assert gp.s_int == 5
+        params = params_general(make_params(d=2**16, k=41, c=4.0))
+        assert params.s == pytest.approx(4.875)
+        assert params.s_int == 5
 
     def test_boundary_round_budget_rejected(self):
         # 5c^2/(c-2) = 45 at c=3: k must strictly exceed it.
         with pytest.raises(InvalidRoundBudget):
-            params_general(45, 3.0, 2**16, 2.0)
-        assert params_general(46, 3.0, 2**16, 2.0).s_int >= 1
+            params_general(make_params(d=2**16, k=45, c=3.0))
+        assert params_general(make_params(d=2**16, k=46, c=3.0)).s_int >= 1
 
     def test_tau_at_large_k(self):
         # exponent (k-1)/2 - 2s = k/c = 10.25; ceil(16/41) = 1 -> tau = 2
-        gp = params_general(41, 4.0, 2**16, 2.0)
-        assert gp.tau == 2
+        assert params_general(make_params(d=2**16, k=41, c=4.0)).tau == 2
 
     def test_override_mode(self):
-        gp = override_params(2, 4)
-        assert (gp.s_int, gp.tau, gp.s_real, gp.mode) == (2, 4, 2.0, "override")
+        cfg = ExperimentConfig(algo="general", n=32, d=64, gamma=4.0, k=8, trials=1, seed=0,
+                               override=(2, 4))
+        params = params_for(cfg)
+        assert (params.s_int, params.tau, params.s) == (2, 4, 2.0)
+        assert params == make_params(k=8, c1=cfg.c1, c2=cfg.c2, s=2.0, tau=4)
 
 
 class TestGroupAddresses:
-    def params(self):
-        return make_params(n=64, d=2**12, c2=16.0)
+    def params(self, s, tau):
+        return make_params(n=64, d=2**12, c2=16.0, s=s, tau=tau)
 
     def test_even_split(self, coin):
-        params = self.params()
+        params = self.params(s=3.0, tau=7)
         x = Point(params.d, 7)
-        groups = build_group_addresses(0, 70, 7, 3, x, coin, params, s_real=3.0)
+        groups = build_group_addresses(0, 70, x, coin, params)
         assert [len(g.scales) for g in groups] == [3, 3]
 
     def test_remainder_in_last_group(self, coin):
-        params = self.params()
+        params = self.params(s=3.0, tau=6)
         x = Point(params.d, 7)
-        groups = build_group_addresses(0, 60, 6, 3, x, coin, params, s_real=3.0)
+        groups = build_group_addresses(0, 60, x, coin, params)
         assert [len(g.scales) for g in groups] == [3, 2]
 
     def test_grid_markers(self, coin):
         assert scale_grid(0, 20, 5) == [0, 4, 8, 12, 16, 20]
-        params = self.params()
+        params = self.params(s=2.0, tau=5)
         x = Point(params.d, 7)
-        groups = build_group_addresses(0, 20, 5, 2, x, coin, params, s_real=2.0)
+        groups = build_group_addresses(0, 20, x, coin, params)
         assert groups[0].scales == (4, 8)
         assert groups[1].scales == (12, 16)
         assert groups[0].group_bounds == (4, 8)
 
     def test_sketch_lengths_match_aux_rows(self, coin):
-        params = self.params()
+        params = self.params(s=2.0, tau=5)
         x = Point(params.d, 7)
-        groups = build_group_addresses(0, 40, 5, 2, x, coin, params, s_real=2.0)
+        groups = build_group_addresses(0, 40, x, coin, params)
         rows = params.r_aux(2.0)
         assert all(sk.dim == rows for g in groups for sk in g.sketches)
 
 
-def run_one(db, x, params, gp, seed=0):
+def run_one(db, x, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
-    session = ProbeSession(db, coin, params.k, params, s_int=gp.s_int, s_real=gp.s_real)
-    result = run_general(x, session, params, gp)
+    session = ProbeSession(db, coin, params)
+    result = run_general(x, session)
     return result, session.close(), coin
 
 
@@ -90,16 +91,15 @@ class TestSmallWindowEqualsSimpleCompletion:
         # completion round over scales 1..I, the same batch the one-round
         # simple search issues; outputs must agree point for point.
         db, x = make_instance(n=32, d=64, seed=17)
-        gp = override_params(2, 4)
-        params_g = make_params(n=32, d=64, k=8, c1=16.0)
+        params_g = make_params(n=32, d=64, k=8, c1=16.0, s=2.0, tau=4)
         params_s = make_params(n=32, d=64, k=1, c1=16.0)
         try:
-            got, transcript, coin = run_one(db, x, params_g, gp, seed=17)
+            got, transcript, coin = run_one(db, x, params_g, seed=17)
         except AssumptionViolated:
             got, transcript, coin = None, None, coin_for_trial(17, 0, 0)
-        session = ProbeSession(db, coin, 1, params_s)
+        session = ProbeSession(db, coin, params_s)
         try:
-            want = run_simple(x, session, params_s)
+            want = run_simple(x, session)
         except AssumptionViolated:
             want = None
         assert got == want
@@ -126,19 +126,18 @@ class TestCaseBranches:
 
     def test_case1_skips_second_round(self):
         db, x = self.cluster_instance()
-        params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
-        gp = override_params(2, 4)
-        result, transcript, coin = run_one(db, x, params, gp, seed=31)
+        params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
+        result, transcript, coin = run_one(db, x, params, seed=31)
         phase = transcript.phases[0]
         assert phase["case"] == 1
         assert phase["new_window"][1] == phase["grid"][1] + 1
         # Oracle confirms the branch condition: the first refinement slot
         # really does keep a large fraction of the candidate set.
-        sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
+        sets = exact_sets(x, db, coin, params)
         top = params.scale_count
         c_size = len(sets.sketch_ball(top))
         d_size = len(sets.refined(top, phase["grid"][1]))
-        assert not fraction_at_most(d_size, c_size, 128, gp.s_real)
+        assert not fraction_at_most(d_size, c_size, 128, params.s)
         # phase spent one round, completion one more
         assert transcript.rounds_used == 2
 
@@ -148,10 +147,9 @@ class TestCaseBranches:
         seen = False
         for seed in range(10):
             db, x = make_instance(n=128, d=4096, seed=seed)
-            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
             try:
-                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
+                _, transcript, _ = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
             for phase in transcript.phases:
@@ -168,10 +166,9 @@ class TestCaseBranches:
                 n=128, d=4096, seed=seed,
                 dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40),
             )
-            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
             try:
-                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
+                _, transcript, _ = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
             for phase in transcript.phases:
@@ -190,14 +187,13 @@ class TestConditionalCorrectness:
                 n=128, d=2**12, seed=seed,
                 dataset=DatasetSpec("planted", plant_dist=6, plant_gap=40),
             )
-            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
             try:
-                result, transcript, coin = run_one(db, x, params, gp, seed=seed)
+                result, transcript, coin = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 result, coin = None, coin_for_trial(seed, 0, 0)
-            sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
-            if check_assumption1(sets) and check_assumption2(sets, gp.s_real, 128):
+            sets = exact_sets(x, db, coin, params)
+            if check_assumption1(sets) and check_assumption2(sets):
                 confirmed += 1
                 _, best = exact_nn(x, db)
                 assert result is not None
@@ -207,22 +203,21 @@ class TestConditionalCorrectness:
     def test_phase_progress_invariant(self):
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
             try:
-                _, transcript, coin = run_one(db, x, params, gp, seed=seed)
+                _, transcript, coin = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
-            sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
-            if not (check_assumption1(sets) and check_assumption2(sets, gp.s_real, 128)):
+            sets = exact_sets(x, db, coin, params)
+            if not (check_assumption1(sets) and check_assumption2(sets)):
                 continue
             for phase in transcript.phases:
                 l0, u0 = phase["window"]
                 l1, u1 = phase["new_window"]
-                gap_ok = (u1 - l1) <= (u0 - l0) / gp.tau + 3
+                gap_ok = (u1 - l1) <= (u0 - l0) / params.tau + 3
                 shrink_ok = fraction_at_most(
                     len(sets.sketch_ball(u1)), len(sets.sketch_ball(u0)),
-                    128, gp.s_real, factor=2.0,
+                    128, params.s, factor=2.0,
                 )
                 assert gap_ok or shrink_ok
 
@@ -232,15 +227,14 @@ class TestWindowInvariant:
         checked = 0
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=2**12, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
             try:
-                _, transcript, coin = run_one(db, x, params, gp, seed=seed)
+                _, transcript, coin = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
-            sets = exact_sets(x, db, coin, params, s_real=gp.s_real)
+            sets = exact_sets(x, db, coin, params)
             if (
-                not (check_assumption1(sets) and check_assumption2(sets, gp.s_real, 128))
+                not (check_assumption1(sets) and check_assumption2(sets))
                 or transcript.final_window is None
             ):
                 continue
@@ -260,35 +254,32 @@ class TestAsymptoticMode:
         # tau = 2, the initial window is already below max(3 tau, k), and
         # the whole search is one completion round inside every budget.
         db, x = make_instance(n=64, d=2**16, seed=2)
-        params = make_params(n=64, d=2**16, k=41, c1=8.0, c2=8.0)
-        gp = params_general(41, 4.0, 2**16, params.alpha)
-        assert gp.mode == "asymptotic"
+        params = params_general(make_params(n=64, d=2**16, k=41, c1=8.0, c2=8.0))
         try:
-            _, transcript, _ = run_one(db, x, params, gp, seed=2)
+            _, transcript, _ = run_one(db, x, params, seed=2)
         except AssumptionViolated:
             pytest.skip("sketch sandwich failed on this coin")
         assert transcript.phases == []
         assert transcript.rounds_used == 1
-        assert transcript.probes_total <= probe_bound_general(params, gp)
+        assert transcript.probes_total <= probe_bound_general(params)
 
 
 class TestBudgets:
     def test_probe_and_round_budgets(self):
         for seed in range(8):
             db, x = make_instance(n=128, d=2**12, seed=seed)
-            params = make_params(n=128, d=2**12, k=8, c1=24.0, c2=32.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=2**12, k=8, c1=24.0, c2=32.0, s=2.0, tau=4)
             try:
-                _, transcript, _ = run_one(db, x, params, gp, seed=seed)
+                _, transcript, _ = run_one(db, x, params, seed=seed)
             except AssumptionViolated:
                 continue
             assert transcript.rounds_used <= 8
-            assert transcript.probes_total <= probe_bound_general(params, gp)
+            assert transcript.probes_total <= probe_bound_general(params)
 
     def test_probe_bound_is_exact_past_float_range(self):
         tau = 10**400
-        params = make_params(n=16, d=64, k=9)
-        assert probe_bound_general(params, override_params(2, tau)) == 4 * (tau // 2 + 2) + 3 * tau + 2
+        params = make_params(n=16, d=64, k=9, s=2.0, tau=tau)
+        assert probe_bound_general(params) == 4 * (tau // 2 + 2) + 3 * tau + 2
 
     def test_budget_exhaustion_surfaces_in_override_mode(self):
         # k=2 cannot fit a two-round phase plus a completion round unless
@@ -297,12 +288,11 @@ class TestBudgets:
         raised = False
         for seed in range(6):
             db, x = make_instance(n=128, d=4096, seed=seed)
-            params = make_params(n=128, d=4096, k=2, c1=24.0, c2=32.0)
-            gp = override_params(2, 4)
+            params = make_params(n=128, d=4096, k=2, c1=24.0, c2=32.0, s=2.0, tau=4)
             coin = coin_for_trial(seed, 0, 0)
-            session = ProbeSession(db, coin, 2, params, s_int=gp.s_int, s_real=gp.s_real)
+            session = ProbeSession(db, coin, params)
             try:
-                run_general(x, session, params, gp)
+                run_general(x, session)
             except RoundBudgetExceeded:
                 raised = True
                 break
@@ -316,13 +306,13 @@ class TestInvariantChecks:
     test_invariant_checks_survive_python_O reruns this class under -O."""
 
     def test_aux_content_must_be_small_int(self, monkeypatch):
-        def no_aux_tables(db, coin, params, address, *args, **kw):
+        def no_aux_tables(db, coin, params, address):
             if address.kind == KIND_AUX:
                 return None
-            return cell_content(db, coin, params, address, *args, **kw)
+            return cell_content(db, coin, params, address)
 
         monkeypatch.setattr(probe_engine, "cell_content", no_aux_tables)
         db, x = make_instance(n=64, d=4096)
-        params = make_params(n=64, d=4096, k=8)
+        params = make_params(n=64, d=4096, k=8, s=2.0, tau=4)
         with pytest.raises(AssertionError, match="not a slot index"):
-            run_one(db, x, params, override_params(2, 4))
+            run_one(db, x, params)

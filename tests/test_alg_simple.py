@@ -57,8 +57,8 @@ class TestTauSimple:
 
 def run_one(db, x, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
-    session = ProbeSession(db, coin, params.k, params)
-    result = run_simple(x, session, params)
+    session = ProbeSession(db, coin, params)
+    result = run_simple(x, session)
     return result, session.close(), coin
 
 
@@ -124,9 +124,9 @@ class TestConditionalCorrectness:
             )
             params = make_params(n=32, d=64, k=2, c1=24.0)
             coin = coin_for_trial(seed, 0, 0)
-            session = ProbeSession(db, coin, 2, params)
+            session = ProbeSession(db, coin, params)
             try:
-                result = run_simple(x, session, params)
+                result = run_simple(x, session)
             except AssumptionViolated:
                 result = None
             sets = exact_sets(x, db, coin, params)
@@ -142,9 +142,9 @@ class TestConditionalCorrectness:
                 db, x = make_instance(n=64, d=128, seed=seed)
                 params = make_params(n=64, d=128, k=k, c1=48.0)
                 coin = coin_for_trial(seed, 0, 0)
-                session = ProbeSession(db, coin, k, params)
+                session = ProbeSession(db, coin, params)
                 try:
-                    result = run_simple(x, session, params)
+                    result = run_simple(x, session)
                 except AssumptionViolated:
                     result = None
                 sets = exact_sets(x, db, coin, params)
@@ -161,9 +161,9 @@ class TestWindowInvariant:
             db, x = make_instance(n=64, d=2**12, seed=seed)
             params = make_params(n=64, d=2**12, k=3, c1=32.0)
             coin = coin_for_trial(seed, 0, 0)
-            session = ProbeSession(db, coin, 3, params)
+            session = ProbeSession(db, coin, params)
             try:
-                run_simple(x, session, params)
+                run_simple(x, session)
             except AssumptionViolated:
                 continue
             transcript = session.close()
@@ -193,9 +193,9 @@ class TestAssumptionViolationSurfaces:
         raised = False
         for seed in range(60):
             coin = coin_for_trial(seed, 0, 0)
-            session = ProbeSession(db, coin, 1, params)
+            session = ProbeSession(db, coin, params)
             try:
-                run_simple(x, session, params)
+                run_simple(x, session)
             except AssumptionViolated:
                 raised = True
                 sets = exact_sets(x, db, coin, params)

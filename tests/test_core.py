@@ -160,11 +160,20 @@ class TestParams:
             dict(n=4, d=64, gamma=4.0, k=1, c2=math.nan),
             dict(n=4, d=64, gamma=4.0, k=1, c=math.nan),
             dict(n=4, d=64, gamma=math.nan, k=1),
+            dict(n=4, d=64, gamma=4.0, k=1, s=0.0),
+            dict(n=4, d=64, gamma=4.0, k=1, s=-1.0),
+            dict(n=4, d=64, gamma=4.0, k=1, s=math.nan),
+            dict(n=4, d=64, gamma=4.0, k=1, s=math.inf),
+            dict(n=4, d=64, gamma=4.0, k=1, s=2.0, tau=1),
         ],
     )
     def test_invalid_params(self, kw):
         with pytest.raises(ValueError):
             Params(**kw)
+
+    @pytest.mark.parametrize("s, s_int", [(0.3, 1), (2.0, 2), (2.4, 2), (4.875, 5)])
+    def test_s_int_is_s_rounded_at_least_one(self, s, s_int):
+        assert Params(n=4, d=64, gamma=4.0, k=1, s=s).s_int == s_int
 
 
 class TestDatabase:

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from annsim.alg_general import override_params, run_general
+from annsim.alg_general import run_general
 from annsim.alg_simple import run_simple
 from annsim.core import Params
 from annsim.harness import DatasetSpec, ExperimentConfig, run_experiment, trial_instance
@@ -55,8 +55,8 @@ def instance():
 def test_simple_transcript_bytes():
     db, x = instance()
     params = Params(n=64, d=128, gamma=4.0, k=2)
-    session = ProbeSession(db, coin_for_trial(SEED, 0, 0), 2, params)
-    run_simple(x, session, params)
+    session = ProbeSession(db, coin_for_trial(SEED, 0, 0), params)
+    run_simple(x, session)
     text = session.close().serialize()
     assert "main:" in text
     assert sha256(text.encode()) == "40bb40c4d6d6737cfd0d2a7ffa35d63126fd1edf3b8010041cc6f9460e4f210f"
@@ -64,11 +64,9 @@ def test_simple_transcript_bytes():
 
 def test_general_transcript_bytes():
     db, x = instance()
-    params = Params(n=64, d=128, gamma=2.0, k=8)
-    gp = override_params(2, 4)
-    session = ProbeSession(db, coin_for_trial(SEED, 0, 0), 8, params,
-                           s_int=gp.s_int, s_real=gp.s_real)
-    run_general(x, session, params, gp)
+    params = Params(n=64, d=128, gamma=2.0, k=8, s=2.0, tau=4)
+    session = ProbeSession(db, coin_for_trial(SEED, 0, 0), params)
+    run_general(x, session)
     text = session.close().serialize()
     assert "main:" in text and "aux:" in text
     assert sha256(text.encode()) == "79ac8067f3b6c1cc55d82d1a0dbc05ab85ef11b5e9983a38ffb040a7aa2e220f"

@@ -270,6 +270,16 @@ class TestRunExperiment:
             validate_config(small_cfg(algo="general", n=2, d=2**20, k=8, override=(2, 2),
                                       c2=2049.0))
 
+    def test_scale_cap_is_exact(self):
+        # alpha = 64^(1/(I - 1/2)) puts 64 = d between alpha^(I-1) and alpha^I.
+        at_cap, past_cap = [(64 ** (1 / (count - 0.5))) ** 2 for count in (2**16, 2**16 + 1)]
+        assert harness.params_for(small_cfg(gamma=at_cap)).scale_count == 2**16
+        validate_config(small_cfg(gamma=at_cap))
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_cfg(gamma=past_cap))
+        assert str(err.value) == (f"gamma={past_cap!r} gives I=65537 scales at d=64, "
+                                  "past the cap of 2^16 scales")
+
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(algo="simple", n=256, d=2**16, gamma=4.0, k=2, trials=1, seed=0),
         ExperimentConfig(algo="general", n=256, d=2**16, gamma=4.0, k=8, trials=1, seed=0,
@@ -389,17 +399,15 @@ class TestTranscriptInvariants:
                         override=override if algo == "general" else None,
                         lam=4.0 if algo == "near" else 0.0)
         validate_config(cfg)
-        params, gp = harness.params_for(cfg), harness.general_for(cfg)
         db, x = trial_instance(seed, 0, n, d, cfg.dataset)
-        session = ProbeSession(db, coin_for_trial(seed, 0, 0), k, params,
-                               s_int=gp.s_int if gp else None, s_real=gp.s_real if gp else None)
+        session = ProbeSession(db, coin_for_trial(seed, 0, 0), harness.params_for(cfg))
         try:
             if algo == "simple":
-                run_simple(x, session, params)
+                run_simple(x, session)
             elif algo == "general":
-                run_general(x, session, params, gp)
+                run_general(x, session)
             else:
-                run_near(x, cfg.lam, session, params)
+                run_near(x, cfg.lam, session)
         except AssumptionViolated:
             pass
         transcript = session.close()
@@ -456,6 +464,33 @@ class TestCalibrate:
             b"c2,16,0.4\nc2,32,0.5\nc2,48,0.7\nc2,64,0.8\nc2,96,0.8\n"
         )
         assert (report.chosen_c1, report.chosen_c2) == (32.0, 96.0)
+
+    def test_each_instance_is_drawn_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gen_database(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "gen_database", counted)
+        calibrate(n=32, d=64, seeds=20, seed=3)
+        assert len(calls) == 20
+
+    def test_databases_past_the_cap_rejected(self, monkeypatch):
+        # 64 databases of 256 points of d = 2^16 are exactly 2^30 bits.
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(harness, "gen_database", drawn)
+        with pytest.raises(Drawn):
+            calibrate(n=256, d=2**16, seeds=64)
+        with pytest.raises(ConfigError) as err:
+            calibrate(n=256, d=2**16, seeds=65)
+        assert str(err.value) == ("65 databases of n=256 points of d=65536 bits pass the cap of "
+                                  "2^30 bits for the databases calibrate holds at once")
 
 
 class TestSelftest:
@@ -681,14 +716,22 @@ class TestCli:
         "near": {"--k": "1", "--lambda": "4"},
     }
 
+    # The base gamma: 4, or one just above 1, whose scale count may pass the cap.
+    RUN_GAMMAS = st.one_of(st.just("4"), st.integers(1, 12).map(lambda j: repr(1 + 10**-j)))
+
     @settings(max_examples=200, deadline=None)
     @given(algo=st.sampled_from(sorted(RUN_BASES)),
+           gamma=RUN_GAMMAS,
            changes=st.dictionaries(st.sampled_from(RUN_FLAGS), RUN_VALUES, max_size=4),
            dropped=st.sets(st.sampled_from(["--algo", "--n", "--k", "--seed"]), max_size=1),
            no_checks=st.booleans())
-    @example(algo="general", changes={"--k": "9" * 400}, dropped=set(), no_checks=False)
-    @example(algo="general", changes={"--override-s": "9" * 400}, dropped=set(), no_checks=True)
-    def test_fuzzed_run_arguments_exit_cleanly(self, algo, changes, dropped, no_checks):
+    @example(algo="general", gamma="4", changes={"--k": "9" * 400}, dropped=set(),
+             no_checks=False)
+    @example(algo="general", gamma="4", changes={"--override-s": "9" * 400}, dropped=set(),
+             no_checks=True)
+    @example(algo="simple", gamma=repr(1 + 10**-5), changes={}, dropped=set(), no_checks=True)
+    @example(algo="general", gamma=repr(1 + 10**-12), changes={}, dropped=set(), no_checks=False)
+    def test_fuzzed_run_arguments_exit_cleanly(self, algo, gamma, changes, dropped, no_checks):
         """Validation passed, a usage error or a one-line config error: no
         traceback. A valid configuration runs no trial."""
         def validate_only(cfg):
@@ -697,7 +740,7 @@ class TestCli:
                                         probes_total=1, rounds_used=1, assumption1=None,
                                         assumption2=None, exact_dist=0, returned_dist=0)]
 
-        flags = {"--algo": algo, "--n": "16", "--d": "64", "--gamma": "4", "--trials": "1",
+        flags = {"--algo": algo, "--n": "16", "--d": "64", "--gamma": gamma, "--trials": "1",
                  "--seed": "0", **self.RUN_BASES[algo], **changes}
         argv = ["run", *(f"{flag}={value}" for flag, value in flags.items() if flag not in dropped)]
         if no_checks:
@@ -726,6 +769,32 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "config error: c2=96 gives aux sketch matrices of 2.88e+14 rows x d=64, "
             "past the cap of 2^30 bits per matrix"
+        ]
+
+    @pytest.mark.parametrize("s, tau, message", [
+        ("0", "4", "s must be positive and finite"),
+        ("2", "1", "tau must be >= 2"),
+    ], ids=["s-0", "tau-1"])
+    def test_override_out_of_range_exit_code(self, s, tau, message, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        argv = ["run", "--algo", "general", "--n", "16", "--d", "64", "--gamma", "4", "--k", "8",
+                "--override-s", s, "--override-tau", tau, "--trials", "1", "--seed", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+    def test_scales_past_the_cap_exit_code(self, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        argv = ["run", "--algo", "simple", "--n", "16", "--d", "64", "--gamma", "1.00001",
+                "--k", "1", "--trials", "1", "--seed", "0", "--no-assumption-checks"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: gamma=1.00001 gives I=831781 scales at d=64, past the cap of 2^16 scales"
         ]
 
     def test_round_budget_too_small_for_the_phases_exit_code(self):

@@ -12,8 +12,8 @@ from conftest import make_instance, make_params
 
 def run_one(db, x, lam, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
-    session = ProbeSession(db, coin, 1, params)
-    answer = run_near(x, lam, session, params)
+    session = ProbeSession(db, coin, params)
+    answer = run_near(x, lam, session)
     return answer, session.close(), coin
 
 
@@ -86,7 +86,7 @@ class TestRunNear:
         db, x = make_instance(n=16, d=64)
         params = make_params(n=16, d=64)
         coin = coin_for_trial(0, 0, 0)
-        session = ProbeSession(db, coin, 2, params)
-        run_near(x, 2.0, session, params)
+        session = ProbeSession(db, coin, params)
+        run_near(x, 2.0, session)
         with pytest.raises(ValueError):
-            run_near(x, 2.0, session, params)
+            run_near(x, 2.0, session)

@@ -118,29 +118,29 @@ class TestAssumption1:
 
 class TestAssumption2:
     def test_singleton_holds(self, coin):
-        params = make_params(n=1, d=64)
+        params = make_params(n=1, d=64, s=2.0)
         x = Point(64, 31)
-        sets = exact_sets(x, Database.from_points([x]), coin, params, s_real=2.0)
-        assert check_assumption2(sets, 2.0, 1)
+        sets = exact_sets(x, Database.from_points([x]), coin, params)
+        assert check_assumption2(sets)
 
     def test_empty_candidate_sets_are_vacuous(self, coin):
         # A coin whose sketches reject everything would leave every
         # candidate set empty; nothing can be demanded of refinements then.
         db, x = make_instance(n=8, d=64)
-        params = make_params(n=8, d=64)
-        sets = exact_sets(x, db, coin, params, s_real=2.0)
+        params = make_params(n=8, d=64, s=2.0)
+        sets = exact_sets(x, db, coin, params)
         sets.candidates[:] = False
-        assert check_assumption2(sets, 2.0, 8)
+        assert check_assumption2(sets)
 
     def test_calibrated_joint_rate(self):
         from annsim.harness import CALIBRATED_C1, CALIBRATED_C2
 
-        params = make_params(n=256, d=128, c1=CALIBRATED_C1, c2=CALIBRATED_C2)
+        params = make_params(n=256, d=128, c1=CALIBRATED_C1, c2=CALIBRATED_C2, s=2.0)
         hits = 0
         for seed in range(40):
             db, x = make_instance(n=256, d=128, seed=seed)
-            sets = exact_sets(x, db, coin_for_trial(seed, 3, 0), params, s_real=2.0)
-            hits += check_assumption1(sets) and check_assumption2(sets, 2.0, 256)
+            sets = exact_sets(x, db, coin_for_trial(seed, 3, 0), params)
+            hits += check_assumption1(sets) and check_assumption2(sets)
         assert hits / 40 >= 0.6
 
 

@@ -27,9 +27,9 @@ from conftest import make_instance, make_params
 def both(n=16, d=64, seed=3, s_real=2.0, **kw):
     """The production and reference sets of one small instance."""
     db, x = make_instance(n=n, d=d, seed=seed)
-    params = make_params(n=n, d=d, **kw)
+    params = make_params(n=n, d=d, s=s_real, **kw)
     coin = PublicCoin(seed)
-    return (exact_sets(x, db, coin, params, s_real=s_real),
+    return (exact_sets(x, db, coin, params),
             ref.ScaleSets(x, db, coin, params, s_real=s_real))
 
 
@@ -44,15 +44,15 @@ def assert_same_sets(new, old):
         assert new.ball(i) == old.ball(i)
     for i in range(top + 1):
         assert new.sketch_ball(i) == old.sketch_ball(i)
-        if new.s_real is not None:
+        if new.params.s is not None:
             for j in range(top + 1):
                 assert new.refined(i, j) == old.refined(i, j)
 
 
 def assert_same_verdicts(new, old, n):
     assert check_assumption1(new) == ref.check_assumption1(old)
-    if new.s_real is not None:
-        assert check_assumption2(new, new.s_real, n) == ref.check_assumption2(old, old.s_real, n)
+    if new.params.s is not None:
+        assert check_assumption2(new) == ref.check_assumption2(old, old.s_real, n)
 
 
 def inject(new, old, balls, cand, aux):
@@ -85,8 +85,8 @@ class TestRandomInstances:
         assume(d >= 64 or n <= 2**d)
         db, x = gen_database(n, d, DatasetSpec(), seed)
         coin = PublicCoin(seed)
-        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c, c2=c)
-        new = exact_sets(x, db, coin, params, s_real=s_real)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c, c2=c, s=s_real)
+        new = exact_sets(x, db, coin, params)
         old = ref.ScaleSets(x, db, coin, params, s_real=s_real)
         # Verdicts first, while the aux masks are still built lazily.
         assert_same_verdicts(new, old, n)
@@ -102,12 +102,14 @@ class TestRandomInstances:
     def test_no_aux_matrix_the_reference_would_not_derive(self, n, seed, c):
         db, x = make_instance(n=n, d=96, seed=seed)
         coin = PublicCoin(seed)
-        params = make_params(n=n, d=96, c1=c, c2=c)
-        new = exact_sets(x, db, coin, params, s_real=2.0)
+        params = make_params(n=n, d=96, c1=c, c2=c, s=2.0)
+        new = exact_sets(x, db, coin, params)
         old = ref.ScaleSets(x, db, coin, params, s_real=2.0)
         derived = {}
-        for name, module, sets, check in (("new", oracle, new, check_assumption2),
-                                          ("old", ref, old, ref.check_assumption2)):
+        for name, module, sets, check in (
+            ("new", oracle, new, check_assumption2),
+            ("old", ref, old, lambda sets: ref.check_assumption2(sets, 2.0, n)),
+        ):
             scales = derived[name] = set()
 
             def recording(coin, role, scale, *rest, _scales=scales):
@@ -115,7 +117,7 @@ class TestRandomInstances:
                 return derive_matrix(coin, role, scale, *rest)
 
             with mock.patch.object(module, "derive_matrix", recording):
-                derived[name, "verdict"] = check(sets, 2.0, n)
+                derived[name, "verdict"] = check(sets)
         assert derived["new", "verdict"] == derived["old", "verdict"]
         assert derived["new"] <= derived["old"]
 
@@ -192,7 +194,7 @@ class TestInjectedSets:
         assert_same_sets(new, old)
         assert_same_verdicts(new, old, 32)
         inject(new, old, new.balls.copy(), np.zeros_like(cand), aux)
-        assert check_assumption2(new, 2.0, 32) and ref.check_assumption2(old, 2.0, 32)
+        assert check_assumption2(new) and ref.check_assumption2(old, 2.0, 32)
 
     @pytest.mark.parametrize("missing, verdict", [(1, True), (2, False)])
     def test_exact_fraction_tie(self, missing, verdict):
@@ -205,7 +207,7 @@ class TestInjectedSets:
         aux = np.tile(ball, (top + 1, 1))
         aux[0, :missing] = False
         inject(new, old, np.tile(ball, (top + 2, 1)), np.tile(ball, (top + 1, 1)), aux)
-        assert check_assumption2(new, 2.0, n) is verdict
+        assert check_assumption2(new) is verdict
         assert ref.check_assumption2(old, 2.0, n) is verdict
 
     @pytest.mark.parametrize("scale", [0, 1, 2])
@@ -213,7 +215,7 @@ class TestInjectedSets:
         # Point 8 is in candidate set `scale` and passes aux test `scale`,
         # but lies outside every ball: pair (scale, scale) includes it from
         # the far side, and every other pair keeps it out.
-        new, old = both(n=16, d=64, seed=4)
+        new, old = both(n=16, d=64, seed=4, s_real=1.0)
         top, n = new.top, 16
         inner = np.zeros(n, dtype=bool)
         inner[:8] = True
@@ -222,4 +224,4 @@ class TestInjectedSets:
         cand[scale, 8] = aux[scale, 8] = True
         inject(new, old, np.tile(inner, (top + 2, 1)), cand, aux)
         assert ref.check_assumption2(old, 1.0, n) is False
-        assert check_assumption2(new, 1.0, n) is False
+        assert check_assumption2(new) is False

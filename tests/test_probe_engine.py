@@ -21,34 +21,29 @@ def setup():
 class TestSessionLifecycle:
     def test_fresh_session(self, setup):
         db, _, params, coin = setup
-        s = ProbeSession(db, coin, 3, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=3))
         assert s.transcript.rounds_used == 0
         assert s.transcript.probes_total == 0
-        assert s.round_budget == 3
+        assert s.transcript.round_budget == 3
 
     def test_sessions_are_independent(self, setup):
         db, x, params, coin = setup
-        s1 = ProbeSession(db, coin, 2, params)
-        s2 = ProbeSession(db, coin, 2, params)
+        s1 = ProbeSession(db, coin, params)
+        s2 = ProbeSession(db, coin, params)
         s1.probe_round([main_address(coin, params, x, 1)])
         assert s1.transcript.rounds_used == 1
         assert s2.transcript.rounds_used == 0
 
-    def test_zero_budget_rejected(self, setup):
-        db, _, params, coin = setup
-        with pytest.raises(ValueError):
-            ProbeSession(db, coin, 0, params)
-
     def test_close_twice_fails(self, setup):
         db, _, params, coin = setup
-        s = ProbeSession(db, coin, 1, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=1))
         s.close()
         with pytest.raises(SessionClosed):
             s.close()
 
     def test_probe_after_close_fails(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 1, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=1))
         s.close()
         with pytest.raises(SessionClosed):
             s.probe_round([main_address(coin, params, x, 1)])
@@ -57,7 +52,7 @@ class TestSessionLifecycle:
 class TestRoundAccounting:
     def test_batch_counts(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 2, params)
+        s = ProbeSession(db, coin, params)
         batch = [main_address(coin, params, x, i) for i in (1, 2, 3)]
         contents = s.probe_round(batch)
         assert len(contents) == 3
@@ -66,7 +61,7 @@ class TestRoundAccounting:
 
     def test_duplicates_coalesce(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 2, params)
+        s = ProbeSession(db, coin, params)
         a = main_address(coin, params, x, 1)
         b = main_address(coin, params, x, 2)
         contents = s.probe_round([a, a, b])
@@ -75,7 +70,7 @@ class TestRoundAccounting:
 
     def test_budget_enforced(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 2, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=2))
         addr = [main_address(coin, params, x, 1)]
         s.probe_round(addr)
         s.probe_round(addr)
@@ -84,13 +79,13 @@ class TestRoundAccounting:
 
     def test_empty_batch_rejected(self, setup):
         db, _, params, coin = setup
-        s = ProbeSession(db, coin, 1, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=1))
         with pytest.raises(ValueError):
             s.probe_round([])
 
     def test_contents_in_request_order(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 1, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=1))
         batch = membership_addresses(db.points[0]) + [main_address(coin, params, x, 6)]
         contents = s.probe_round(batch)
         assert contents[0] == db.points[0]  # exact membership hit
@@ -99,9 +94,9 @@ class TestRoundAccounting:
         db, x, params, coin = setup
         from annsim.alg_general import build_group_addresses
 
-        groups = build_group_addresses(0, 6, 3, 2, x, coin, params, 2.0)
+        groups = build_group_addresses(0, 6, x, coin, make_params(n=16, d=64, s=2.0, tau=3))
         addr = CellAddress.aux_cell(6, main_address(coin, params, x, 6).sketch, groups[0])
-        s = ProbeSession(db, coin, 1, params)  # no s configured
+        s = ProbeSession(db, coin, params)  # no s configured
         with pytest.raises(ValueError):
             s.probe_round([addr])
 
@@ -113,7 +108,7 @@ class TestStructuralNonAdaptivity:
         # round. Expressing intra-round dependence is impossible because
         # probe_round is the only read path and it consumes the whole batch.
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 2, params)
+        s = ProbeSession(db, coin, params)
         first = s.probe_round([main_address(coin, params, x, 6)])
         dependent_scale = 1 if first[0] is None else 2
         s.probe_round([main_address(coin, params, x, dependent_scale)])
@@ -123,7 +118,7 @@ class TestStructuralNonAdaptivity:
 class TestTranscript:
     def test_totals(self, setup):
         db, x, params, coin = setup
-        s = ProbeSession(db, coin, 3, params)
+        s = ProbeSession(db, coin, make_params(n=16, d=64, k=3))
         s.probe_round([main_address(coin, params, x, i) for i in (1, 2, 5, 6)])
         s.probe_round([main_address(coin, params, x, 3)])
         t = s.close()
@@ -134,7 +129,7 @@ class TestTranscript:
         db, x, params, coin = setup
 
         def run():
-            s = ProbeSession(db, coin, 2, params)
+            s = ProbeSession(db, coin, params)
             s.probe_round(membership_addresses(x) + [main_address(coin, params, x, 4)])
             s.probe_round([main_address(coin, params, x, 2)])
             return s.close()
@@ -146,7 +141,7 @@ class TestTranscript:
         params = make_params(n=1, d=8, c1=0.5)  # r_main = 1 bit addresses
         coin = coin_for_trial(100, 0, 0)
         x = Point(8, 0x0F)
-        s = ProbeSession(db, coin, 2, params)
+        s = ProbeSession(db, coin, params)
         s.probe_round([CellAddress.member(KIND_MEMBER_EXACT, x)])
         s.probe_round([main_address(coin, params, x, 1)])
         text = s.close().serialize()

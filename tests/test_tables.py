@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -148,10 +150,10 @@ class TestMembershipCell:
             assert membership_cell(db, KIND_MEMBER_NEAR1, q) == near1
 
 
-def make_aux(db, x, params, coin, scales, s_real):
+def make_aux(db, x, params, coin, scales):
     from annsim.sketch import derive_matrix
 
-    rows = params.r_aux(s_real)
+    rows = params.r_aux(params.s)
     sketches = tuple(
         sketch_apply(derive_matrix(coin, "aux", sc, rows, params.d, params.alpha), x)
         for sc in scales
@@ -160,35 +162,37 @@ def make_aux(db, x, params, coin, scales, s_real):
                       group_bounds=(scales[0], scales[-1]))
 
 
-def oracle_slot(sets, top, scales, s_real, s_int):
-    """Selection rule recomputed from oracle set sizes."""
+def oracle_slot(sets, top, scales):
+    """Selection rule recomputed from oracle set sizes, at the sets' s."""
     from annsim.core import fraction_at_most
 
     c_size = len(sets.sketch_ball(top))
     for r, sc in enumerate(scales, start=1):
-        if not fraction_at_most(len(sets.refined(top, sc)), c_size, sets.db.n, s_real):
+        if not fraction_at_most(len(sets.refined(top, sc)), c_size, sets.db.n, sets.params.s):
             return r
-    return s_int + 1
+    return sets.params.s_int + 1
 
 
 class TestAuxCell:
     def test_empty_candidates_gives_overflow(self, small):
         db, x, params, coin = small
+        params = replace(params, s=2.0)
         addr = Point(params.r_main, (1 << params.r_main) - 1)
-        aux = make_aux(db, x, params, coin, [1, 2], s_real=2.0)
-        content = aux_cell(db, coin, params, 0, addr, aux, s_int=2, s_real=2.0)
+        aux = make_aux(db, x, params, coin, [1, 2])
+        content = aux_cell(db, coin, params, 0, addr, aux)
         assert content == 3
 
     def test_full_refinement_gives_one(self, small):
         db, x, params, coin = small
+        params = replace(params, s=2.0)
         top = params.scale_count
         addr = query_sketch(coin, params, x, top)
         # At the top scale every point passes both the candidate test and
         # the refinement test, so the first slot already holds everything.
-        aux = make_aux(db, x, params, coin, [top - 1, top], s_real=2.0)
-        content = aux_cell(db, coin, params, top, addr, aux, s_int=2, s_real=2.0)
-        sets = exact_sets(x, db, coin, params, s_real=2.0)
-        assert content == oracle_slot(sets, top, [top - 1, top], 2.0, 2)
+        aux = make_aux(db, x, params, coin, [top - 1, top])
+        content = aux_cell(db, coin, params, top, addr, aux)
+        sets = exact_sets(x, db, coin, params)
+        assert content == oracle_slot(sets, top, [top - 1, top])
         assert content == 1
 
     def test_middle_slot_selected(self, coin):
@@ -214,14 +218,14 @@ class TestAuxCell:
                     values.add(v)
                     break
         db = Database.from_points([Point(d, v) for v in sorted(values)])
-        params = make_params(n=n, d=d, c1=16.0, c2=16.0)
+        params = make_params(n=n, d=d, c1=16.0, c2=16.0, s=3.0)
         top = params.scale_count
         scales = [0, 5, 6]
         addr = query_sketch(coin, params, x, top)
-        aux = make_aux(db, x, params, coin, scales, s_real=2.0)
-        content = aux_cell(db, coin, params, top, addr, aux, s_int=3, s_real=2.0)
-        sets = exact_sets(x, db, coin, params, s_real=2.0)
-        assert content == oracle_slot(sets, top, scales, 2.0, 3)
+        aux = make_aux(db, x, params, coin, scales)
+        content = aux_cell(db, coin, params, top, addr, aux)
+        sets = exact_sets(x, db, coin, params)
+        assert content == oracle_slot(sets, top, scales)
         assert content == 2
 
 
@@ -244,15 +248,15 @@ class TestTablesMatchOracle:
         assume(d >= 64 or n <= 2**d)
         db, x = gen_database(n, d, DatasetSpec(), seed)
         coin = PublicCoin(seed)
-        params = Params(n=n, d=d, gamma=gamma, k=1, c1=8.0, c2=8.0)
-        sets = exact_sets(x, db, coin, params, s_real=s_real)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=8.0, c2=8.0, s=s_real)
+        sets = exact_sets(x, db, coin, params)
         rows = params.r_aux(s_real)
         for i in range(params.scale_count + 1):
             mask = _candidate_mask(db, coin, params, i, query_sketch(coin, params, x, i))
             assert frozenset(np.flatnonzero(mask).tolist()) == sets.sketch_ball(i)
             for j in range(i + 1):
                 sk = sketch_apply(derive_matrix(coin, "aux", j, rows, d, params.alpha), x)
-                refined = mask & _refinement_mask(db, coin, params, j, sk, s_real)
+                refined = mask & _refinement_mask(db, coin, params, j, sk)
                 assert frozenset(np.flatnonzero(refined).tolist()) == sets.refined(i, j)
 
 
@@ -275,7 +279,7 @@ class TestAuxAddress:
     def test_scales_must_increase(self, small):
         db, x, params, coin = small
         with pytest.raises(ValueError):
-            make_aux(db, x, params, coin, [3, 3], s_real=2.0)
+            make_aux(db, x, replace(params, s=2.0), coin, [3, 3])
 
     def test_one_sketch_per_scale(self):
         with pytest.raises(ValueError):
@@ -306,8 +310,8 @@ class TestConditionalSandwich:
 
 class TestTableMetadata:
     def test_cell_counts_follow_construction(self):
-        params = Params(n=16, d=64, gamma=4.0, k=2, c1=2.0, c2=2.0)
-        meta = table_metadata(params, s_real=2.0)
+        params = Params(n=16, d=64, gamma=4.0, k=2, c1=2.0, c2=2.0, s=2.0)
+        meta = table_metadata(params)
         assert meta["main_tables"] == params.scale_count + 1
         assert meta["main_cells_per_table"] == 2**params.r_main
         assert meta["member_exact_cells"] == 256
