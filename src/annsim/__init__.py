@@ -47,6 +47,8 @@ from .harness import (
 from .near_search import near_scale, run_near
 from .oracle import (
     ScaleSets,
+    assumption1_failure,
+    assumption2_failure,
     check_assumption1,
     check_assumption2,
     exact_nn,
@@ -95,6 +97,8 @@ __all__ = [
     "SessionClosed",
     "SketchMatrix",
     "TrialRecord",
+    "assumption1_failure",
+    "assumption2_failure",
     "aux_cell",
     "build_group_addresses",
     "calibrate",

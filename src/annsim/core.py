@@ -228,6 +228,9 @@ class Params:
         if self.tau is not None and self.tau < 2:
             raise ValueError("tau must be >= 2")
         alpha = math.sqrt(min(self.gamma, 4.0))
+        if alpha == 1.0:
+            raise ValueError(f"gamma={self.gamma!r} is too close to 1: sqrt(gamma) rounds to 1.0, "
+                             "so no scale grid reaches d")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "scale_count", scale_count(self.d, alpha))
 

@@ -2,13 +2,22 @@
 
 Everything here is recomputed from definitions, independently of the table
 machinery: exact nearest neighbors by linear scan, exact distance balls, and
-the sketch-based candidate sets rebuilt from the raw matrices via a dense
-float32 product of unpacked bits (a deliberately different computational
+the sketch-based candidate sets rebuilt from the raw matrices via dense
+float32 products of unpacked bits (a deliberately different computational
 route from the packed popcount kernels the tables use, so cross-checks
-between the two are meaningful). The product skips a matrix's all-zero rows
-and columns when most columns are zero, and the sets are kept as boolean
-masks over database indices. Only the sketch primitives themselves, matrix
-derivation and the threshold formulas, are shared.
+between the two are meaningful).
+
+The query is XORed into every database point first: the sketches of p and
+x differ in row r exactly when row r has odd parity with p XOR x. Two
+points share one float32 entry, `diff[2i] + 4096 * diff[2i+1]`, so one
+product serves both. The product runs over blocks of at most 2048 columns:
+each 12-bit field then counts at most 2048 < 2^12 ones, and every partial
+sum stays at most 2048 * 4097 < 2^24, which float32 holds exactly in any
+summation order. The block results are XORed, so bit 0 and bit 12 carry the
+two points' parities. The product skips a matrix's all-zero rows and columns
+when most columns are zero, and the sets are kept as boolean masks over
+database indices. Only the sketch primitives themselves, matrix derivation
+and the threshold formulas, are shared.
 """
 
 from __future__ import annotations
@@ -39,16 +48,28 @@ def is_gamma_approx(x: Point, db: Database, z: Point, gamma: float) -> bool:
     return hamming_dist(x, z) <= gamma * best
 
 
-def _parity_product(point_bits: np.ndarray, matrix_bits: np.ndarray) -> np.ndarray:
-    """GF(2) products of m points (m, d) with a matrix's rows (rows, d), as
-    (m, rows) parities, via a dense float32 matmul (exact for d < 2^24).
+# Columns per product and the second field's shift: a field counts at most
+# _BLOCK < 2^_SHIFT ones, and _BLOCK * (2^_SHIFT + 1) < 2^24.
+_BLOCK = 2048
+_SHIFT = 12
 
-    It runs as matrix @ points.T: BLAS is fastest in that orientation when
-    point_bits is the transpose of a C-contiguous (d, m) array. Float32
-    point bits are used as given.
+
+def _pair_parities(matrix_bits: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """GF(2) products of a matrix's rows (rows, d) with point pairs packed
+    as `lo + 4096 * hi` in a C-contiguous (d, m) float32 operand, as a
+    (rows, m) int32 array whose bit 0 is the parity with lo and bit 12 the
+    parity with hi.
+
+    Each product runs as matrix @ pairs over at most _BLOCK columns, so it
+    is exact, and the block results are XORed. The matrix is cast once,
+    whole, and the blocks are views of it: casting each block into its own
+    fresh array cost more in a full trial than the packing saves.
     """
-    counts = matrix_bits.astype(np.float32) @ point_bits.T.astype(np.float32, copy=False)
-    return (counts.astype(np.int64) & 1).T
+    matrix = matrix_bits.astype(np.float32)
+    acc = np.zeros((matrix.shape[0], pairs.shape[1]), dtype=np.int32)
+    for lo in range(0, matrix.shape[1], _BLOCK):
+        acc ^= (matrix[:, lo : lo + _BLOCK] @ pairs[lo : lo + _BLOCK]).astype(np.int32)
+    return acc
 
 
 def _db_bits(db: Database) -> np.ndarray:
@@ -74,11 +95,15 @@ class ScaleSets:
         dists = np.array([hamming_dist(x, p) for p in db.points])
         radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
         self.balls = dists <= radii[:, None]
-        # Database columns then the query, as one C-contiguous (d, n+1)
-        # float32 operand for every product.
-        self._points = np.ascontiguousarray(
-            np.vstack([_db_bits(db), unpack_bits(x.value, x.dim)]).T, dtype=np.float32
-        )
+        # Each database point XOR the query, two points per entry (a zero
+        # row pads an odd n), as one C-contiguous (d, ceil(n/2)) float32
+        # operand for every product.
+        diff = _db_bits(db) ^ unpack_bits(x.value, x.dim)
+        if db.n % 2:
+            diff = np.vstack([diff, np.zeros((1, db.dim), dtype=np.uint8)])
+        pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
+        del diff
+        self._pairs = np.ascontiguousarray(pairs.T, dtype=np.float32)
         self.candidates = np.array([
             self._sketch_dists(
                 derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
@@ -97,13 +122,16 @@ class ScaleSets:
         about 3x slower.
         """
         bits = matrix.bits_matrix()
-        points = self._points
+        pairs = self._pairs
         cols = bits.any(axis=0)
         if 2 * np.count_nonzero(cols) < matrix.dim:
             bits = bits[bits.any(axis=1)][:, cols]
-            points = points[cols]
-        sketches = _parity_product(points.T, bits)
-        return np.count_nonzero(sketches[:-1] != sketches[-1], axis=1)
+            pairs = pairs[cols]
+        acc = _pair_parities(bits, pairs)
+        dists = np.empty(2 * acc.shape[1], dtype=np.intp)
+        dists[0::2] = np.count_nonzero(acc & 1, axis=0)
+        dists[1::2] = np.count_nonzero(acc & (1 << _SHIFT), axis=0)
+        return dists[: self.db.n]
 
     def ball(self, i: int) -> frozenset[int]:
         """Exact ball of radius alpha^i (index top+1 covers the whole base)."""
@@ -140,23 +168,44 @@ def exact_sets(x: Point, db: Database, coin: PublicCoin, params: Params) -> Scal
     return ScaleSets(x, db, coin, params)
 
 
+def assumption1_failure(sets: ScaleSets) -> tuple[int, str] | None:
+    """Where the sandwich ball(i) <= sketch_ball(i) <= ball(i+1) first breaks.
+
+    Returns the lowest failing scale i with the side that fails there,
+    "ball ⊄ sketch_ball" (checked first) or "sketch_ball ⊄ next ball", or
+    None when the sandwich holds at every scale.
+    """
+    balls, cand = sets.balls, sets.candidates
+    low = (balls[:-1] & ~cand).any(axis=1)
+    high = (cand & ~balls[1:]).any(axis=1)
+    failing = np.flatnonzero(low | high)
+    if not failing.size:
+        return None
+    i = int(failing[0])
+    return i, "ball ⊄ sketch_ball" if low[i] else "sketch_ball ⊄ next ball"
+
+
 def check_assumption1(sets: ScaleSets) -> bool:
     """The sandwich: ball(i) <= sketch_ball(i) <= ball(i+1) at every scale."""
-    balls, cand = sets.balls, sets.candidates
-    return not (balls[:-1] & ~cand).any() and not (cand & ~balls[1:]).any()
+    return assumption1_failure(sets) is None
 
 
-def check_assumption2(sets: ScaleSets) -> bool:
-    """The refinement quality bounds for every scale pair j <= i, at the
-    sets' `params.n` and `params.s`.
+def assumption2_failure(sets: ScaleSets) -> tuple[int, int, str] | None:
+    """Where the refinement quality bounds first fail, at the sets'
+    `params.n` and `params.s`.
 
-    At most an n^(-1/s) fraction of ball(j) is missing from refined(i, j),
-    and at most an n^(-1/s) fraction of sketch_ball(i) \\ ball(j+1) is
-    included in it. Pairs whose candidate set is empty are vacuous: there
-    is nothing to refine, so no refinement quality can be demanded of them.
+    For every scale pair j <= i, at most an n^(-1/s) fraction of ball(j) may
+    be missing from refined(i, j) (the "missing" bound), and at most an
+    n^(-1/s) fraction of sketch_ball(i) \\ ball(j+1) may be included in it
+    (the "included" bound). Pairs whose candidate set is empty are vacuous:
+    there is nothing to refine, so no refinement quality can be demanded of
+    them.
 
-    For each j, every scale i >= j with a nonempty candidate set is checked
-    at once; scale j's auxiliary mask is built only if such an i exists.
+    The pairs are scanned j-major: for each j, every scale i >= j with a
+    nonempty candidate set is checked at once, and scale j's auxiliary mask
+    is built only if such an i exists. Returns the first failing (i, j) in
+    that order with the bound that fails ("missing" checked first), or None
+    when every pair passes.
     """
     n, s = sets.params.n, sets.params.s
     live = np.flatnonzero(sets.candidates.any(axis=1))
@@ -172,8 +221,15 @@ def check_assumption2(sets: ScaleSets) -> bool:
         included = np.count_nonzero(refined & far, axis=1).tolist()
         far_sizes = np.count_nonzero(far, axis=1).tolist()
         whole = int(np.count_nonzero(ball_j))
-        for miss, inc, far_size in zip(missing, included, far_sizes):
-            if not (fraction_at_most(miss, whole, n, s)
-                    and fraction_at_most(inc, far_size, n, s)):
-                return False
-    return True
+        for i, miss, inc, far_size in zip(scales.tolist(), missing, included, far_sizes):
+            if not fraction_at_most(miss, whole, n, s):
+                return i, j, "missing"
+            if not fraction_at_most(inc, far_size, n, s):
+                return i, j, "included"
+    return None
+
+
+def check_assumption2(sets: ScaleSets) -> bool:
+    """The refinement quality bounds for every scale pair j <= i (see
+    `assumption2_failure`)."""
+    return assumption2_failure(sets) is None

@@ -797,6 +797,19 @@ class TestCli:
             "config error: gamma=1.00001 gives I=831781 scales at d=64, past the cap of 2^16 scales"
         ]
 
+    def test_gamma_whose_root_rounds_to_one_exit_code(self, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        argv = ["run", "--algo", "simple", "--n", "16", "--d", "64", "--gamma",
+                "1.0000000000000002", "--k", "1", "--trials", "1", "--seed", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: gamma=1.0000000000000002 is too close to 1: sqrt(gamma) rounds to 1.0, "
+            "so no scale grid reaches d"
+        ]
+
     def test_round_budget_too_small_for_the_phases_exit_code(self):
         res = self.run_cli(
             "run", "--algo", "general", "--n", "16", "--d", "64", "--gamma", "4",

@@ -1,12 +1,15 @@
 """The mask oracle against the frozenset oracle it replaced.
 
 `reference_oracle` keeps the earlier `ScaleSets`, `check_assumption1` and
-`check_assumption2` verbatim: full products over every column, frozensets
-built pair by pair, and an i-major pair loop. The production oracle skips
+`check_assumption2` verbatim: one full product over every column with the
+query as its own column, frozensets built pair by pair, and an i-major pair
+loop. The production oracle XORs the query into the points, packs two
+points per float32 entry, runs its products in column blocks, skips
 all-zero matrix rows and columns, keeps its sets as boolean masks and
 checks the pairs j-major. Both must give the same sets and verdicts.
 """
 
+import random
 from unittest import mock
 
 import numpy as np
@@ -15,9 +18,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_oracle as ref
 from annsim import oracle
-from annsim.core import Params, pack_words
+from annsim.core import Database, Params, Point, pack_words
 from annsim.harness import DatasetSpec, gen_database
-from annsim.oracle import check_assumption1, check_assumption2, exact_sets
+from annsim.oracle import (
+    assumption1_failure,
+    assumption2_failure,
+    check_assumption1,
+    check_assumption2,
+    exact_sets,
+)
 from annsim.randomness import PublicCoin
 from annsim.sketch import SketchMatrix, derive_matrix
 
@@ -53,6 +62,20 @@ def assert_same_verdicts(new, old, n):
     assert check_assumption1(new) == ref.check_assumption1(old)
     if new.params.s is not None:
         assert check_assumption2(new) == ref.check_assumption2(old, old.s_real, n)
+
+
+def product_shapes(new, bits, monkeypatch):
+    """The matrix shapes `new._sketch_dists` hands to the product helper."""
+    shapes = []
+    real = oracle._pair_parities
+
+    def recording(matrix_bits, pairs):
+        shapes.append(matrix_bits.shape)
+        return real(matrix_bits, pairs)
+
+    monkeypatch.setattr(oracle, "_pair_parities", recording)
+    new._sketch_dists(matrix_from_bits(bits))
+    return shapes
 
 
 def inject(new, old, balls, cand, aux):
@@ -136,16 +159,7 @@ class TestSketchDists:
 
     def product_shapes(self, bits, monkeypatch):
         new, _ = both(d=self.D)
-        shapes = []
-        real = oracle._parity_product
-
-        def recording(points, matrix_bits):
-            shapes.append(matrix_bits.shape)
-            return real(points, matrix_bits)
-
-        monkeypatch.setattr(oracle, "_parity_product", recording)
-        new._sketch_dists(matrix_from_bits(bits))
-        return shapes
+        return product_shapes(new, bits, monkeypatch)
 
     def half_columns(self):
         rng = np.random.default_rng(5)
@@ -181,6 +195,129 @@ class TestSketchDists:
         bits = np.zeros((16, self.D), dtype=bool)
         bits[np.arange(16), np.arange(16) * 3] = True
         self.check(bits)
+
+
+class TestBlockEdges:
+    """Hand-built cases at the edges of the 2048-column product blocks and of
+    the two-points-per-entry packing.
+
+    The query's complement differs from the query in every coordinate, so an
+    all-ones matrix row counts a full block of ones in its field: exactly
+    2048 in every block but the last.
+    """
+
+    @staticmethod
+    def oracles(n, d, at, seed):
+        """Both oracles on n random points of dimension d, point `at` being
+        the query's complement."""
+        rnd = random.Random(seed)
+        x = Point(d, rnd.getrandbits(d))
+        points = [Point(d, rnd.getrandbits(d)) for _ in range(n)]
+        points[at] = Point(d, x.value ^ ((1 << d) - 1))
+        db = Database.from_points(points)
+        coin = PublicCoin(seed)
+        params = make_params(n=n, d=d, c1=1.0, c2=1.0, s=2.0)
+        return exact_sets(x, db, coin, params), ref.ScaleSets(x, db, coin, params, s_real=2.0)
+
+    @staticmethod
+    def check(new, old, bits):
+        m = matrix_from_bits(bits)
+        dists = new._sketch_dists(m)
+        assert dists.shape == (new.db.n,)
+        assert np.array_equal(dists, old._sketch_dists(m))
+        return dists
+
+    # (n, at): the complement in the low field of a full pair, in the high
+    # field, in the low field beside the pad row of an odd n, and alone.
+    @pytest.mark.parametrize("n, at", [(2, 0), (2, 1), (3, 2), (5, 2), (5, 3), (1, 0)])
+    @pytest.mark.parametrize("d", [2047, 2048, 2049, 4095, 4096, 4097])
+    def test_all_ones_row_against_the_complement(self, n, at, d):
+        new, old = self.oracles(n, d, at, seed=d + 10 * n + at)
+        bits = np.random.default_rng(d).random((6, d)) < 0.5
+        bits[0] = True
+        bits[1] = False
+        bits[1, : min(d, 2048)] = True  # one full first block
+        bits[2] = False
+        bits[2, 2048:] = True  # every block after the first
+        dists = self.check(new, old, bits)
+        assert dists[at] == np.count_nonzero(bits.sum(axis=1) % 2)
+        # Alone, so that a wrong parity cannot cancel against another row's.
+        for row in bits[:3]:
+            self.check(new, old, row[None])
+
+    # At d = 8200 the full product spans five blocks, and the gathered
+    # product of the sparse path spans three, the first of them full.
+    @pytest.mark.parametrize("nonzero, shape", [(4100, (6, 8200)), (4099, (5, 4099))])
+    def test_cut_over_above_two_blocks(self, nonzero, shape, monkeypatch):
+        new, old = self.oracles(5, 8200, 0, seed=nonzero)
+        bits = np.zeros((6, 8200), dtype=bool)
+        bits[:5, :nonzero] = np.random.default_rng(nonzero).random((5, nonzero)) < 0.5
+        bits[0, :nonzero] = True
+        assert product_shapes(new, bits, monkeypatch) == [shape]
+        self.check(new, old, bits)
+
+
+class TestFailureSites:
+    """The verdicts name where they fail, on injected sets."""
+
+    @staticmethod
+    def nested(top, n=16):
+        """Balls, candidates and aux masks all equal to the first 8 points."""
+        inner = np.zeros(n, dtype=bool)
+        inner[:8] = True
+        return (np.tile(inner, (top + 2, 1)), np.tile(inner, (top + 1, 1)),
+                np.tile(inner, (top + 1, 1)))
+
+    @pytest.mark.parametrize("scale", [0, 2, 4])
+    def test_sandwich_names_the_scale_and_the_side(self, scale):
+        new, old = both(n=16, d=64, seed=4, s_real=1.0)
+        balls, cand, aux = self.nested(new.top)
+        inject(new, old, balls, cand, aux)
+        assert assumption1_failure(new) is None
+        cand[scale + 1, 9] = True  # sketch_ball(scale + 1) leaves ball(scale + 2)
+        inject(new, old, balls, cand, aux)
+        assert assumption1_failure(new) == (scale + 1, "sketch_ball ⊄ next ball")
+        cand[scale, 3] = False  # ball(scale) leaves sketch_ball(scale)
+        inject(new, old, balls, cand, aux)
+        assert assumption1_failure(new) == (scale, "ball ⊄ sketch_ball")
+        assert check_assumption1(new) is ref.check_assumption1(old) is False
+
+    def test_sandwich_names_the_low_side_first_at_one_scale(self):
+        new, old = both(n=16, d=64, seed=4, s_real=1.0)
+        balls, cand, aux = self.nested(new.top)
+        cand[1, 3] = False
+        cand[1, 9] = True
+        inject(new, old, balls, cand, aux)
+        assert assumption1_failure(new) == (1, "ball ⊄ sketch_ball")
+
+    @pytest.mark.parametrize("scale", [0, 1, 2])
+    def test_refinement_names_the_included_pair(self, scale):
+        # As test_only_the_diagonal_pair_fails: only (scale, scale) fails.
+        new, old = both(n=16, d=64, seed=4, s_real=1.0)
+        balls, cand, aux = self.nested(new.top)
+        inject(new, old, balls, cand, aux)
+        assert assumption2_failure(new) is None
+        cand[scale, 8] = aux[scale, 8] = True
+        inject(new, old, balls, cand, aux)
+        assert assumption2_failure(new) == (scale, scale, "included")
+        assert ref.check_assumption2(old, 1.0, 16) is False
+
+    def test_refinement_names_the_missing_pair_past_vacuous_scales(self):
+        # n = 256 and s = 2 allow 1 of a 16-point ball to be missing. Aux
+        # test 1 drops 2 points; candidate sets 1 and 2 are empty, so the
+        # first pair with j = 1 is (3, 1).
+        new, old = both(n=256, d=64, seed=2)
+        top, n = new.top, 256
+        assert top >= 3
+        ball = np.zeros(n, dtype=bool)
+        ball[:16] = True
+        cand = np.tile(ball, (top + 1, 1))
+        cand[1:3] = False
+        aux = np.tile(ball, (top + 1, 1))
+        aux[1, :2] = False
+        inject(new, old, np.tile(ball, (top + 2, 1)), cand, aux)
+        assert assumption2_failure(new) == (3, 1, "missing")
+        assert check_assumption2(new) is ref.check_assumption2(old, 2.0, n) is False
 
 
 class TestInjectedSets:

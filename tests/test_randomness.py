@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import _native, randomness
 from annsim.core import pack_words
-from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import (
     PublicCoin,
     Stream,
@@ -25,6 +24,7 @@ from annsim.randomness import (
 from annsim.sketch import SketchMatrix, derive_matrix, sketch_apply_batch
 
 from conftest import make_instance
+from reference_oracle import _db_bits, _parity_product
 
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from annsim import sketch
 from annsim.core import Point, hamming_dist, pack_words, unpack_bits
 from annsim.errors import DimensionMismatch
-from annsim.oracle import _db_bits, _parity_product
 from annsim.randomness import coin_for_trial
 from annsim.sketch import (
     SketchMatrix,
@@ -21,6 +20,7 @@ from annsim.sketch import (
 )
 
 from conftest import make_instance, point_from_bits
+from reference_oracle import _db_bits, _parity_product
 
 
 def empirical_density(matrix: SketchMatrix) -> float:
