@@ -20,8 +20,6 @@ from .core import (
     Params,
     Point,
     hamming_dist,
-    load_database,
-    save_database,
     scale_count,
 )
 from .errors import (
@@ -53,7 +51,6 @@ from .oracle import (
     check_assumption2,
     exact_nn,
     exact_sets,
-    is_gamma_approx,
 )
 from .probe_engine import ProbeSession, ProbeTranscript
 from .randomness import PublicCoin, coin_for_trial
@@ -112,8 +109,6 @@ __all__ = [
     "exact_sets",
     "gen_database",
     "hamming_dist",
-    "is_gamma_approx",
-    "load_database",
     "main_cell",
     "membership_cell",
     "near_scale",
@@ -124,7 +119,6 @@ __all__ = [
     "run_general",
     "run_near",
     "run_simple",
-    "save_database",
     "scale_count",
     "selftest",
     "sketch_apply",

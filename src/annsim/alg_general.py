@@ -74,7 +74,7 @@ def build_group_addresses(
         raise ValueError("window must be nonempty")
     tau, s_int = params.tau, params.s_int
     grid = scale_grid(l, u, tau)
-    rows = params.r_aux(params.s)
+    rows = params.r_aux
     groups = []
     n_groups = math.ceil((tau - 1) / s_int)
     for j in range(1, n_groups + 1):

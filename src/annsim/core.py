@@ -3,24 +3,19 @@
 Points are fixed-width d-bit vectors stored bit-packed in a Python integer
 (coordinate j is bit j), with zero-padding above coordinate d-1 enforced as an
 invariant so equality and hashing are canonical. A database is an ordered
-collection of n distinct points that lives in little-endian uint64 words, the
-layout the sketching kernels consume; its `Point`s are built from the words
-lazily, once per database.
+collection of n distinct points that lives only in little-endian uint64
+words, the layout the sketching kernels consume; `Database.point(i)` builds
+one `Point` from its row when a point leaves the database.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-# The point file format: fixed-width lowercase hex, most-significant nibble first.
-_HEX_DIGITS = re.compile("[0-9a-f]*")
 
 
 @dataclass(frozen=True)
@@ -51,13 +46,6 @@ class Point:
     def to_hex(self) -> str:
         """Lowercase hex, most-significant nibble first, ceil(dim/4) digits."""
         return format(self.value, f"0{(self.dim + 3) // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, dim: int) -> "Point":
-        digits = (dim + 3) // 4
-        if len(text) != digits or not _HEX_DIGITS.fullmatch(text):
-            raise ValueError(f"expected {digits} lowercase hex digits for dimension {dim}")
-        return cls(dim, int(text, 16))
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
@@ -108,12 +96,11 @@ class Database:
     Immutable after construction. The points live in their 64-bit words,
     stored once, word-major as `words` (word w of every point is
     contiguous, which is what the sketching kernels read); `packed` is the
-    point-major view of the same array. `points`, the `Point`s that the
-    oracle's independent route and the cell contents use, are built from
-    the words on first access. A small per-instance memo of database sketch
-    words is maintained by the tables module; it caches pure functions of
-    (database, coin, alpha, scale) only, so logical immutability is
-    preserved.
+    point-major view of the same array. No `Point` is kept: `point(i)`
+    builds one from row i for a cell content or an answer. A small
+    per-instance memo of database sketch words is maintained by the tables
+    module; it caches pure functions of (database, coin, alpha, scale)
+    only, so logical immutability is preserved.
     """
 
     def __init__(self, words: np.ndarray, dim: int):
@@ -145,12 +132,9 @@ class Database:
         raw = b"".join(p.value.to_bytes(8 * nwords, "little") for p in points)
         return cls(np.frombuffer(raw, dtype=np.uint64).reshape(len(points), nwords), dim)
 
-    @functools.cached_property
-    def points(self) -> tuple[Point, ...]:
-        raw = self.packed.tobytes()
-        nbytes = 8 * self.words.shape[0]
-        return tuple(Point(self.dim, int.from_bytes(raw[i : i + nbytes], "little"))
-                     for i in range(0, len(raw), nbytes))
+    def point(self, i: int) -> Point:
+        """Point i, built from row i of `packed`."""
+        return Point(self.dim, int.from_bytes(self.packed[i].tobytes(), "little"))
 
 
 def scale_count(d: int, alpha: float) -> int:
@@ -244,9 +228,10 @@ class Params:
         """The refinement depth as a group size: s rounded, at least 1."""
         return max(1, round(self.s))
 
-    def r_aux(self, s_real: float) -> int:
+    @property
+    def r_aux(self) -> int:
         """Row count of auxiliary sketch matrices: ceil((c2/s) * log2 n)."""
-        return max(1, math.ceil(self.c2 / s_real * math.log2(max(self.n, 2))))
+        return max(1, math.ceil(self.c2 / self.s * math.log2(max(self.n, 2))))
 
     def ball_radius(self, i: int) -> float:
         return self.alpha**i
@@ -265,29 +250,3 @@ def fraction_at_most(part: int, whole: int, n: int, s_real: float, factor: float
     lhs = math.log(part) + math.log(n) / s_real
     rhs = math.log(factor) + math.log(whole)
     return lhs <= rhs + 1e-9
-
-
-def save_database(db: Database, path: str) -> None:
-    """Write `d=<dim> n=<count>` then one lowercase-hex point per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"d={db.dim} n={db.n}\n")
-        for p in db.points:
-            fh.write(p.to_hex() + "\n")
-
-
-def load_database(path: str) -> Database:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 2 or not parts[0].startswith("d=") or not parts[1].startswith("n="):
-            raise ValueError(f"bad database header: {header!r}")
-        dim = int(parts[0][2:])
-        n = int(parts[1][2:])
-        points = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                points.append(Point.from_hex(line, dim))
-    if len(points) != n:
-        raise ValueError(f"header promised {n} points, file holds {len(points)}")
-    return Database.from_points(points)

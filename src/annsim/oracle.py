@@ -1,51 +1,43 @@
 """Brute-force ground truth.
 
 Everything here is recomputed from definitions, independently of the table
-machinery: exact nearest neighbors by linear scan, exact distance balls, and
-the sketch-based candidate sets rebuilt from the raw matrices via dense
-float32 products of unpacked bits (a deliberately different computational
-route from the packed popcount kernels the tables use, so cross-checks
-between the two are meaningful).
+machinery: exact nearest neighbors by a popcount scan of the database words,
+exact distance balls from the unpacked bits, and the sketch-based candidate
+sets rebuilt from the raw matrices via dense float32 products of unpacked
+bits (a deliberately different computational route from the packed popcount
+kernels the tables use, so cross-checks between the two are meaningful).
 
-The query is XORed into every database point first: the sketches of p and
-x differ in row r exactly when row r has odd parity with p XOR x. Two
-points share one float32 entry, `diff[2i] + 4096 * diff[2i+1]`, so one
-product serves both. The product runs over blocks of at most 2048 columns:
-each 12-bit field then counts at most 2048 < 2^12 ones, and every partial
-sum stays at most 2048 * 4097 < 2^24, which float32 holds exactly in any
-summation order. The block results are XORed, so bit 0 and bit 12 carry the
-two points' parities. The product skips a matrix's all-zero rows and columns
-when most columns are zero, and the sets are kept as boolean masks over
-database indices. Only the sketch primitives themselves, matrix derivation
-and the threshold formulas, are shared.
+The query is XORed into every database point first. The row sums of the
+unpacked XOR are the exact distances, and the sketches of p and x differ in
+row r exactly when row r has odd parity with p XOR x. Two points share one
+float32 entry, `diff[2i] + 4096 * diff[2i+1]`, so one product serves both.
+The product runs over blocks of at most 2048 columns: each 12-bit field then
+counts at most 2048 < 2^12 ones, and every partial sum stays at most
+2048 * 4097 < 2^24, which float32 holds exactly in any summation order.
+The block results are XORed, so bit 0 and bit 12 carry the two points'
+parities. The product skips a matrix's all-zero rows and columns when most
+columns are zero, and the sets are kept as boolean masks over database
+indices. Only the sketch primitives themselves, matrix derivation and the
+threshold formulas, are shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Database, Params, Point, fraction_at_most, hamming_dist, unpack_bits
+from .core import Database, Params, Point, fraction_at_most, unpack_bits
+from .errors import DimensionMismatch
 from .randomness import PublicCoin
 from .sketch import aux_threshold, derive_matrix, main_threshold
 
 
 def exact_nn(x: Point, db: Database) -> tuple[Point, int]:
     """Lowest-index point achieving the minimum Hamming distance."""
-    best_idx = 0
-    best = hamming_dist(x, db.points[0])
-    for i, p in enumerate(db.points[1:], start=1):
-        d = hamming_dist(x, p)
-        if d < best:
-            best_idx, best = i, d
-    return db.points[best_idx], best
-
-
-def is_gamma_approx(x: Point, db: Database, z: Point, gamma: float) -> bool:
-    """Whether z is within gamma of the true nearest-neighbor distance."""
-    if all(p.value != z.value for p in db.points):
-        raise ValueError("candidate point is not a database member")
-    _, best = exact_nn(x, db)
-    return hamming_dist(x, z) <= gamma * best
+    if x.dim != db.dim:
+        raise DimensionMismatch(f"query dim {x.dim} vs database dim {db.dim}")
+    dists = np.bitwise_count(db.packed ^ x.packed()).sum(axis=1)
+    best = int(np.argmin(dists))
+    return db.point(best), int(dists[best])
 
 
 # Columns per product and the second field's shift: a field counts at most
@@ -92,13 +84,14 @@ class ScaleSets:
         self.coin = coin
         self.params = params
         self.top = params.scale_count
-        dists = np.array([hamming_dist(x, p) for p in db.points])
-        radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
-        self.balls = dists <= radii[:, None]
-        # Each database point XOR the query, two points per entry (a zero
-        # row pads an odd n), as one C-contiguous (d, ceil(n/2)) float32
-        # operand for every product.
+        if x.dim != db.dim:
+            raise DimensionMismatch(f"query dim {x.dim} vs database dim {db.dim}")
+        # Each database point XOR the query: its row sums are the exact
+        # distances. Then two points per entry (a zero row pads an odd n),
+        # as one C-contiguous (d, ceil(n/2)) float32 operand for every product.
         diff = _db_bits(db) ^ unpack_bits(x.value, x.dim)
+        radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
+        self.balls = diff.sum(axis=1) <= radii[:, None]
         if db.n % 2:
             diff = np.vstack([diff, np.zeros((1, db.dim), dtype=np.uint8)])
         pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
@@ -147,9 +140,8 @@ class ScaleSets:
             raise ValueError("refined sets need the refinement parameter s in the params")
         cached = self._aux_masks.get(j)
         if cached is None:
-            matrix = derive_matrix(self.coin, "aux", j, params.r_aux(params.s), self.db.dim,
-                                   params.alpha)
-            cached = self._sketch_dists(matrix) <= aux_threshold(params, j, params.s)
+            matrix = derive_matrix(self.coin, "aux", j, params.r_aux, self.db.dim, params.alpha)
+            cached = self._sketch_dists(matrix) <= aux_threshold(params, j)
             self._aux_masks[j] = cached
         return cached
 

@@ -80,9 +80,9 @@ def main_threshold(params: Params, scale: int) -> float:
     return decision_threshold(params.ball_radius(scale), params.alpha) * params.r_main
 
 
-def aux_threshold(params: Params, scale: int, s_real: float) -> float:
-    """Sketch-distance cutoff for auxiliary refinement at one scale."""
-    return decision_threshold(params.ball_radius(scale), params.alpha) * params.r_aux(s_real)
+def aux_threshold(params: Params, scale: int) -> float:
+    """Sketch-distance cutoff for auxiliary refinement at one scale, at `params.s`."""
+    return decision_threshold(params.ball_radius(scale), params.alpha) * params.r_aux
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def _within(words: np.ndarray, p: Point, radius: float) -> np.ndarray:
 def _first(db: Database, mask: np.ndarray) -> Point | None:
     """The lowest-index database point the mask selects, or None."""
     idx = int(np.argmax(mask))
-    return db.points[idx] if mask[idx] else None
+    return db.point(idx) if mask[idx] else None
 
 
 def _candidate_mask(
@@ -139,11 +139,11 @@ def _refinement_mask(
     db: Database, coin: PublicCoin, params: Params, scale: int, sk: Point
 ) -> np.ndarray:
     """Boolean mask of points whose scale-`scale` auxiliary sketch is near `sk`."""
-    rows = params.r_aux(params.s)
+    rows = params.r_aux
     if sk.dim != rows:
         raise DimensionMismatch(f"aux sketch has {sk.dim} bits, expected {rows}")
     words = db_sketch_bits(db, coin, params, "aux", scale, rows)
-    return _within(words, sk, aux_threshold(params, scale, params.s))
+    return _within(words, sk, aux_threshold(params, scale))
 
 
 def main_cell(
@@ -212,6 +212,6 @@ def table_metadata(params: Params) -> dict:
         s_int = params.s_int
         meta["aux_subtables"] = scales * 2**params.r_main
         meta["aux_cells_per_subtable"] = (
-            (params.scale_count + 1) ** 2 * s_int * 2 ** (params.r_aux(params.s) * s_int)
+            (params.scale_count + 1) ** 2 * s_int * 2 ** (params.r_aux * s_int)
         )
     return meta

@@ -8,6 +8,8 @@ all-zero rows and columns. Both must give the same sets and verdicts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist, unpack_bits
@@ -51,7 +53,7 @@ class ScaleSets:
         self.params = params
         self.s_real = s_real
         self.top = params.scale_count
-        dists = [hamming_dist(x, p) for p in db.points]
+        dists = [hamming_dist(x, db.point(i)) for i in range(db.n)]
         self.balls: list[frozenset[int]] = [
             frozenset(i for i, h in enumerate(dists) if h <= params.ball_radius(sc))
             for sc in range(self.top + 2)
@@ -84,7 +86,7 @@ class ScaleSets:
             raise ValueError("refined sets need the refinement parameter s")
         cached = self._aux_dists.get(j)
         if cached is None:
-            rows = self.params.r_aux(self.s_real)
+            rows = replace(self.params, s=self.s_real).r_aux
             matrix = derive_matrix(self.coin, "aux", j, rows, self.db.dim, self.params.alpha)
             cached = self._sketch_dists(matrix)
             self._aux_dists[j] = cached
@@ -96,7 +98,7 @@ class ScaleSets:
         key = (i, j)
         cached = self._refined.get(key)
         if cached is None:
-            thr = aux_threshold(self.params, j, self.s_real)
+            thr = aux_threshold(replace(self.params, s=self.s_real), j)
             dists = self._aux_dist(j)
             cached = frozenset(z for z in self.approx[i] if dists[z] <= thr)
             self._refined[key] = cached

@@ -74,7 +74,7 @@ class TestGroupAddresses:
         params = self.params(s=2.0, tau=5)
         x = Point(params.d, 7)
         groups = build_group_addresses(0, 40, x, coin, params)
-        rows = params.r_aux(2.0)
+        rows = params.r_aux
         assert all(sk.dim == rows for g in groups for sk in g.sketches)
 
 

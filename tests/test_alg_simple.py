@@ -66,15 +66,15 @@ class TestDegenerateCases:
     def test_query_in_database_returns_itself(self):
         db, _ = make_instance(n=16, d=64, seed=3)
         params = make_params(n=16, d=64, k=3)
-        result, transcript, _ = run_one(db, db.points[7], params, seed=3)
-        assert result == db.points[7]
+        result, transcript, _ = run_one(db, db.point(7), params, seed=3)
+        assert result == db.point(7)
         assert transcript.rounds_used == 1
 
     def test_distance_one_neighbor_returned_immediately(self):
         db, _ = make_instance(n=16, d=64, seed=4)
         params = make_params(n=16, d=64, k=3)
-        x = Point(64, db.points[2].value ^ (1 << 30))
-        if min(hamming_dist(x, p) for p in db.points) == 1:
+        x = Point(64, db.point(2).value ^ (1 << 30))
+        if min(hamming_dist(x, db.point(i)) for i in range(db.n)) == 1:
             result, transcript, _ = run_one(db, x, params, seed=4)
             assert hamming_dist(x, result) == 1
             assert transcript.rounds_used == 1

@@ -43,19 +43,19 @@ from reference_data import ScalarStream, reference_database
 class TestGenDatabase:
     def test_planted_distance_is_exact(self):
         db, x = gen_database(16, 128, DatasetSpec("planted", plant_dist=5, plant_gap=25), seed=3)
-        dists = sorted(hamming_dist(x, p) for p in db.points)
+        dists = sorted(hamming_dist(x, db.point(i)) for i in range(db.n))
         assert dists[0] == 5
         assert dists[1] > 25
 
     def test_exhaustive_small_cube(self):
         db, _ = gen_database(16, 4, DatasetSpec(), seed=3)
-        assert sorted(p.value for p in db.points) == list(range(16))
+        assert sorted(db.point(i).value for i in range(db.n)) == list(range(16))
 
     def test_deterministic(self):
         a_db, a_x = gen_database(32, 64, DatasetSpec(), seed=11)
         b_db, b_x = gen_database(32, 64, DatasetSpec(), seed=11)
         assert a_x == b_x
-        assert a_db.points == b_db.points
+        assert np.array_equal(a_db.packed, b_db.packed)
 
     def test_infeasible_rejected(self):
         with pytest.raises(ConfigError):
@@ -112,7 +112,7 @@ class TestGenDatabaseDifferential:
                 return False
             db, x = gen_database(n, d, dataset, seed)
         assert x == Point(d, xv)
-        assert [p.value for p in db.points] == values
+        assert [db.point(i).value for i in range(db.n)] == values
         return True
 
     @settings(max_examples=80, deadline=None)

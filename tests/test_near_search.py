@@ -37,7 +37,7 @@ class TestRunNear:
     def test_query_in_database(self):
         db, _ = make_instance(n=16, d=64, seed=1)
         params = make_params(n=16, d=64, k=1)
-        x = db.points[3]
+        x = db.point(3)
         answer, transcript, _ = run_one(db, x, 4.0, params)
         assert answer is not None
         assert transcript.probes_total == 1

@@ -1,13 +1,11 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from annsim.core import Database, Point
-from annsim.oracle import (
-    check_assumption1,
-    check_assumption2,
-    exact_nn,
-    exact_sets,
-    is_gamma_approx,
-)
+from annsim.errors import DimensionMismatch
+from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.randomness import coin_for_trial
 from annsim.search_common import query_sketch
 from annsim.tables import main_cell
@@ -22,19 +20,38 @@ def scan_nn_by_strings(x: Point, db: Database):
         sb = format(b.value, f"0{b.dim}b")
         return sum(ca != cb for ca, cb in zip(sa, sb))
 
-    best_i, best_d = 0, dist(x, db.points[0])
+    best_i, best_d = 0, dist(x, db.point(0))
     for i in range(1, db.n):
-        d = dist(x, db.points[i])
+        d = dist(x, db.point(i))
         if d < best_d:
             best_i, best_d = i, d
-    return db.points[best_i], best_d
+    return db.point(best_i), best_d
+
+
+def tie_instance(d: int, n: int, near: int, seed: int) -> tuple[Point, Database]:
+    """A query and min(n, 2^d) distinct points of dimension d in shuffled
+    order. Up to `near` of them are the query with some of four fixed
+    coordinates flipped, so that many points share a distance; the rest
+    are uniform."""
+    rnd = random.Random(seed)
+    x = rnd.getrandbits(d)
+    coords = rnd.sample(range(d), min(d, 4))
+    flips = [sum(1 << c for b, c in enumerate(coords) if m >> b & 1)
+             for m in range(2 ** len(coords))]
+    n = min(n, 2**d)
+    values = dict.fromkeys(x ^ f for f in rnd.sample(flips, min(near, n, len(flips))))
+    while len(values) < n:
+        values[rnd.getrandbits(d)] = None
+    order = list(values)
+    rnd.shuffle(order)
+    return Point(d, x), Database.from_points([Point(d, v) for v in order])
 
 
 class TestExactNN:
     def test_self_match(self):
         db, _ = make_instance(n=8, d=64)
-        point, dist = exact_nn(db.points[4], db)
-        assert point == db.points[4]
+        point, dist = exact_nn(db.point(4), db)
+        assert point == db.point(4)
         assert dist == 0
 
     def test_three_bit_example(self):
@@ -43,16 +60,31 @@ class TestExactNN:
         assert point == point_from_bits("000")
         assert dist == 1
 
-    def test_against_independent_scan(self):
-        for seed in range(10):
-            db, x = make_instance(n=40, d=48, seed=seed)
-            got = exact_nn(x, db)
-            want = scan_nn_by_strings(x, db)
-            assert got[1] == want[1]
-            assert got[0] == want[0]
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 300), n=st.integers(1, 24), near=st.integers(0, 16),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=65, n=1, near=0, seed=0)
+    @example(d=130, n=16, near=16, seed=1)
+    @example(d=2**16, n=1, near=1, seed=2)
+    @example(d=2**16, n=6, near=4, seed=3)
+    def test_against_independent_scan(self, d, n, near, seed):
+        x, db = tie_instance(d, n, near, seed)
+        assert exact_nn(x, db) == scan_nn_by_strings(x, db)
+
+    @pytest.mark.parametrize("dim", [1, 65])
+    def test_rejects_a_query_of_another_dimension(self, dim):
+        db, _ = make_instance(n=8, d=64)
+        with pytest.raises(DimensionMismatch):
+            exact_nn(Point(dim, 1), db)
 
 
 class TestExactSets:
+    @pytest.mark.parametrize("dim", [1, 65])
+    def test_rejects_a_query_of_another_dimension(self, dim, coin):
+        db, _ = make_instance(n=8, d=64)
+        with pytest.raises(DimensionMismatch):
+            exact_sets(Point(dim, 1), db, coin, make_params(n=8, d=64, s=2.0))
+
     def test_singleton_database(self, coin):
         params = make_params(n=1, d=64)
         x = Point(64, 12345)
@@ -86,7 +118,8 @@ class TestExactSets:
                 cell = main_cell(db, coin, params, i, query_sketch(coin, params, x, i))
                 assert (cell is None) == (not sets.sketch_ball(i))
                 if cell is not None:
-                    assert db.points.index(cell) in sets.sketch_ball(i)
+                    idx = next(j for j in range(db.n) if db.point(j) == cell)
+                    assert idx in sets.sketch_ball(i)
 
 
 class TestAssumption1:
@@ -143,29 +176,3 @@ class TestAssumption2:
             hits += check_assumption1(sets) and check_assumption2(sets)
         assert hits / 40 >= 0.6
 
-
-class TestIsGammaApprox:
-    def make_db(self):
-        d = 32
-        x = Point(d, 0)
-        z5 = Point(d, (1 << 5) - 1)  # distance 5: the true NN
-        z20 = Point(d, (1 << 20) - 1)  # distance 20
-        z21 = Point(d, (1 << 21) - 1)  # distance 21
-        return x, Database.from_points([z21, z20, z5])
-
-    def test_exact_nn_is_always_approx(self):
-        x, db = self.make_db()
-        assert is_gamma_approx(x, db, db.points[2], 4.0)
-
-    def test_boundary_inclusive(self):
-        x, db = self.make_db()
-        assert is_gamma_approx(x, db, db.points[1], 4.0)  # 20 == 4*5
-
-    def test_beyond_boundary(self):
-        x, db = self.make_db()
-        assert not is_gamma_approx(x, db, db.points[0], 4.0)  # 21 > 20
-
-    def test_non_member_rejected(self):
-        x, db = self.make_db()
-        with pytest.raises(ValueError):
-            is_gamma_approx(x, db, Point(32, 7), 4.0)

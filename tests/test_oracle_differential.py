@@ -115,7 +115,7 @@ class TestRandomInstances:
         assert_same_verdicts(new, old, n)
         assert_same_sets(new, old)
         for sc in range(params.scale_count + 1):
-            for role, rows in (("main", params.r_main), ("aux", params.r_aux(s_real))):
+            for role, rows in (("main", params.r_main), ("aux", params.r_aux)):
                 m = derive_matrix(coin, role, sc, rows, d, params.alpha)
                 assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
 

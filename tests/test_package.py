@@ -12,7 +12,8 @@ import annsim
 ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ["open_session", "probe_round", "close_session", "SearchState", "EMPTY",
            "DataPoint", "SmallInt", "SketchVector", "NearAnswer", "NO", "SearchTrace",
-           "GeneralParams", "override_params"]
+           "GeneralParams", "override_params", "is_gamma_approx", "save_database",
+           "load_database"]
 DEMOS = ["near_neighbor", "phased_search", "round_tradeoff", "sketch_separation"]
 
 

@@ -86,9 +86,9 @@ class TestRoundAccounting:
     def test_contents_in_request_order(self, setup):
         db, x, params, coin = setup
         s = ProbeSession(db, coin, make_params(n=16, d=64, k=1))
-        batch = membership_addresses(db.points[0]) + [main_address(coin, params, x, 6)]
+        batch = membership_addresses(db.point(0)) + [main_address(coin, params, x, 6)]
         contents = s.probe_round(batch)
-        assert contents[0] == db.points[0]  # exact membership hit
+        assert contents[0] == db.point(0)  # exact membership hit
 
     def test_aux_probe_requires_session_s(self, setup):
         db, x, params, coin = setup

@@ -159,8 +159,8 @@ class TestSketchApply:
         db, _ = make_instance(n=24, d=96)
         m = derive_matrix(coin, "main", 1, 12, 96, 2.0)
         batch = sketch_apply_batch(m, db)
-        for i, p in enumerate(db.points):
-            assert batch[i].tolist() == sketch_apply(m, p).packed().tolist()
+        for i in range(db.n):
+            assert batch[i].tolist() == sketch_apply(m, db.point(i)).packed().tolist()
 
 
 class TestSketchApplyBatchDifferential:
@@ -175,8 +175,8 @@ class TestSketchApplyBatchDifferential:
         assert batch.shape == (n, (rows + 63) // 64) and batch.dtype == np.uint64
         want = pack_words(_parity_product(_db_bits(db), m.bits_matrix()))
         assert np.array_equal(batch, want)
-        for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_apply(m, p).packed())
+        for i in range(db.n):
+            assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
         return m
 
     # TestSketchApplyBatchDifferentialNumpy runs this method too, under another
@@ -245,8 +245,8 @@ class TestSketchApplyBatchRowKinds:
         batch = sketch_apply_batch(m, db)
         assert batch.shape == (db.n, (m.rows + 63) // 64) and batch.dtype == np.uint64
         assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
-        for i, p in enumerate(db.points):
-            assert np.array_equal(batch[i], sketch_apply(m, p).packed())
+        for i in range(db.n):
+            assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
 
     # TestSketchApplyBatchRowKindsNumpy runs this method too, under another
     # class; the examples are valid for both kernels, so that is not a hazard here.

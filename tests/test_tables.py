@@ -54,7 +54,7 @@ class TestMainCell:
                 if (sv.value ^ addr.value).bit_count() <= thr
             ]
             if qualifying:
-                assert content == db.points[qualifying[0]]
+                assert content == db.point(qualifying[0])
             else:
                 assert content is None
 
@@ -99,17 +99,17 @@ def sketch_apply_scale(db, coin, params, scale, idx) -> Point:
     from annsim.sketch import derive_matrix
 
     m = derive_matrix(coin, "main", scale, params.r_main, params.d, params.alpha)
-    return sketch_apply(m, db.points[idx])
+    return sketch_apply(m, db.point(idx))
 
 
 class TestMembershipCell:
     def test_exact_member(self, small):
         db, _, params, coin = small
-        assert membership_cell(db, KIND_MEMBER_EXACT, db.points[3]) == db.points[3]
+        assert membership_cell(db, KIND_MEMBER_EXACT, db.point(3)) == db.point(3)
 
     def test_near1_member(self, small):
         db, _, _, _ = small
-        x = Point(64, db.points[5].value ^ (1 << 17))
+        x = Point(64, db.point(5).value ^ (1 << 17))
         content = membership_cell(db, KIND_MEMBER_NEAR1, x)
         assert isinstance(content, Point)
         assert (content.value ^ x.value).bit_count() <= 1
@@ -126,8 +126,8 @@ class TestMembershipCell:
         db, _, _, _ = small
         x = None
         for mask in (0b111, 0b111000, 0b10101):
-            cand = Point(64, db.points[0].value ^ mask)
-            if min((cand.value ^ p.value).bit_count() for p in db.points) >= 2:
+            cand = Point(64, db.point(0).value ^ mask)
+            if min((cand.value ^ db.point(i).value).bit_count() for i in range(db.n)) >= 2:
                 x = cand
                 break
         assert x is not None, "could not build a point at distance >= 2"
@@ -140,12 +140,13 @@ class TestMembershipCell:
         # distance-1 neighbours (the top coordinate included) and points
         # at distance 2 against a first-match scan over the points.
         db, x = make_instance(n=24, d=d, seed=d)
-        queries = [x, db.points[9], db.points[-1]]
-        queries += [Point(d, p.value ^ (1 << j)) for p in db.points[:3] for j in (0, 63, d - 1)]
-        queries += [Point(d, db.points[4].value ^ (0b11 << (d - 2)))]
+        points = [db.point(i) for i in range(db.n)]
+        queries = [x, points[9], points[-1]]
+        queries += [Point(d, p.value ^ (1 << j)) for p in points[:3] for j in (0, 63, d - 1)]
+        queries += [Point(d, points[4].value ^ (0b11 << (d - 2)))]
         for q in queries:
-            exact = next((p for p in db.points if p == q), None)
-            near1 = next((p for p in db.points if hamming_dist(p, q) <= 1), None)
+            exact = next((p for p in points if p == q), None)
+            near1 = next((p for p in points if hamming_dist(p, q) <= 1), None)
             assert membership_cell(db, KIND_MEMBER_EXACT, q) == exact
             assert membership_cell(db, KIND_MEMBER_NEAR1, q) == near1
 
@@ -153,7 +154,7 @@ class TestMembershipCell:
 def make_aux(db, x, params, coin, scales):
     from annsim.sketch import derive_matrix
 
-    rows = params.r_aux(params.s)
+    rows = params.r_aux
     sketches = tuple(
         sketch_apply(derive_matrix(coin, "aux", sc, rows, params.d, params.alpha), x)
         for sc in scales
@@ -250,7 +251,7 @@ class TestTablesMatchOracle:
         coin = PublicCoin(seed)
         params = Params(n=n, d=d, gamma=gamma, k=1, c1=8.0, c2=8.0, s=s_real)
         sets = exact_sets(x, db, coin, params)
-        rows = params.r_aux(s_real)
+        rows = params.r_aux
         for i in range(params.scale_count + 1):
             mask = _candidate_mask(db, coin, params, i, query_sketch(coin, params, x, i))
             assert frozenset(np.flatnonzero(mask).tolist()) == sets.sketch_ball(i)
