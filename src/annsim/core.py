@@ -226,12 +226,17 @@ class Params:
     @property
     def s_int(self) -> int:
         """The refinement depth as a group size: s rounded, at least 1."""
-        return max(1, round(self.s))
+        return max(1, round(self._refinement_depth()))
 
     @property
     def r_aux(self) -> int:
         """Row count of auxiliary sketch matrices: ceil((c2/s) * log2 n)."""
-        return max(1, math.ceil(self.c2 / self.s * math.log2(max(self.n, 2))))
+        return max(1, math.ceil(self.c2 / self._refinement_depth() * math.log2(max(self.n, 2))))
+
+    def _refinement_depth(self) -> float:
+        if self.s is None:
+            raise ValueError("these params have no refinement depth s (the aux tables need it)")
+        return self.s
 
     def ball_radius(self, i: int) -> float:
         return self.alpha**i

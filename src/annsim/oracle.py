@@ -18,7 +18,7 @@ The block results are XORed, so bit 0 and bit 12 carry the two points'
 parities. The product skips a matrix's all-zero rows and columns when most
 columns are zero, and the sets are kept as boolean masks over database
 indices. Only the sketch primitives themselves, matrix derivation and the
-threshold formulas, are shared.
+one sketch test `threshold(params, role, scale)`, are shared.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .core import Database, Params, Point, fraction_at_most, unpack_bits
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
-from .sketch import aux_threshold, derive_matrix, main_threshold
+from .sketch import derive_matrix, sketch_rows, threshold
 
 
 def exact_nn(x: Point, db: Database) -> tuple[Point, int]:
@@ -84,8 +84,9 @@ class ScaleSets:
         self.coin = coin
         self.params = params
         self.top = params.scale_count
-        if x.dim != db.dim:
-            raise DimensionMismatch(f"query dim {x.dim} vs database dim {db.dim}")
+        if not x.dim == db.dim == params.d:
+            raise DimensionMismatch(
+                f"query dim {x.dim}, database dim {db.dim} and params d {params.d} differ")
         # Each database point XOR the query: its row sums are the exact
         # distances. Then two points per entry (a zero row pads an odd n),
         # as one C-contiguous (d, ceil(n/2)) float32 operand for every product.
@@ -97,13 +98,15 @@ class ScaleSets:
         pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
         del diff
         self._pairs = np.ascontiguousarray(pairs.T, dtype=np.float32)
-        self.candidates = np.array([
-            self._sketch_dists(
-                derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
-            ) <= main_threshold(params, sc)
-            for sc in range(self.top + 1)
-        ])
+        self.candidates = np.array([self._passing("main", sc) for sc in range(self.top + 1)])
         self._aux_masks: dict[int, np.ndarray] = {}
+
+    def _passing(self, role: str, scale: int) -> np.ndarray:
+        """Mask of the database points that pass the `role` sketch test at `scale`."""
+        params = self.params
+        rows = sketch_rows(params, role)
+        matrix = derive_matrix(self.coin, role, scale, rows, self.db.dim, params.alpha)
+        return self._sketch_dists(matrix) <= threshold(params, role, scale)
 
     def _sketch_dists(self, matrix) -> np.ndarray:
         """Sketch distance from the query to every database point under `matrix`.
@@ -135,14 +138,9 @@ class ScaleSets:
 
     def aux_pass(self, j: int) -> np.ndarray:
         """Mask of the database points that pass the scale-j auxiliary sketch test."""
-        params = self.params
-        if params.s is None:
-            raise ValueError("refined sets need the refinement parameter s in the params")
         cached = self._aux_masks.get(j)
         if cached is None:
-            matrix = derive_matrix(self.coin, "aux", j, params.r_aux, self.db.dim, params.alpha)
-            cached = self._sketch_dists(matrix) <= aux_threshold(params, j)
-            self._aux_masks[j] = cached
+            cached = self._aux_masks[j] = self._passing("aux", j)
         return cached
 
     def refined(self, i: int, j: int) -> frozenset[int]:

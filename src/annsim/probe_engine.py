@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Database, Params, Point
-from .errors import RoundBudgetExceeded, SessionClosed
+from .errors import DimensionMismatch, RoundBudgetExceeded, SessionClosed
 from .randomness import PublicCoin
 from .tables import CellAddress, CellContent, cell_content
 
@@ -63,6 +63,8 @@ class ProbeSession:
     """
 
     def __init__(self, db: Database, coin: PublicCoin, params: Params):
+        if params.d != db.dim:
+            raise DimensionMismatch(f"params d {params.d} vs database dim {db.dim}")
         self.db = db
         self.coin = coin
         self.params = params

@@ -75,14 +75,19 @@ def decision_threshold(beta: float, alpha: float) -> float:
     return 0.5 * (near + far)
 
 
-def main_threshold(params: Params, scale: int) -> float:
-    """Sketch-distance cutoff for main-table membership at one scale."""
-    return decision_threshold(params.ball_radius(scale), params.alpha) * params.r_main
+def sketch_rows(params: Params, role: str) -> int:
+    """Row count of the role's sketch matrices: `r_main` or, at `params.s`, `r_aux`."""
+    if role == "main":
+        return params.r_main
+    if role == "aux":
+        return params.r_aux
+    raise ValueError(f"unknown sketch role {role!r}")
 
 
-def aux_threshold(params: Params, scale: int) -> float:
-    """Sketch-distance cutoff for auxiliary refinement at one scale, at `params.s`."""
-    return decision_threshold(params.ball_radius(scale), params.alpha) * params.r_aux
+def threshold(params: Params, role: str, scale: int) -> float:
+    """Sketch-distance cutoff of the role's sketch test at one scale, for the
+    main tables and candidate sets ("main") and the refinements ("aux")."""
+    return decision_threshold(params.ball_radius(scale), params.alpha) * sketch_rows(params, role)
 
 
 @dataclass(frozen=True)

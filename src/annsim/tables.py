@@ -20,7 +20,8 @@ Four address families exist:
 
 A sketch is a Point of the rows-dimensional cube, and every family applies
 one Hamming-ball test on packed words: main and aux cells to the database's
-sketch words (`db_sketch_bits`), membership cells to `Database.packed`.
+sketch words (`db_sketch_bits`) within `threshold(params, role, scale)`, in
+one `_sketch_mask`, and membership cells to `Database.packed`.
 
 A cell holds a database point, a small int (an aux slot) or nothing (None).
 """
@@ -34,12 +35,7 @@ import numpy as np
 from .core import Database, Params, Point, fraction_at_most
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
-from .sketch import (
-    aux_threshold,
-    derive_matrix,
-    main_threshold,
-    sketch_apply_batch,
-)
+from .sketch import derive_matrix, sketch_apply_batch, sketch_rows, threshold
 
 KIND_MAIN = "main"
 KIND_AUX = "aux"
@@ -96,12 +92,13 @@ class CellAddress:
 
 
 def db_sketch_bits(
-    db: Database, coin: PublicCoin, params: Params, role: str, scale: int, rows: int
+    db: Database, coin: PublicCoin, params: Params, role: str, scale: int
 ) -> np.ndarray:
-    """(n, ceil(rows/64)) sketch words of the whole database, memoized per database.
+    """(n, ceil(rows/64)) `role` sketch words of the database at `scale`, memoized per database.
 
     Packed like `Database.packed`, so a sketch compares to them as a point does.
     """
+    rows = sketch_rows(params, role)
     key = (coin.seed, params.alpha, role, scale, rows)
     words = db._sketch_memo.get(key)
     if words is None:
@@ -123,27 +120,15 @@ def _first(db: Database, mask: np.ndarray) -> Point | None:
     return db.point(idx) if mask[idx] else None
 
 
-def _candidate_mask(
-    db: Database, coin: PublicCoin, params: Params, scale: int, addr: Point
+def _sketch_mask(
+    db: Database, coin: PublicCoin, params: Params, role: str, scale: int, sk: Point
 ) -> np.ndarray:
-    """Boolean mask of points whose scale-`scale` sketch is near `addr`."""
-    if addr.dim != params.r_main:
-        raise DimensionMismatch(
-            f"main address has {addr.dim} bits, expected {params.r_main}"
-        )
-    words = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
-    return _within(words, addr, main_threshold(params, scale))
-
-
-def _refinement_mask(
-    db: Database, coin: PublicCoin, params: Params, scale: int, sk: Point
-) -> np.ndarray:
-    """Boolean mask of points whose scale-`scale` auxiliary sketch is near `sk`."""
-    rows = params.r_aux
+    """Boolean mask of the points whose `role` sketch at `scale` passes the test against `sk`."""
+    rows = sketch_rows(params, role)
     if sk.dim != rows:
-        raise DimensionMismatch(f"aux sketch has {sk.dim} bits, expected {rows}")
-    words = db_sketch_bits(db, coin, params, "aux", scale, rows)
-    return _within(words, sk, aux_threshold(params, scale))
+        raise DimensionMismatch(f"{role} sketch has {sk.dim} bits, expected {rows}")
+    words = db_sketch_bits(db, coin, params, role, scale)
+    return _within(words, sk, threshold(params, role, scale))
 
 
 def main_cell(
@@ -154,7 +139,7 @@ def main_cell(
     The lowest-index database point within the scale's sketch threshold of
     the address, or None when no point qualifies.
     """
-    return _first(db, _candidate_mask(db, coin, params, scale, addr))
+    return _first(db, _sketch_mask(db, coin, params, "main", scale, addr))
 
 
 def aux_cell(
@@ -167,12 +152,10 @@ def aux_cell(
     refinement keeps more than an n^(-1/s) fraction of the candidates;
     stores s+1 when every slot's refinement is small. s is `params.s`.
     """
-    if params.s is None:
-        raise ValueError("aux probes require the refinement parameter s in the params")
-    cand = _candidate_mask(db, coin, params, scale, subtable)
+    cand = _sketch_mask(db, coin, params, "main", scale, subtable)
     csize = int(np.count_nonzero(cand))
     for r, (aux_scale, sk) in enumerate(zip(aux.scales, aux.sketches), start=1):
-        refined = cand & _refinement_mask(db, coin, params, aux_scale, sk)
+        refined = cand & _sketch_mask(db, coin, params, "aux", aux_scale, sk)
         if not fraction_at_most(int(np.count_nonzero(refined)), csize, db.n, params.s):
             return r
     return params.s_int + 1

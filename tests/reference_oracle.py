@@ -14,7 +14,7 @@ import numpy as np
 
 from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist, unpack_bits
 from annsim.randomness import PublicCoin
-from annsim.sketch import aux_threshold, derive_matrix, main_threshold
+from annsim.sketch import derive_matrix, threshold
 
 
 def _parity_product(point_bits: np.ndarray, matrix_bits: np.ndarray) -> np.ndarray:
@@ -64,7 +64,7 @@ class ScaleSets:
         for sc in range(self.top + 1):
             matrix = derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
             sk_dists = self._sketch_dists(matrix)
-            thr = main_threshold(params, sc)
+            thr = threshold(params, "main", sc)
             self.approx.append(frozenset(np.nonzero(sk_dists <= thr)[0].tolist()))
         self._aux_dists: dict[int, np.ndarray] = {}
         self._refined: dict[tuple[int, int], frozenset[int]] = {}
@@ -98,7 +98,7 @@ class ScaleSets:
         key = (i, j)
         cached = self._refined.get(key)
         if cached is None:
-            thr = aux_threshold(replace(self.params, s=self.s_real), j)
+            thr = threshold(replace(self.params, s=self.s_real), "aux", j)
             dists = self._aux_dist(j)
             cached = frozenset(z for z in self.approx[i] if dists[z] <= thr)
             self._refined[key] = cached

@@ -161,6 +161,11 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(**kw)
 
+    @pytest.mark.parametrize("name", ["r_aux", "s_int"])
+    def test_refinement_properties_need_s(self, name):
+        with pytest.raises(ValueError, match="refinement depth s"):
+            getattr(Params(n=8, d=64, gamma=4.0, k=1), name)
+
     @pytest.mark.parametrize("s, s_int", [(0.3, 1), (2.0, 2), (2.4, 2), (4.875, 5)])
     def test_s_int_is_s_rounded_at_least_one(self, s, s_int):
         assert Params(n=4, d=64, gamma=4.0, k=1, s=s).s_int == s_int

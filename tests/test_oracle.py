@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from annsim.core import Database, Point
 from annsim.errors import DimensionMismatch
-from annsim.oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
+from annsim.oracle import ScaleSets, check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.randomness import coin_for_trial
 from annsim.search_common import query_sketch
 from annsim.tables import main_cell
@@ -84,6 +84,17 @@ class TestExactSets:
         db, _ = make_instance(n=8, d=64)
         with pytest.raises(DimensionMismatch):
             exact_sets(Point(dim, 1), db, coin, make_params(n=8, d=64, s=2.0))
+
+    def test_rejects_params_of_another_dimension(self, coin):
+        db, x = make_instance(n=8, d=64)
+        with pytest.raises(DimensionMismatch):
+            ScaleSets(x, db, coin, make_params(n=8, d=128, s=2.0))
+
+    def test_aux_masks_need_the_refinement_depth(self, coin):
+        db, x = make_instance(n=8, d=64)
+        sets = exact_sets(x, db, coin, make_params(n=8, d=64))
+        with pytest.raises(ValueError, match="refinement depth s"):
+            sets.aux_pass(0)
 
     def test_singleton_database(self, coin):
         params = make_params(n=1, d=64)

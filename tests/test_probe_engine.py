@@ -1,7 +1,7 @@
 import pytest
 
-from annsim.core import Database, Point
-from annsim.errors import RoundBudgetExceeded, SessionClosed
+from annsim.core import Database, Params, Point
+from annsim.errors import DimensionMismatch, RoundBudgetExceeded, SessionClosed
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 from annsim.search_common import main_address, membership_addresses
@@ -25,6 +25,13 @@ class TestSessionLifecycle:
         assert s.transcript.rounds_used == 0
         assert s.transcript.probes_total == 0
         assert s.transcript.round_budget == 3
+
+    def test_params_of_another_dimension_are_refused(self, setup):
+        # A query sketched under d=128 matrices and a database under d=64
+        # ones would share no sketch test; the session refuses the pair.
+        db, _, _, coin = setup
+        with pytest.raises(DimensionMismatch):
+            ProbeSession(db, coin, Params(n=16, d=128, gamma=4.0, k=1))
 
     def test_sessions_are_independent(self, setup):
         db, x, params, coin = setup

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import sketch
-from annsim.core import Point, hamming_dist, pack_words, unpack_bits
+from annsim.core import Params, Point, hamming_dist, pack_words, unpack_bits
 from annsim.errors import DimensionMismatch
 from annsim.randomness import coin_for_trial
 from annsim.sketch import (
@@ -17,6 +17,8 @@ from annsim.sketch import (
     row_collision_prob,
     sketch_apply,
     sketch_apply_batch,
+    sketch_rows,
+    threshold,
 )
 
 from conftest import make_instance, point_from_bits
@@ -71,6 +73,36 @@ class TestDecisionThreshold:
         assert near < mid < far
         # The gap formula is exactly the distance between the landmarks.
         assert far - near == pytest.approx(delta_threshold(beta, alpha), abs=1e-15)
+
+
+class TestThreshold:
+    """One sketch test per (params, role, scale): the decision fraction at
+    beta = alpha^scale times the role's row count."""
+
+    @pytest.mark.parametrize("n, gamma, s", [(16, 4.0, 2.0), (256, 2.0, 3.0), (100, 3.0, 0.5)])
+    def test_each_role_scales_the_decision_fraction_by_its_rows(self, n, gamma, s):
+        params = Params(n=n, d=4096, gamma=gamma, k=3, s=s)
+        assert params.r_main != params.r_aux  # so a swap of the roles' rows shows
+        assert (sketch_rows(params, "main"), sketch_rows(params, "aux")) == (
+            params.r_main, params.r_aux)
+        for i in range(params.scale_count + 1):
+            frac = decision_threshold(params.alpha**i, params.alpha)
+            assert threshold(params, "main", i) == frac * params.r_main
+            assert threshold(params, "aux", i) == frac * params.r_aux
+
+    @pytest.mark.parametrize("role", ["member_exact", "Main", ""])
+    def test_unknown_role_raises(self, role):
+        params = Params(n=16, d=64, gamma=4.0, k=1, s=2.0)
+        with pytest.raises(ValueError, match="unknown sketch role"):
+            sketch_rows(params, role)
+        with pytest.raises(ValueError, match="unknown sketch role"):
+            threshold(params, role, 0)
+
+    def test_aux_needs_the_refinement_depth(self):
+        params = Params(n=16, d=64, gamma=4.0, k=1)
+        assert threshold(params, "main", 0) > 0
+        with pytest.raises(ValueError, match="refinement depth s"):
+            threshold(params, "aux", 0)
 
 
 class TestRowCollisionProb:

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from annsim.core import Database, Params, Point, hamming_dist
+from annsim.errors import DimensionMismatch
 from annsim.harness import DatasetSpec, gen_database
 from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.search_common import query_sketch
-from annsim.sketch import derive_matrix, main_threshold, sketch_apply, sketch_apply_batch
+from annsim.sketch import derive_matrix, sketch_apply, sketch_apply_batch, threshold
 from annsim.tables import (
     KIND_MEMBER_EXACT,
     KIND_MEMBER_NEAR1,
     AuxAddress,
-    _candidate_mask,
-    _refinement_mask,
+    _sketch_mask,
     aux_cell,
     db_sketch_bits,
     main_cell,
@@ -48,7 +48,7 @@ class TestMainCell:
             addr = query_sketch(coin, params, x, scale)
             content = main_cell(db, coin, params, scale, addr)
             bits = [sketch_apply_scale(db, coin, params, scale, i) for i in range(db.n)]
-            thr = main_threshold(params, scale)
+            thr = threshold(params, "main", scale)
             qualifying = [
                 i for i, sv in enumerate(bits)
                 if (sv.value ^ addr.value).bit_count() <= thr
@@ -65,7 +65,7 @@ class TestMainCell:
         # point with overwhelming margin. Verify the premise point by
         # point before asserting the cell content.
         addr = Point(params.r_main, (1 << params.r_main) - 1)
-        thr = main_threshold(params, 0)
+        thr = threshold(params, "main", 0)
         for i in range(db.n):
             sv = sketch_apply_scale(db, coin, params, 0, i)
             assert (sv.value ^ addr.value).bit_count() > thr
@@ -86,7 +86,7 @@ class TestMainCell:
         p0, p1 = Point(8, 0b00001111), Point(8, 0b11110000)
         db = Database.from_points([p0, p1])
         for scale in range(params.scale_count + 1):
-            thr = main_threshold(params, scale)
+            thr = threshold(params, "main", scale)
             a0 = sketch_apply_scale(db, coin, params, scale, 0)
             a1 = sketch_apply_scale(db, coin, params, scale, 1)
             content = main_cell(db, coin, params, scale, a1)
@@ -183,6 +183,12 @@ class TestAuxCell:
         content = aux_cell(db, coin, params, 0, addr, aux)
         assert content == 3
 
+    def test_params_without_s_are_refused(self, small):
+        db, x, params, coin = small
+        aux = make_aux(db, x, replace(params, s=2.0), coin, [1, 2])
+        with pytest.raises(ValueError, match="refinement depth s"):
+            aux_cell(db, coin, params, 0, query_sketch(coin, params, x, 0), aux)
+
     def test_full_refinement_gives_one(self, small):
         db, x, params, coin = small
         params = replace(params, s=2.0)
@@ -253,12 +259,21 @@ class TestTablesMatchOracle:
         sets = exact_sets(x, db, coin, params)
         rows = params.r_aux
         for i in range(params.scale_count + 1):
-            mask = _candidate_mask(db, coin, params, i, query_sketch(coin, params, x, i))
+            mask = _sketch_mask(db, coin, params, "main", i, query_sketch(coin, params, x, i))
             assert frozenset(np.flatnonzero(mask).tolist()) == sets.sketch_ball(i)
             for j in range(i + 1):
                 sk = sketch_apply(derive_matrix(coin, "aux", j, rows, d, params.alpha), x)
-                refined = mask & _refinement_mask(db, coin, params, j, sk)
+                refined = mask & _sketch_mask(db, coin, params, "aux", j, sk)
                 assert frozenset(np.flatnonzero(refined).tolist()) == sets.refined(i, j)
+
+
+class TestSketchMask:
+    @pytest.mark.parametrize("role", ["main", "aux"])
+    def test_a_sketch_of_another_row_count_is_refused(self, small, role):
+        db, _, params, coin = small
+        params = replace(params, s=2.0)
+        with pytest.raises(DimensionMismatch, match=role):
+            _sketch_mask(db, coin, params, role, 0, Point(params.r_main + params.r_aux, 0))
 
 
 class TestDatabaseSketchMemo:
@@ -271,7 +286,7 @@ class TestDatabaseSketchMemo:
         for gamma in (4.0, 2.0):
             params = make_params(n=64, d=128, gamma=gamma, c1=8.0)
             for scale in range(params.scale_count + 1):
-                words = db_sketch_bits(db, coin, params, "main", scale, params.r_main)
+                words = db_sketch_bits(db, coin, params, "main", scale)
                 m = derive_matrix(coin, "main", scale, params.r_main, 128, params.alpha)
                 assert np.array_equal(words, sketch_apply_batch(m, db))
 
