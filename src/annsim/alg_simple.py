@@ -25,15 +25,19 @@ from .search_common import (
 
 
 def tau_simple(k: int, d: int, alpha: float) -> int:
-    """Smallest integer tau >= 2 with tau * (tau/2)^(k-1) >= ceil(log_alpha d).
-
-    The inequality is evaluated exactly as tau^k >= I * 2^(k-1) in integer
-    arithmetic. From k = 2 * I.bit_length() + 2 on, tau is at its floor (3,
-    or 2 when I <= 2), so a larger k is clamped to that one.
-    """
+    """Smallest integer tau >= 2 with tau * (tau/2)^(k-1) >= ceil(log_alpha d)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    count = scale_count(d, alpha)
+    return branching_factor(k, scale_count(d, alpha))
+
+
+def branching_factor(k: int, count: int) -> int:
+    """Smallest integer tau >= 2 with tau * (tau/2)^(k-1) >= count, for k >= 1.
+
+    The inequality is evaluated exactly as tau^k >= count * 2^(k-1) in
+    integer arithmetic. From k = 2 * count.bit_length() + 2 on, tau is at
+    its floor (3, or 2 when count <= 2), so a larger k is clamped to that one.
+    """
     k = min(k, 2 * count.bit_length() + 2)
     target = count << (k - 1)
     tau = 2
@@ -44,7 +48,7 @@ def tau_simple(k: int, d: int, alpha: float) -> int:
 
 def probe_bound_simple(params: Params) -> int:
     """Worst-case total probes: (tau-1)(k-1) + tau + 2 membership probes."""
-    tau = tau_simple(params.k, params.d, params.alpha)
+    tau = branching_factor(params.k, params.scale_count)
     return (tau - 1) * (params.k - 1) + tau + 2
 
 
@@ -56,7 +60,7 @@ def run_simple(x: Point, session: ProbeSession) -> Point:
     if x.dim != params.d:
         raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
     k = params.k
-    l, u, tau = 0, params.scale_count, tau_simple(k, params.d, params.alpha)
+    l, u, tau = 0, params.scale_count, branching_factor(k, params.scale_count)
     pending = membership_addresses(x)
     shrinks = 0
 

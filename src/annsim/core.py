@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -137,23 +138,46 @@ class Database:
         return Point(self.dim, int.from_bytes(self.packed[i].tobytes(), "little"))
 
 
+# A power alpha^i is compared with its bound as a float, unless the float
+# lies within this relative distance of the bound. There the float may be
+# rounded to the wrong side (sqrt(3)**2 is 2.9999999999999996), so the
+# comparison is made exactly as (alpha^2)^i >= bound^2, for scales up to
+# _EXACT_SCALES: at 2^16 scales the exact power takes about 0.3 s.
+_EXACT_BAND = 1e-12
+_EXACT_SCALES = 1 << 17
+
+
+def _reaches(alpha_sq: Fraction, i: int, bound: float) -> bool:
+    """Whether alpha^i >= bound, for alpha = sqrt(alpha_sq) and bound >= 1."""
+    power = float(alpha_sq) ** (i / 2)
+    if abs(power - bound) > _EXACT_BAND * bound or i > _EXACT_SCALES:
+        return power >= bound
+    return alpha_sq**i >= Fraction(bound) ** 2
+
+
+def first_scale(bound: float, alpha_sq: Fraction) -> int:
+    """Smallest i >= 0 with alpha^i >= bound, for alpha = sqrt(alpha_sq) > 1
+    and bound >= 1, searched around the float estimate."""
+    i = max(0, math.ceil(2 * math.log(bound) / math.log(alpha_sq)) - 2)
+    while not _reaches(alpha_sq, i, bound):
+        i += 1
+    while i > 0 and _reaches(alpha_sq, i - 1, bound):
+        i -= 1
+    return i
+
+
 def scale_count(d: int, alpha: float) -> int:
     """Largest scale index: the smallest I with alpha**I >= d.
 
-    Equals ceil(log_alpha(d)); computed by integer search around the float
-    estimate so exact powers (e.g. d=256, alpha=2) do not fall victim to
-    log rounding.
+    Equals ceil(log_alpha(d)), decided exactly for the value of `alpha`
+    (see `first_scale`), so exact powers (e.g. d=256, alpha=2) do not fall
+    victim to log rounding. `Params` decides it from the exact alpha^2.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2 to define the scale grid")
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must be in (1, 2]")
-    i = max(1, math.ceil(math.log(d) / math.log(alpha)) - 2)
-    while alpha**i < d:
-        i += 1
-    while i > 1 and alpha ** (i - 1) >= d:
-        i -= 1
-    return i
+    return first_scale(d, Fraction(alpha) ** 2)
 
 
 # Sketch-row factors established by `annsim calibrate --n 256 --d 128
@@ -172,7 +196,10 @@ class Params:
     gamma is the approximation ratio the caller asked for; the working scale
     base is alpha = sqrt(min(gamma, 4)). Ratios of 4 or more are clamped to
     alpha = 2 (a larger ratio only loosens the target), while the reported
-    guarantee keeps the caller's gamma.
+    guarantee keeps the caller's gamma. `alpha` is the rounded float that
+    keys the sketch matrices and thresholds; the scale grid, the exact ball
+    radii and the near-search scale are decided from `alpha_sq`, the exact
+    binary rational min(gamma, 4).
 
     The phased search also reads the refinement depth s and the branching
     factor tau (see `alg_general.params_general`); they stay None elsewhere.
@@ -190,6 +217,7 @@ class Params:
     s: float | None = None
     tau: int | None = None
     alpha: float = field(init=False)
+    alpha_sq: Fraction = field(init=False)
     scale_count: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -215,8 +243,10 @@ class Params:
         if alpha == 1.0:
             raise ValueError(f"gamma={self.gamma!r} is too close to 1: sqrt(gamma) rounds to 1.0, "
                              "so no scale grid reaches d")
+        alpha_sq = Fraction(min(self.gamma, 4.0))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "scale_count", scale_count(self.d, alpha))
+        object.__setattr__(self, "alpha_sq", alpha_sq)
+        object.__setattr__(self, "scale_count", first_scale(self.d, alpha_sq))
 
     @property
     def r_main(self) -> int:
@@ -239,7 +269,13 @@ class Params:
         return self.s
 
     def ball_radius(self, i: int) -> float:
+        """alpha^i as a float: the sketch thresholds' beta."""
         return self.alpha**i
+
+    def radius(self, i: int) -> int:
+        """floor(alpha^i), decided exactly: the radius of the exact ball(i)."""
+        nearest = round(float(self.alpha_sq) ** (i / 2))
+        return nearest if _reaches(self.alpha_sq, i, nearest) else nearest - 1
 
 
 def fraction_at_most(part: int, whole: int, n: int, s_real: float, factor: float = 1.0) -> bool:

@@ -9,18 +9,15 @@ gamma*lambda the cell is empty and the answer is NO.
 
 from __future__ import annotations
 
-from .core import Params, Point
+from .core import Params, Point, first_scale
 from .probe_engine import ProbeSession
 from .search_common import main_address
 
 
 def near_scale(lam: float, params: Params) -> int:
-    """Smallest scale i with alpha^i >= lambda, clamped to the scale grid."""
-    lam = min(max(lam, 1.0), float(params.d))
-    i = 0
-    while params.ball_radius(i) < lam and i < params.scale_count:
-        i += 1
-    return i
+    """Smallest scale i with alpha^i >= lambda, decided exactly from
+    `params.alpha_sq`, with lambda clamped to [1, d]."""
+    return first_scale(max(1.0, min(lam, float(params.d))), params.alpha_sq)
 
 
 def run_near(x: Point, lam: float, session: ProbeSession) -> Point | None:

@@ -2,23 +2,32 @@
 
 Everything here is recomputed from definitions, independently of the table
 machinery: exact nearest neighbors by a popcount scan of the database words,
-exact distance balls from the unpacked bits, and the sketch-based candidate
-sets rebuilt from the raw matrices via dense float32 products of unpacked
-bits (a deliberately different computational route from the packed popcount
-kernels the tables use, so cross-checks between the two are meaningful).
+exact distance balls from the unpacked bits with the exact integer radii
+floor(alpha^i), and the sketch-based candidate sets rebuilt from the raw
+matrices by routes of their own (deliberately different from the packed
+popcount kernels the tables use, so cross-checks between the two are
+meaningful).
 
 The query is XORed into every database point first. The row sums of the
 unpacked XOR are the exact distances, and the sketches of p and x differ in
-row r exactly when row r has odd parity with p XOR x. Two points share one
-float32 entry, `diff[2i] + 4096 * diff[2i+1]`, so one product serves both.
-The product runs over blocks of at most 2048 columns: each 12-bit field then
-counts at most 2048 < 2^12 ones, and every partial sum stays at most
-2048 * 4097 < 2^24, which float32 holds exactly in any summation order.
-The block results are XORed, so bit 0 and bit 12 carry the two points'
-parities. The product skips a matrix's all-zero rows and columns when most
-columns are zero, and the sets are kept as boolean masks over database
-indices. Only the sketch primitives themselves, matrix derivation and the
-one sketch test `threshold(params, role, scale)`, are shared.
+row r exactly when row r has odd parity with p XOR x. A matrix takes one of
+two routes to those parities, chosen by its number of ones:
+
+- Sparse (at most one in 256 entries set): the ones are found from the
+  matrix's nonzero words, and row r's parities with all n points are the
+  XOR of the columns of p XOR x at row r's ones, stored as (d, ceil(n/64))
+  words, so one word XOR serves 64 points.
+- Dense: a float32 product over the unpacked bits. Two points share one
+  entry, `diff[2i] + 4096 * diff[2i+1]`, so one product serves both. The
+  product runs over blocks of at most 2048 columns: each 12-bit field then
+  counts at most 2048 < 2^12 ones, and every partial sum stays at most
+  2048 * 4097 < 2^24, which float32 holds exactly in any summation order.
+  The block results are XORed, so bit 0 and bit 12 carry the two points'
+  parities.
+
+The sets are kept as boolean masks over database indices. Only the sketch
+primitives themselves, matrix derivation and the one sketch test
+`threshold(params, role, scale)`, are shared.
 """
 
 from __future__ import annotations
@@ -64,6 +73,47 @@ def _pair_parities(matrix_bits: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return acc
 
 
+# A matrix with at most one in _SPARSE entries set takes the column route.
+_SPARSE = 256
+
+
+def _word_bits(words: np.ndarray) -> np.ndarray:
+    """uint64 words as bools along the last axis, bit b of word k at 64k + b."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool)
+
+
+def _point_columns(diff: np.ndarray) -> np.ndarray:
+    """(n, d) 0/1 bits as (d, ceil(n/64)) words: bit j of word g in row c
+    is diff[64g + j, c].
+
+    Every eighth row is shifted into one byte plane, so each pass reads
+    whole rows; `np.packbits` across the transposed bits took about four
+    times as long.
+    """
+    octets = np.zeros((-(-len(diff) // 64) * 8, diff.shape[1]), dtype=np.uint8)
+    for k in range(8):
+        rows = diff[k::8]
+        octets[: len(rows)] |= rows << k
+    return np.ascontiguousarray(octets.T).view(np.uint64)
+
+
+def _column_parities(columns: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Sketch distances of n points from a matrix's ones at (rows, cols),
+    listed in row-major order.
+
+    `columns` holds column c of the points XOR the query as (d, ceil(n/64))
+    words. One reduceat XORs each nonzero row's columns into its parity
+    words, and a point's distance is the number of rows whose parity bit is
+    set; all-zero rows add 0 to every count.
+    """
+    if not rows.size:
+        return np.zeros(n, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    parities = np.bitwise_xor.reduceat(columns[cols], starts, axis=0)
+    return np.count_nonzero(_word_bits(parities), axis=0)[:n]
+
+
 def _db_bits(db: Database) -> np.ndarray:
     raw = np.ascontiguousarray(db.packed).view(np.uint8).reshape(db.n, -1)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, : db.dim]
@@ -88,11 +138,13 @@ class ScaleSets:
             raise DimensionMismatch(
                 f"query dim {x.dim}, database dim {db.dim} and params d {params.d} differ")
         # Each database point XOR the query: its row sums are the exact
-        # distances. Then two points per entry (a zero row pads an odd n),
-        # as one C-contiguous (d, ceil(n/2)) float32 operand for every product.
+        # distances. Its columns as words serve the column route; then two
+        # points per entry (a zero row pads an odd n), as one C-contiguous
+        # (d, ceil(n/2)) float32 operand for every product.
         diff = _db_bits(db) ^ unpack_bits(x.value, x.dim)
-        radii = np.array([params.ball_radius(sc) for sc in range(self.top + 2)])
+        radii = np.array([params.radius(sc) for sc in range(self.top + 2)])
         self.balls = diff.sum(axis=1) <= radii[:, None]
+        self._columns = _point_columns(diff)
         if db.n % 2:
             diff = np.vstack([diff, np.zeros((1, db.dim), dtype=np.uint8)])
         pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
@@ -111,26 +163,32 @@ class ScaleSets:
     def _sketch_dists(self, matrix) -> np.ndarray:
         """Sketch distance from the query to every database point under `matrix`.
 
-        All-zero rows and columns of the matrix add 0 to every count. With
-        fewer than half the columns nonzero, the product runs on the nonzero
-        rows and columns only; with more, the gather costs more than it
-        saves. Rows then columns, as two gathers: one np.ix_ gather is
-        about 3x slower.
+        A matrix with at most one in _SPARSE entries set takes the column
+        route (`_column_parities`): its nonzero words are counted first, so
+        a dense matrix is sent on after one scan of its words, and then its
+        ones are unpacked from those words alone. Every other matrix runs
+        the blocked float32 product over all of its entries
+        (`_pair_parities`). Near density 1/64 the two routes cost the same
+        per matrix, and in full trials a cut-over there also raised the
+        page faults of the column route's larger buffers.
         """
-        bits = matrix.bits_matrix()
-        pairs = self._pairs
-        cols = bits.any(axis=0)
-        if 2 * np.count_nonzero(cols) < matrix.dim:
-            bits = bits[bits.any(axis=1)][:, cols]
-            pairs = pairs[cols]
-        acc = _pair_parities(bits, pairs)
+        n = self.db.n
+        flat = matrix.packed.ravel()
+        limit = matrix.rows * matrix.dim // _SPARSE
+        if np.count_nonzero(flat) <= limit:
+            nonzero = np.flatnonzero(flat != 0)
+            ones = np.flatnonzero(_word_bits(flat[nonzero]))
+            if ones.size <= limit:
+                rows, words = np.divmod(nonzero[ones >> 6], matrix.packed.shape[1])
+                return _column_parities(self._columns, rows, 64 * words + (ones & 63), n)
+        acc = _pair_parities(matrix.bits_matrix(), self._pairs)
         dists = np.empty(2 * acc.shape[1], dtype=np.intp)
         dists[0::2] = np.count_nonzero(acc & 1, axis=0)
         dists[1::2] = np.count_nonzero(acc & (1 << _SHIFT), axis=0)
-        return dists[: self.db.n]
+        return dists[:n]
 
     def ball(self, i: int) -> frozenset[int]:
-        """Exact ball of radius alpha^i (index top+1 covers the whole base)."""
+        """Exact ball of radius floor(alpha^i) (index top+1 covers the whole base)."""
         return _members(self.balls[i])
 
     def sketch_ball(self, i: int) -> frozenset[int]:

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from annsim.core import (
     CALIBRATED_C1,
@@ -18,6 +19,7 @@ from annsim.core import (
     scale_count,
 )
 from annsim.errors import DimensionMismatch
+from annsim.near_search import near_scale
 
 from conftest import point_from_bits
 
@@ -116,6 +118,56 @@ class TestScaleCount:
         i = scale_count(d, alpha)
         assert alpha**i >= d
         assert i == 1 or alpha ** (i - 1) < d
+
+
+def fraction_grid(gamma: float, d: int, lam: float) -> tuple[int, list[int], int]:
+    """I, floor(alpha^i) for i <= I+1, and the scale of lam clamped to
+    [1, d], from Fraction arithmetic alone, with alpha^2 = min(gamma, 4)."""
+    base = Fraction(min(gamma, 4.0))
+    count = 1
+    while base**count < d * d:
+        count += 1
+    radii = [math.isqrt(math.floor(base**i)) for i in range(count + 2)]
+    bound = Fraction(min(max(lam, 1.0), d)) ** 2
+    scale = 0
+    while base**scale < bound:
+        scale += 1
+    return count, radii, scale
+
+
+class TestExactScales:
+    """Scale decisions in exact arithmetic: sqrt(3)**2 is 2.9999999999999996
+    in floats, so every even power of alpha at gamma = 3 falls just short of
+    the integer 3^(i/2)."""
+
+    @pytest.mark.parametrize("d, count", [(3, 2), (9, 4), (729, 12)])
+    def test_gamma_3_scale_count_at_powers_of_3(self, d, count):
+        assert Params(n=16, d=d, gamma=3.0, k=1).scale_count == count
+
+    def test_gamma_3_radii(self):
+        p = Params(n=16, d=729, gamma=3.0, k=1)
+        assert [p.radius(i) for i in range(7)] == [1, 1, 3, 5, 9, 15, 27]
+
+    @pytest.mark.parametrize("lam, scale", [(3.0, 2), (9.0, 4), (2.9, 2), (3.1, 3), (1.0, 0)])
+    def test_gamma_3_near_scale(self, lam, scale):
+        assert near_scale(lam, Params(n=16, d=729, gamma=3.0, k=1)) == scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=st.floats(1.0, 4.0, exclude_min=True), d=st.integers(2, 2**16),
+           lam=st.floats(0.5, 2.0**17))
+    @example(gamma=3.0, d=729, lam=27.0)
+    @example(gamma=3.0, d=3**10, lam=243.0)
+    @example(gamma=2.0, d=256, lam=16.0)
+    @example(gamma=4.0, d=4096, lam=64.0)
+    @example(gamma=1.21, d=1331, lam=1.331)
+    def test_against_fraction_arithmetic(self, gamma, d, lam):
+        # Grids of at most 300 scales keep the reference's powers small.
+        assume(2 * math.log(d) <= 300 * math.log(gamma) and math.sqrt(gamma) > 1.0)
+        p = Params(n=16, d=d, gamma=gamma, k=1)
+        count, radii, scale = fraction_grid(gamma, d, lam)
+        assert p.scale_count == count
+        assert [p.radius(i) for i in range(count + 2)] == radii
+        assert near_scale(lam, p) == scale
 
 
 class TestParams:

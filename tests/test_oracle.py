@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from annsim.core import Database, Point
+from annsim import _native, oracle, sketch, tables
+from annsim.core import Database, Params, Point
 from annsim.errors import DimensionMismatch
 from annsim.oracle import ScaleSets, check_assumption1, check_assumption2, exact_nn, exact_sets
 from annsim.randomness import coin_for_trial
 from annsim.search_common import query_sketch
+from annsim.sketch import derive_matrix, sketch_rows
 from annsim.tables import main_cell
 
 from conftest import make_instance, make_params, point_from_bits
@@ -117,6 +119,17 @@ class TestExactSets:
         for i in range(params.scale_count + 1):
             assert sets.ball(i) <= sets.ball(i + 1)
 
+    def test_distance_alpha_squared_is_inside_ball_two_at_gamma_3(self, coin):
+        # alpha = sqrt(3) rounds down, so the float alpha**2 is
+        # 2.9999999999999996; the exact radius floor(alpha^2) is 3.
+        x = Point(64, 0)
+        db = Database.from_points([Point(64, 0b111), Point(64, 0b1111), Point(64, 0b1)])
+        params = Params(n=3, d=64, gamma=3.0, k=1, c1=8.0)
+        sets = exact_sets(x, db, coin, params)
+        assert sets.ball(1) == frozenset({2})
+        assert sets.ball(2) == frozenset({0, 2})
+        assert sets.ball(3) == frozenset({0, 1, 2})
+
     def test_candidate_sets_match_virtual_cells(self):
         # Cross-module consistency: emptiness of the independently built
         # candidate set must agree with the virtual table content.
@@ -187,3 +200,38 @@ class TestAssumption2:
             hits += check_assumption1(sets) and check_assumption2(sets)
         assert hits / 40 >= 0.6
 
+
+
+class TestIndependence:
+    """Criterion 9 compares the tables with the oracle, so the oracle must
+    reach none of the table machinery by either of its routes."""
+
+    def test_neither_route_reaches_the_table_kernels(self, monkeypatch):
+        db, x = make_instance(n=32, d=1024, seed=5)
+        params = make_params(n=32, d=1024, s=2.0)
+        coin = coin_for_trial(5, 0, 0)
+        # The generator is one of the kernels: derive every matrix first.
+        for role in ("main", "aux"):
+            for scale in range(params.scale_count + 1):
+                derive_matrix(coin, role, scale, sketch_rows(params, role), 1024, params.alpha)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the table machinery")
+
+        patched = [(_native, "kernels"), (sketch, "sketch_apply_batch"),
+                   (sketch, "sketch_apply_batch_numpy"), (tables, "main_cell"),
+                   (tables, "aux_cell"), (tables, "membership_cell"),
+                   (tables, "cell_content"), (tables, "db_sketch_bits")]
+        for module, name in patched:
+            assert name not in vars(oracle)
+            monkeypatch.setattr(module, name, forbidden)
+        taken = []
+        for name in ("_pair_parities", "_column_parities"):
+            def recording(*args, _real=getattr(oracle, name), _name=name):
+                taken.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(oracle, name, recording)
+        sets = exact_sets(x, db, coin, params)
+        check_assumption1(sets)
+        check_assumption2(sets)
+        assert {"_pair_parities", "_column_parities"} <= set(taken)

@@ -3,10 +3,11 @@
 `reference_oracle` keeps the earlier `ScaleSets`, `check_assumption1` and
 `check_assumption2` verbatim: one full product over every column with the
 query as its own column, frozensets built pair by pair, and an i-major pair
-loop. The production oracle XORs the query into the points, packs two
-points per float32 entry, runs its products in column blocks, skips
-all-zero matrix rows and columns, keeps its sets as boolean masks and
-checks the pairs j-major. Both must give the same sets and verdicts.
+loop. The production oracle XORs the query into the points; a sparse matrix
+XORs the point columns at each row's ones, and a dense one runs a product
+with two points per float32 entry in column blocks. It keeps its sets as
+boolean masks and checks the pairs j-major. Both must give the same sets
+and verdicts.
 """
 
 import random
@@ -64,18 +65,40 @@ def assert_same_verdicts(new, old, n):
         assert check_assumption2(new) == ref.check_assumption2(old, old.s_real, n)
 
 
+def routes(new, bits, monkeypatch):
+    """The routes `new._sketch_dists` takes for one matrix: ("product",
+    matrix shape) for the blocked float32 product and ("columns", ones) for
+    the column route."""
+    taken = []
+    product, columns = oracle._pair_parities, oracle._column_parities
+
+    def recording_product(matrix_bits, pairs):
+        taken.append(("product", matrix_bits.shape))
+        return product(matrix_bits, pairs)
+
+    def recording_columns(point_columns, rows, cols, n):
+        taken.append(("columns", rows.size))
+        return columns(point_columns, rows, cols, n)
+
+    monkeypatch.setattr(oracle, "_pair_parities", recording_product)
+    monkeypatch.setattr(oracle, "_column_parities", recording_columns)
+    new._sketch_dists(matrix_from_bits(bits))
+    return taken
+
+
 def product_shapes(new, bits, monkeypatch):
     """The matrix shapes `new._sketch_dists` hands to the product helper."""
-    shapes = []
-    real = oracle._pair_parities
+    return [shape for route, shape in routes(new, bits, monkeypatch) if route == "product"]
 
-    def recording(matrix_bits, pairs):
-        shapes.append(matrix_bits.shape)
-        return real(matrix_bits, pairs)
 
-    monkeypatch.setattr(oracle, "_pair_parities", recording)
-    new._sketch_dists(matrix_from_bits(bits))
-    return shapes
+def with_ones(rows, d, ones, seed):
+    """A (rows, d) matrix with exactly `ones` ones at random places, the
+    last row nonzero."""
+    rng = np.random.default_rng(seed)
+    bits = np.zeros(rows * d, dtype=bool)
+    bits[rng.choice(rows * d - 1, ones - 1, replace=False)] = True
+    bits[-1] = True
+    return bits.reshape(rows, d)
 
 
 def inject(new, old, balls, cand, aux):
@@ -146,7 +169,7 @@ class TestRandomInstances:
 
 
 class TestSketchDists:
-    """Matrices built by hand, one per edge of the row and column filter."""
+    """Matrices built by hand, one per edge of the choice between the routes."""
 
     D = 64
 
@@ -160,6 +183,10 @@ class TestSketchDists:
     def product_shapes(self, bits, monkeypatch):
         new, _ = both(d=self.D)
         return product_shapes(new, bits, monkeypatch)
+
+    def routes(self, bits, monkeypatch):
+        new, _ = both(d=self.D)
+        return routes(new, bits, monkeypatch)
 
     def half_columns(self):
         rng = np.random.default_rng(5)
@@ -176,10 +203,17 @@ class TestSketchDists:
         bits = self.half_columns()
         assert self.product_shapes(bits, monkeypatch) == [(12, self.D)]
 
-    def test_below_half_runs_on_the_nonzero_rows_and_columns(self, monkeypatch):
-        bits = self.half_columns()
-        bits[:, 0] = False  # D/2 - 1 nonzero columns, row 3 still empty
-        assert self.product_shapes(bits, monkeypatch) == [(11, self.D // 2 - 1)]
+    # 12 rows of 64 columns put the cut-over at 12 * 64 / 256 = 3 ones.
+    @pytest.mark.parametrize("ones, route", [(2, "columns"), (3, "columns"), (4, "product")])
+    def test_cut_over_pins_the_route(self, ones, route, monkeypatch):
+        bits = with_ones(12, self.D, ones, seed=ones)
+        assert [taken for taken, _ in self.routes(bits, monkeypatch)] == [route]
+        self.check(bits)
+
+    def test_ones_in_few_words_still_count_one_by_one(self, monkeypatch):
+        bits = np.zeros((12, self.D), dtype=bool)
+        bits[5, [0, 9, 40, 63]] = True  # one nonzero word, four ones
+        assert self.routes(bits, monkeypatch) == [("product", (12, self.D))]
         self.check(bits)
 
     def test_all_zero_matrix(self):
@@ -245,9 +279,8 @@ class TestBlockEdges:
         for row in bits[:3]:
             self.check(new, old, row[None])
 
-    # At d = 8200 the full product spans five blocks, and the gathered
-    # product of the sparse path spans three, the first of them full.
-    @pytest.mark.parametrize("nonzero, shape", [(4100, (6, 8200)), (4099, (5, 4099))])
+    # At d = 8200 the full product spans five blocks.
+    @pytest.mark.parametrize("nonzero, shape", [(4100, (6, 8200))])
     def test_cut_over_above_two_blocks(self, nonzero, shape, monkeypatch):
         new, old = self.oracles(5, 8200, 0, seed=nonzero)
         bits = np.zeros((6, 8200), dtype=bool)
@@ -255,6 +288,77 @@ class TestBlockEdges:
         bits[0, :nonzero] = True
         assert product_shapes(new, bits, monkeypatch) == [shape]
         self.check(new, old, bits)
+
+    # 6 rows of 8200 columns put the cut-over at 6 * 8200 / 256 = 192.2
+    # ones, with the complement of the query among the points.
+    @pytest.mark.parametrize("ones, route", [(191, "columns"), (192, "columns"),
+                                             (193, "product")])
+    def test_cut_over_pins_the_route_past_two_blocks(self, ones, route, monkeypatch):
+        new, old = self.oracles(5, 8200, 0, seed=ones)
+        bits = with_ones(6, 8200, ones, seed=ones)
+        assert [taken for taken, _ in routes(new, bits, monkeypatch)] == [route]
+        dists = self.check(new, old, bits)
+        assert dists[0] == np.count_nonzero(bits.sum(axis=1) % 2)
+
+
+ROW_KINDS = ("zero", "single", "last word", "sparse", "half")
+
+
+def rows_of(kinds, d, rng):
+    """One matrix row per kind: all zero, a single one, ones only in the
+    last word (partial when 64 does not divide d), a few ones, or about d/2."""
+    bits = np.zeros((len(kinds), d), dtype=bool)
+    last = 64 * ((d - 1) // 64)
+    for row, kind in zip(bits, kinds):
+        if kind == "single":
+            row[rng.integers(d)] = True
+        elif kind == "last word":
+            row[rng.integers(last, d, size=3)] = True
+        elif kind == "sparse":
+            row[rng.integers(d, size=5)] = True
+        elif kind == "half":
+            row[:] = rng.random(d) < 0.5
+    return bits
+
+
+class TestColumnRoute:
+    """The column route against the reference over the shapes its words
+    pad: n around multiples of 64 (the last point word), d around them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 63, 64, 65, 127, 128]),
+        d=st.one_of(st.integers(7, 200), st.sampled_from([64, 128, 4097])),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=12),
+        last_nonzero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=65, d=4097, kinds=["zero"] * 4, last_nonzero=False, seed=0)
+    @example(n=128, d=4097, kinds=["last word", "zero", "single"], last_nonzero=True, seed=1)
+    @example(n=1, d=70, kinds=["last word"], last_nonzero=True, seed=2)
+    @example(n=63, d=200, kinds=["single", "zero", "sparse", "zero"], last_nonzero=True, seed=3)
+    def test_distances_match_the_reference(self, n, d, kinds, last_nonzero, seed):
+        assume(n <= 2**d)
+        db, x = gen_database(n, d, DatasetSpec(), seed)
+        coin = PublicCoin(seed)
+        params = Params(n=n, d=d, gamma=4.0, k=1, c1=1.0, c2=1.0, s=2.0)
+        new = exact_sets(x, db, coin, params)
+        old = ref.ScaleSets(x, db, coin, params, s_real=2.0)
+        rng = np.random.default_rng(seed)
+        bits = rows_of(kinds, d, rng)
+        if last_nonzero:
+            bits[-1, rng.integers(d)] = True
+        m = matrix_from_bits(bits)
+        ones = np.count_nonzero(bits)
+        expected = "columns" if 256 * ones <= bits.size else "product"
+        with pytest.MonkeyPatch.context() as patch:
+            assert [route for route, _ in routes(new, bits, patch)] == [expected]
+        assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
+        # Every matrix through the column route, however dense.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_SPARSE", 1)
+            assert routes(new, bits, patch) == [("columns", ones)]
+            assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
 
 
 class TestFailureSites:
