@@ -10,7 +10,14 @@ minutes per round budget at d = 2^16; the per-trial cost is dominated by
 deriving fresh sketch matrices for each trial's coin).
 """
 
-from annsim import ExperimentConfig, run_experiment, summarize, tau_simple
+from annsim import (
+    ExperimentConfig,
+    Params,
+    branching_factor,
+    probe_bound_simple,
+    run_experiment,
+    summarize,
+)
 
 TRIALS = 20
 D, N = 2**16, 256
@@ -23,8 +30,9 @@ for k in (1, 2, 3):
         c1=8.0, c2=8.0, check_assumptions=False,
     )
     stats = summarize(run_experiment(cfg))
-    tau = tau_simple(k, D, 2.0)
-    bound = (tau - 1) * (k - 1) + tau + 2
+    params = Params(n=N, d=D, gamma=4.0, k=k)
+    tau = branching_factor(k, params.scale_count)
+    bound = probe_bound_simple(params)
     print(
         f"{k:>3} {tau:>5} {bound:>12} {stats['mean_probes']:>12.2f} "
         f"{stats['mean_rounds']:>12.2f} {stats['success_rate']:>9.3f}"

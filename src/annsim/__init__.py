@@ -14,13 +14,12 @@ from .alg_general import (
     probe_bound_general,
     run_general,
 )
-from .alg_simple import probe_bound_simple, run_simple, tau_simple
+from .alg_simple import branching_factor, probe_bound_simple, run_simple
 from .core import (
     Database,
     Params,
     Point,
     hamming_dist,
-    scale_count,
 )
 from .errors import (
     AnnSimError,
@@ -57,7 +56,6 @@ from .randomness import PublicCoin, coin_for_trial
 from .sketch import (
     SketchMatrix,
     decision_threshold,
-    delta_threshold,
     derive_matrix,
     row_collision_prob,
     sketch_apply,
@@ -97,13 +95,13 @@ __all__ = [
     "assumption1_failure",
     "assumption2_failure",
     "aux_cell",
+    "branching_factor",
     "build_group_addresses",
     "calibrate",
     "check_assumption1",
     "check_assumption2",
     "coin_for_trial",
     "decision_threshold",
-    "delta_threshold",
     "derive_matrix",
     "exact_nn",
     "exact_sets",
@@ -119,11 +117,9 @@ __all__ = [
     "run_general",
     "run_near",
     "run_simple",
-    "scale_count",
     "selftest",
     "sketch_apply",
     "summarize",
     "table_metadata",
-    "tau_simple",
     "write_csv",
 ]

@@ -13,7 +13,7 @@ dispose of the exact-match and distance-1 degenerate cases.
 
 from __future__ import annotations
 
-from .core import Params, Point, scale_count
+from .core import Params, Point
 from .probe_engine import ProbeSession
 from .search_common import (
     completion_round,
@@ -22,13 +22,6 @@ from .search_common import (
     scale_grid,
     search_round,
 )
-
-
-def tau_simple(k: int, d: int, alpha: float) -> int:
-    """Smallest integer tau >= 2 with tau * (tau/2)^(k-1) >= ceil(log_alpha d)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return branching_factor(k, scale_count(d, alpha))
 
 
 def branching_factor(k: int, count: int) -> int:

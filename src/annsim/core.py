@@ -36,9 +36,6 @@ class Point:
         if not (self.value >= 0 and self.value.bit_length() <= self.dim):
             raise ValueError("point has bits set beyond its dimension")
 
-    def bit(self, j: int) -> int:
-        return (self.value >> j) & 1
-
     def packed(self) -> np.ndarray:
         """Little-endian uint64 words; bits above dim are zero."""
         raw = self.value.to_bytes(8 * ((self.dim + 63) // 64), "little")
@@ -164,20 +161,6 @@ def first_scale(bound: float, alpha_sq: Fraction) -> int:
     while i > 0 and _reaches(alpha_sq, i - 1, bound):
         i -= 1
     return i
-
-
-def scale_count(d: int, alpha: float) -> int:
-    """Largest scale index: the smallest I with alpha**I >= d.
-
-    Equals ceil(log_alpha(d)), decided exactly for the value of `alpha`
-    (see `first_scale`), so exact powers (e.g. d=256, alpha=2) do not fall
-    victim to log rounding. `Params` decides it from the exact alpha^2.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2 to define the scale grid")
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError("alpha must be in (1, 2]")
-    return first_scale(d, Fraction(alpha) ** 2)
 
 
 # Sketch-row factors established by `annsim calibrate --n 256 --d 128

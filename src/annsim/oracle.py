@@ -11,9 +11,9 @@ meaningful).
 The query is XORed into every database point first. The row sums of the
 unpacked XOR are the exact distances, and the sketches of p and x differ in
 row r exactly when row r has odd parity with p XOR x. A matrix takes one of
-two routes to those parities, chosen by its number of ones:
+two routes to those parities, chosen by its number of nonzero 64-bit words:
 
-- Sparse (at most one in 256 entries set): the ones are found from the
+- Sparse (at most one in four words nonzero): the ones are found from the
   matrix's nonzero words, and row r's parities with all n points are the
   XOR of the columns of p XOR x at row r's ones, stored as (d, ceil(n/64))
   words, so one word XOR serves 64 points.
@@ -73,8 +73,9 @@ def _pair_parities(matrix_bits: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return acc
 
 
-# A matrix with at most one in _SPARSE entries set takes the column route.
-_SPARSE = 256
+# A matrix with at most one in _SPARSE of its 64-bit words nonzero takes
+# the column route.
+_SPARSE = 4
 
 
 def _word_bits(words: np.ndarray) -> np.ndarray:
@@ -163,24 +164,22 @@ class ScaleSets:
     def _sketch_dists(self, matrix) -> np.ndarray:
         """Sketch distance from the query to every database point under `matrix`.
 
-        A matrix with at most one in _SPARSE entries set takes the column
-        route (`_column_parities`): its nonzero words are counted first, so
-        a dense matrix is sent on after one scan of its words, and then its
-        ones are unpacked from those words alone. Every other matrix runs
-        the blocked float32 product over all of its entries
-        (`_pair_parities`). Near density 1/64 the two routes cost the same
-        per matrix, and in full trials a cut-over there also raised the
-        page faults of the column route's larger buffers.
+        A matrix with at most one in _SPARSE of its words nonzero takes the
+        column route (`_column_parities`): one count of its nonzero words
+        decides, and only then are its ones unpacked from those words. Every
+        other matrix runs the blocked float32 product over all of its
+        entries (`_pair_parities`). At d = 4096 a quarter of the words is
+        one in 256 entries; a cut-over at one in 64 entries was slower in
+        full trials, from the page faults of the column route's larger
+        buffers.
         """
         n = self.db.n
         flat = matrix.packed.ravel()
-        limit = matrix.rows * matrix.dim // _SPARSE
-        if np.count_nonzero(flat) <= limit:
-            nonzero = np.flatnonzero(flat != 0)
+        if _SPARSE * np.count_nonzero(flat) <= flat.size:
+            nonzero = np.flatnonzero(flat)
             ones = np.flatnonzero(_word_bits(flat[nonzero]))
-            if ones.size <= limit:
-                rows, words = np.divmod(nonzero[ones >> 6], matrix.packed.shape[1])
-                return _column_parities(self._columns, rows, 64 * words + (ones & 63), n)
+            rows, words = np.divmod(nonzero[ones >> 6], matrix.packed.shape[1])
+            return _column_parities(self._columns, rows, 64 * words + (ones & 63), n)
         acc = _pair_parities(matrix.bits_matrix(), self._pairs)
         dists = np.empty(2 * acc.shape[1], dtype=np.intp)
         dists[0::2] = np.count_nonzero(acc & 1, axis=0)

@@ -14,15 +14,17 @@ beta = alpha^i are
     f(beta)       = (1 - Delta) / 2          (points inside the ball)
     f(alpha*beta) = (1 - Delta^alpha) / 2    (points past the next ball)
 
-`delta_threshold` is the closed-form width of the gap between them,
-delta_threshold = f(alpha*beta) - f(beta); `decision_threshold` is their
-midpoint, which is the fraction the cell tables actually compare against:
-a measured row-disagreement fraction below the midpoint classifies a pair
-as near, above as far, and Chernoff concentration makes either
-misclassification exponentially unlikely in the row count. (Thresholding at
-the gap value itself would sit below f(beta) and misclassify points at
-distance exactly beta almost surely; see the repository notes on
-calibration.)
+The gap between them has the closed form
+
+    f(alpha*beta) - f(beta) = Delta * (1 - Delta^(alpha-1)) / 2,
+
+and `decision_threshold` is their midpoint, which is the fraction the cell
+tables actually compare against: a measured row-disagreement fraction below
+the midpoint classifies a pair as near, above as far, and Chernoff
+concentration makes either misclassification exponentially unlikely in the
+row count. (Thresholding at the gap value itself would sit below f(beta)
+and misclassify points at distance exactly beta almost surely; see the
+repository notes on calibration.)
 
 Matrices are never materialized up front: every row is a counter-based pure
 function of (seed, role, scale, row), so the virtual-table side and the
@@ -48,20 +50,6 @@ def row_collision_prob(lam: float, h: float) -> float:
     if h < 0:
         raise ValueError("distance must be >= 0")
     return 0.5 * (1.0 - (1.0 - 1.0 / (2.0 * lam)) ** h)
-
-
-def delta_threshold(beta: float, alpha: float) -> float:
-    """Width of the separation gap at rate parameter beta.
-
-    Closed form: 1/2 * (1-1/(2*beta))^beta * [1 - (1-1/(2*beta))^((alpha-1)*beta)].
-    Zero when alpha = 1 (no gap to separate), strictly positive for alpha > 1.
-    """
-    if beta < 1:
-        raise ValueError("beta must be >= 1 (scale 0 has beta = 1)")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    base = 1.0 - 1.0 / (2.0 * beta)
-    return 0.5 * base**beta * (1.0 - base ** ((alpha - 1.0) * beta))
 
 
 def decision_threshold(beta: float, alpha: float) -> float:
@@ -103,6 +91,8 @@ class SketchMatrix:
         if self.packed.shape != (self.rows, (self.dim + 63) // 64):
             raise ValueError(f"packed words {self.packed.shape} do not match "
                              f"{self.rows} rows of dim {self.dim}")
+        if self.dim % 64 and (self.packed[:, -1] >> np.uint64(self.dim % 64)).any():
+            raise ValueError(f"packed words have bits set beyond dim {self.dim}")
 
     def bits_matrix(self) -> np.ndarray:
         """All entries unpacked: (rows, dim) uint8."""

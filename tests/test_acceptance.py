@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from annsim.alg_general import probe_bound_general, run_general
-from annsim.alg_simple import probe_bound_simple, tau_simple
+from annsim.alg_simple import branching_factor, probe_bound_simple
 from annsim.core import Params, Point, fraction_at_most, hamming_dist
 from annsim.errors import AssumptionViolated
 from annsim.harness import (
@@ -206,7 +206,8 @@ def test_criterion_6_round_probe_tradeoff():
             seed=777, c1=8.0, c2=8.0, check_assumptions=False,
         )
         means[k] = summarize(run_experiment(cfg))["mean_probes"]
-    taus = tuple(tau_simple(k, 2**16, 2.0) for k in (1, 2, 3))
+    taus = tuple(branching_factor(k, Params(n=256, d=2**16, gamma=4.0, k=k).scale_count)
+                 for k in (1, 2, 3))
     ok = report(
         6, "round/probe tradeoff trend",
         means[1] > means[2] > means[3] and taus == (16, 6, 4),

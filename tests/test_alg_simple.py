@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from annsim import alg_simple, probe_engine
-from annsim.alg_simple import probe_bound_simple, run_simple, tau_simple
-from annsim.core import Point, hamming_dist
+from annsim.alg_simple import branching_factor, probe_bound_simple, run_simple
+from annsim.core import Params, Point, hamming_dist
 from annsim.errors import AssumptionViolated
 from annsim.harness import DatasetSpec
 from annsim.oracle import check_assumption1, exact_nn, exact_sets
@@ -17,28 +17,30 @@ from conftest import make_instance, make_params
 
 
 class TestTauSimple:
+    """The simple search's tau, `branching_factor(k, count)`, fed scale
+    counts straight in."""
+
     def test_single_round(self):
-        assert tau_simple(1, 256, 2.0) == 8
+        assert branching_factor(1, 8) == 8
 
     def test_two_rounds(self):
         # 6 * 3 = 18 >= 16 while 5 * 2.5 = 12.5 < 16
-        assert tau_simple(2, 2**16, 2.0) == 6
+        assert branching_factor(2, 16) == 6
 
     def test_three_rounds(self):
         # 4 * 4 = 16 >= 16 while 3 * 2.25 = 6.75 < 16
-        assert tau_simple(3, 2**16, 2.0) == 4
+        assert branching_factor(3, 16) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("d", [4, 16, 256, 10_000, 2**18])
     def test_minimality(self, k, d):
-        from annsim.core import scale_count
-
-        tau = tau_simple(k, d, 2.0)
-        target = scale_count(d, 2.0) << (k - 1)
+        count = Params(n=2, d=d, gamma=4.0, k=k).scale_count
+        tau = branching_factor(k, count)
+        target = count << (k - 1)
         assert tau**k >= target
         assert tau == 2 or (tau - 1) ** k < target
 
-    def test_clamped_k_matches_the_unclamped_formula(self, monkeypatch):
+    def test_clamped_k_matches_the_unclamped_formula(self):
         def unclamped(k, count):
             target = count << (k - 1)
             tau = 2
@@ -46,13 +48,11 @@ class TestTauSimple:
                 tau += 1
             return tau
 
-        # Feed scale counts straight in: scale_count(d, alpha) is d here.
-        monkeypatch.setattr(alg_simple, "scale_count", lambda d, alpha: d)
         mismatches = [(count, k) for count in range(1, 3000) for k in range(2, 160)
-                      if tau_simple(k, count, 2.0) != unclamped(k, count)]
+                      if branching_factor(k, count) != unclamped(k, count)]
         assert mismatches == []
-        assert tau_simple(10**30, 3000, 2.0) == unclamped(159, 3000) == 3
-        assert tau_simple(10**30, 2, 2.0) == 2
+        assert branching_factor(10**30, 3000) == unclamped(159, 3000) == 3
+        assert branching_factor(10**30, 2) == 2
 
 
 def run_one(db, x, params, seed=0):
@@ -106,7 +106,7 @@ class TestRoundStructure:
     def test_gap_shrinks_per_round(self):
         db, x = make_instance(n=32, d=2**14, seed=6)
         params = make_params(n=32, d=2**14, k=3, c1=16.0)
-        tau = tau_simple(3, 2**14, params.alpha)
+        tau = branching_factor(3, params.scale_count)
         _, transcript, _ = run_one(db, x, params, seed=6)
         windows = transcript.windows + [transcript.final_window]
         for (l0, u0), (l1, u1) in zip(windows, windows[1:]):

@@ -16,7 +16,6 @@ from annsim.core import (
     fraction_at_most,
     hamming_dist,
     pack_words,
-    scale_count,
 )
 from annsim.errors import DimensionMismatch
 from annsim.near_search import near_scale
@@ -25,7 +24,7 @@ from conftest import point_from_bits
 
 
 def naive_hamming(p: Point, q: Point) -> int:
-    return sum(p.bit(j) != q.bit(j) for j in range(p.dim))
+    return sum((p.value >> j) & 1 != (q.value >> j) & 1 for j in range(p.dim))
 
 
 class TestHammingDist:
@@ -99,25 +98,21 @@ class TestPoint:
 
 
 class TestScaleCount:
+    """I = ceil(log_alpha d), from `Params.scale_count` alone."""
+
     def test_exact_power(self):
-        assert scale_count(256, 2.0) == 8
+        assert Params(n=2, d=256, gamma=4.0, k=1).scale_count == 8
 
     def test_between_powers(self):
-        assert scale_count(1000, 2.0) == 10
+        assert Params(n=2, d=1000, gamma=4.0, k=1).scale_count == 10
 
     def test_fractional_alpha(self):
         # ln 100 / ln 1.5 = 11.357...
-        assert scale_count(100, 1.5) == 12
+        assert Params(n=2, d=100, gamma=2.25, k=1).scale_count == 12
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
-            scale_count(1, 2.0)
-
-    @given(st.integers(2, 10**6), st.floats(1.01, 2.0))
-    def test_bracketing_property(self, d, alpha):
-        i = scale_count(d, alpha)
-        assert alpha**i >= d
-        assert i == 1 or alpha ** (i - 1) < d
+            Params(n=2, d=1, gamma=4.0, k=1)
 
 
 def fraction_grid(gamma: float, d: int, lam: float) -> tuple[int, list[int], int]:

@@ -91,14 +91,19 @@ def product_shapes(new, bits, monkeypatch):
     return [shape for route, shape in routes(new, bits, monkeypatch) if route == "product"]
 
 
-def with_ones(rows, d, ones, seed):
-    """A (rows, d) matrix with exactly `ones` ones at random places, the
-    last row nonzero."""
+def with_words(rows, d, words, seed):
+    """A (rows, d) matrix with exactly `words` nonzero 64-bit words at random
+    places, the last word included, each holding one to four ones."""
     rng = np.random.default_rng(seed)
-    bits = np.zeros(rows * d, dtype=bool)
-    bits[rng.choice(rows * d - 1, ones - 1, replace=False)] = True
-    bits[-1] = True
-    return bits.reshape(rows, d)
+    per_row = -(-d // 64)
+    bits = np.zeros((rows, 64 * per_row), dtype=bool)
+    last = rows * per_row - 1
+    for slot in np.append(rng.choice(last, words - 1, replace=False), last):
+        r, w = divmod(int(slot), per_row)
+        width = min(64, d - 64 * w)
+        ones = rng.integers(1, min(4, width) + 1)
+        bits[r, 64 * w + rng.choice(width, ones, replace=False)] = True
+    return bits[:, :d]
 
 
 def inject(new, old, balls, cand, aux):
@@ -203,17 +208,18 @@ class TestSketchDists:
         bits = self.half_columns()
         assert self.product_shapes(bits, monkeypatch) == [(12, self.D)]
 
-    # 12 rows of 64 columns put the cut-over at 12 * 64 / 256 = 3 ones.
-    @pytest.mark.parametrize("ones, route", [(2, "columns"), (3, "columns"), (4, "product")])
-    def test_cut_over_pins_the_route(self, ones, route, monkeypatch):
-        bits = with_ones(12, self.D, ones, seed=ones)
+    # 12 rows of 64 columns hold 12 words and put the cut-over at 3
+    # nonzero words.
+    @pytest.mark.parametrize("words, route", [(2, "columns"), (3, "columns"), (4, "product")])
+    def test_cut_over_pins_the_route(self, words, route, monkeypatch):
+        bits = with_words(12, self.D, words, seed=words)
         assert [taken for taken, _ in self.routes(bits, monkeypatch)] == [route]
         self.check(bits)
 
-    def test_ones_in_few_words_still_count_one_by_one(self, monkeypatch):
+    def test_ones_in_one_word_take_the_column_route(self, monkeypatch):
         bits = np.zeros((12, self.D), dtype=bool)
         bits[5, [0, 9, 40, 63]] = True  # one nonzero word, four ones
-        assert self.routes(bits, monkeypatch) == [("product", (12, self.D))]
+        assert self.routes(bits, monkeypatch) == [("columns", 4)]
         self.check(bits)
 
     def test_all_zero_matrix(self):
@@ -289,13 +295,14 @@ class TestBlockEdges:
         assert product_shapes(new, bits, monkeypatch) == [shape]
         self.check(new, old, bits)
 
-    # 6 rows of 8200 columns put the cut-over at 6 * 8200 / 256 = 192.2
-    # ones, with the complement of the query among the points.
-    @pytest.mark.parametrize("ones, route", [(191, "columns"), (192, "columns"),
-                                             (193, "product")])
-    def test_cut_over_pins_the_route_past_two_blocks(self, ones, route, monkeypatch):
-        new, old = self.oracles(5, 8200, 0, seed=ones)
-        bits = with_ones(6, 8200, ones, seed=ones)
+    # 6 rows of 8190 columns (four blocks, the last word partial) hold
+    # 6 * 128 words and put the cut-over at 192 nonzero words, with the
+    # complement of the query among the points.
+    @pytest.mark.parametrize("words, route", [(191, "columns"), (192, "columns"),
+                                              (193, "product")])
+    def test_cut_over_pins_the_route_past_two_blocks(self, words, route, monkeypatch):
+        new, old = self.oracles(5, 8190, 0, seed=words)
+        bits = with_words(6, 8190, words, seed=words)
         assert [taken for taken, _ in routes(new, bits, monkeypatch)] == [route]
         dists = self.check(new, old, bits)
         assert dists[0] == np.count_nonzero(bits.sum(axis=1) % 2)
@@ -350,7 +357,7 @@ class TestColumnRoute:
             bits[-1, rng.integers(d)] = True
         m = matrix_from_bits(bits)
         ones = np.count_nonzero(bits)
-        expected = "columns" if 256 * ones <= bits.size else "product"
+        expected = "columns" if 4 * np.count_nonzero(m.packed) <= m.packed.size else "product"
         with pytest.MonkeyPatch.context() as patch:
             assert [route for route, _ in routes(new, bits, patch)] == [expected]
         assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))

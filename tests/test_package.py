@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REMOVED = ["open_session", "probe_round", "close_session", "SearchState", "EMPTY",
            "DataPoint", "SmallInt", "SketchVector", "NearAnswer", "NO", "SearchTrace",
            "GeneralParams", "override_params", "is_gamma_approx", "save_database",
-           "load_database"]
+           "load_database", "scale_count", "tau_simple", "delta_threshold"]
 DEMOS = ["near_neighbor", "phased_search", "round_tradeoff", "sketch_separation"]
 
 

@@ -12,7 +12,6 @@ from annsim.randomness import coin_for_trial
 from annsim.sketch import (
     SketchMatrix,
     decision_threshold,
-    delta_threshold,
     derive_matrix,
     row_collision_prob,
     sketch_apply,
@@ -39,25 +38,33 @@ def mp_delta(beta, alpha):
         )
 
 
+def landmark_gap(beta, alpha):
+    """f(alpha*beta) - f(beta) for f = row_collision_prob at rate beta."""
+    return row_collision_prob(beta, alpha * beta) - row_collision_prob(beta, beta)
+
+
 class TestDeltaThreshold:
+    """The gap between the landmarks against the module docstring's closed
+    form, Delta * (1 - Delta^(alpha-1)) / 2 with Delta = (1-1/(2*beta))^beta."""
+
     def test_beta_one(self):
-        assert delta_threshold(1, 2) == 0.125
+        assert landmark_gap(1, 2) == 0.125
 
     def test_beta_two_high_precision(self):
-        assert delta_threshold(2, 2) == pytest.approx(0.123046875, abs=1e-15)
-        assert delta_threshold(2, 2) == pytest.approx(mp_delta(2, 2), abs=1e-15)
+        assert landmark_gap(2, 2) == pytest.approx(0.123046875, abs=1e-15)
+        assert landmark_gap(2, 2) == pytest.approx(mp_delta(2, 2), abs=1e-15)
 
     def test_alpha_one_vanishes(self):
-        assert delta_threshold(5, 1) == 0.0
+        assert landmark_gap(5, 1) == 0.0
 
     def test_beta_below_one_rejected(self):
         with pytest.raises(ValueError):
-            delta_threshold(0.5, 2)
+            landmark_gap(0.5, 2)
 
     @pytest.mark.parametrize("beta", [1, 1.5, 4, 64, 1e6])
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
     def test_strictly_inside_unit_interval(self, beta, alpha):
-        v = delta_threshold(beta, alpha)
+        v = landmark_gap(beta, alpha)
         assert 0 < v < 0.5
         # float64 pow at beta ~ 1e6 carries ~1e-11 relative error
         assert v == pytest.approx(mp_delta(beta, alpha), rel=1e-9)
@@ -72,7 +79,7 @@ class TestDecisionThreshold:
         mid = decision_threshold(beta, alpha)
         assert near < mid < far
         # The gap formula is exactly the distance between the landmarks.
-        assert far - near == pytest.approx(delta_threshold(beta, alpha), abs=1e-15)
+        assert far - near == pytest.approx(mp_delta(beta, alpha), abs=1e-15)
 
 
 class TestThreshold:
@@ -315,6 +322,18 @@ def test_packed_words_must_match_rows_and_dim(shape):
     # sketch with a short row's first word only, the C one read past its end.
     with pytest.raises(ValueError, match="do not match"):
         SketchMatrix(rows=2, dim=128, packed=np.ones(shape, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("bit", [70, 74, 127])
+def test_bits_above_dim_are_refused(bit):
+    # The oracle's column route would index a column past dim, and its
+    # dense route would drop the bit.
+    packed = np.zeros((4, 2), dtype=np.uint64)
+    packed[3, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+    with pytest.raises(ValueError, match="beyond dim 70"):
+        SketchMatrix(rows=4, dim=70, packed=packed)
+    packed[3, 1] = np.uint64(1) << np.uint64(69 - 64)
+    assert SketchMatrix(rows=4, dim=70, packed=packed).bits_matrix()[3, 69] == 1
 
 
 class TestMatrixCache:
