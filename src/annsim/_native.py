@@ -125,7 +125,9 @@ def _build() -> tuple:
         with open(src, "w", encoding="ascii") as fh:
             fh.write(_C_SOURCE % {"golden": _GOLDEN, "mix1": _MIX1, "mix2": _MIX2})
         try:
-            built = subprocess.run([cc, "-O3", "-march=native", "-shared", "-fPIC", "-o", lib, src],
+            # gcc defaults to 256-bit vectors even where the host has 512-bit ones.
+            built = subprocess.run([cc, "-O3", "-march=native", "-mprefer-vector-width=512",
+                                    "-shared", "-fPIC", "-o", lib, src],
                                    capture_output=True, text=True, timeout=120)
         except (OSError, subprocess.SubprocessError) as exc:
             return None, f"numpy (cc could not run: {exc})"

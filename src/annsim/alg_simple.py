@@ -31,6 +31,8 @@ def branching_factor(k: int, count: int) -> int:
     integer arithmetic. From k = 2 * count.bit_length() + 2 on, tau is at
     its floor (3, or 2 when count <= 2), so a larger k is clamped to that one.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, 2 * count.bit_length() + 2)
     target = count << (k - 1)
     tau = 2

@@ -54,6 +54,11 @@ class TestTauSimple:
         assert branching_factor(10**30, 3000) == unclamped(159, 3000) == 3
         assert branching_factor(10**30, 2) == 2
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            branching_factor(k, 5)
+
 
 def run_one(db, x, params, seed=0):
     coin = coin_for_trial(seed, 0, 0)
