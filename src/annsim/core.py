@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,12 @@ class Params:
     factor tau (see `alg_general.params_general`); they stay None elsewhere.
     s is real-valued in the thresholds and rounded in the group sizes
     (`s_int`).
+
+    The sketch row counts `r_main` and `r_aux` are computed on first read
+    and kept; `replace` builds a new record, which computes them afresh.
+    They are not computed in `__post_init__`: a count that overflows (c1 *
+    log2 n = inf) must reach `harness.validate_config`, which reports the
+    matrix size, instead of failing the construction.
     """
 
     n: int
@@ -231,7 +238,7 @@ class Params:
         object.__setattr__(self, "alpha_sq", alpha_sq)
         object.__setattr__(self, "scale_count", first_scale(self.d, alpha_sq))
 
-    @property
+    @cached_property
     def r_main(self) -> int:
         """Row count of main sketch matrices: ceil(c1 * log2 n)."""
         return max(1, math.ceil(self.c1 * math.log2(max(self.n, 2))))
@@ -241,7 +248,7 @@ class Params:
         """The refinement depth as a group size: s rounded, at least 1."""
         return max(1, round(self._refinement_depth()))
 
-    @property
+    @cached_property
     def r_aux(self) -> int:
         """Row count of auxiliary sketch matrices: ceil((c2/s) * log2 n)."""
         return max(1, math.ceil(self.c2 / self._refinement_depth() * math.log2(max(self.n, 2))))
@@ -261,11 +268,20 @@ class Params:
         return nearest if _reaches(self.alpha_sq, i, nearest) else nearest - 1
 
 
+# Inside fraction_at_most's float band, s = a/b is used exactly while a and
+# b are at most this; an s such as Fraction(4.1) has a 2^-50 denominator,
+# and the band then resolves toward True.
+_EXACT_TERMS = 1 << 10
+
+
 def fraction_at_most(part: int, whole: int, n: int, s_real: float, factor: float = 1.0) -> bool:
     """Whether part <= factor * n^(-1/s) * whole, ties resolved toward True.
 
-    Compared in log space with a small guard band so exact boundary cases
-    (e.g. part = whole / 16 with n^(1/s) = 16) never flip on float noise.
+    Compared in log space. Within 1e-9 of equality, where float noise could
+    flip the answer, s = a/b is taken exactly as `Fraction(s)` and the
+    comparison part^a * n^b <= (factor * whole)^a is made in integers, so
+    exact boundary cases (e.g. part = whole / 16 with n^(1/s) = 16) hold and
+    near misses fail.
     """
     if part <= 0:
         return True
@@ -273,4 +289,10 @@ def fraction_at_most(part: int, whole: int, n: int, s_real: float, factor: float
         return False
     lhs = math.log(part) + math.log(n) / s_real
     rhs = math.log(factor) + math.log(whole)
-    return lhs <= rhs + 1e-9
+    if abs(lhs - rhs) > 1e-9:
+        return lhs < rhs
+    s, f = Fraction(s_real), Fraction(factor)
+    a, b = s.numerator, s.denominator
+    if max(a, b) > _EXACT_TERMS:
+        return True
+    return part**a * n**b * f.denominator**a <= (f.numerator * whole) ** a

@@ -471,13 +471,12 @@ def selftest(verbose: bool = True) -> bool:
             failures.append(name)
 
     from . import _native
-    from .randomness import bernoulli_matrix, bernoulli_matrix_numpy
+    from .randomness import bernoulli_matrix, bernoulli_matrix_numpy, raw64_block, raw64_block_numpy
     from .sketch import SketchMatrix, derive_matrix, sketch_apply_batch, sketch_apply_batch_numpy
-    from .tables import main_cell
-    from .search_common import query_sketch
 
     # The numpy fallback is a supported path, not a failure; loaded C kernels
-    # must give the numpy kernels' bits, packed into words.
+    # must give the numpy kernels' bits, packed into words. Each check draws
+    # its inputs without the other C kernels, so a wrong kernel fails alone.
     path = _native.status()
     if verbose:
         print(f"  kernels: {path}")
@@ -490,16 +489,45 @@ def selftest(verbose: bool = True) -> bool:
                                pack_words(bernoulli_matrix_numpy(keys, 130, p)))
                 for p in (0.25, 0.3)),
         )
-        # Dense rows (scale 0), rows with few nonzero words (scale 6) and an
-        # all-zero row: 81 rows, so each point's sketch fills two words.
-        db, _ = trial_instance(coin.seed, 0, 20, 300, DatasetSpec())
+        check(
+            "native stream words match numpy",
+            all(np.array_equal(raw64_block(coin.seed, start, count),
+                               raw64_block_numpy(coin.seed, start, count))
+                for start in (0, 5, 2**32 + 1, 2**63) for count in (0, 1, 65)),
+        )
+        # 40 points, one full tile of 32 and a tail of 8, against dense rows
+        # (scale 0), rows with few nonzero words (scale 6) and an all-zero
+        # row: 81 rows, so each point's sketch fills two words.
+        words = raw64_block_numpy(coin.seed, 0, 40 * 5).reshape(40, 5)
+        words[:, -1] &= np.uint64((1 << 44) - 1)
+        db = Database(words, 300)
         packed = np.vstack([derive_matrix(coin, "main", scale, 40, 300, 2.0).packed
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
         m = SketchMatrix(rows=81, dim=300, packed=packed)
         check(
             "native sketch kernel matches the numpy kernel",
-            np.array_equal(sketch_apply_batch(m, db), pack_words(sketch_apply_batch_numpy(m, db))),
+            np.array_equal(sketch_apply_batch(m, db),
+                           pack_words(sketch_apply_batch_numpy(m, db.words))),
         )
+    saved = _native._state
+    if failures:
+        # A wrong C kernel has its FAIL line above. The checks below are of
+        # the simulator, so they run on the numpy kernels.
+        _native._state = (None, "numpy (a C kernel failed the self-test)")
+    try:
+        _simulator_checks(check)
+    finally:
+        _native._state = saved
+    return not failures
+
+
+def _simulator_checks(check) -> None:
+    """The self-test's checks of the simulator, each reported by `check`."""
+    from .search_common import query_sketch
+    from .sketch import derive_matrix
+    from .tables import main_cell
+
+    coin = coin_for_trial(1234, 0, 0)
     m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
     check("matrix derivation is deterministic", (m1.packed == m2.packed).all())
@@ -534,5 +562,3 @@ def selftest(verbose: bool = True) -> bool:
     near_recs = run_experiment(near_cfg)
     check("near search uses exactly one probe", all(r.probes_total == 1 for r in near_recs))
     check("near search uses exactly one round", all(r.rounds_used == 1 for r in near_recs))
-
-    return not failures

@@ -5,7 +5,7 @@ machinery: exact nearest neighbors by a popcount scan of the database words,
 exact distance balls from the unpacked bits with the exact integer radii
 floor(alpha^i), and the sketch-based candidate sets rebuilt from the raw
 matrices by routes of their own (deliberately different from the packed
-popcount kernels the tables use, so cross-checks between the two are
+parity kernels the tables use, so cross-checks between the two are
 meaningful).
 
 The query is XORed into every database point first. The row sums of the

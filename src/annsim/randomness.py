@@ -64,8 +64,20 @@ def raw64(key: int, n: int) -> int:
 def raw64_block(key: int, start: int, count: int) -> np.ndarray:
     """Words start..start+count-1 of the stream, vectorized.
 
-    Bit-identical to calling :func:`raw64` count times.
+    Bit-identical to calling :func:`raw64` count times. The C twin of
+    :func:`raw64_block_numpy` writes them where the C kernels load (see
+    :mod:`annsim._native`); elsewhere the numpy kernel runs.
     """
+    native = _native.kernels()
+    if native is None:
+        return raw64_block_numpy(key, start, count)
+    out = np.empty(count, dtype=np.uint64)
+    native.raw64_block((key + (start + 1) * _GOLDEN) & _MASK64, count, out)
+    return out
+
+
+def raw64_block_numpy(key: int, start: int, count: int) -> np.ndarray:
+    """The numpy kernel of :func:`raw64_block`, and the reference for its C twin."""
     x = np.arange(count, dtype=np.uint64)
     x *= np.uint64(_GOLDEN)
     x += np.uint64((key + (start + 1) * _GOLDEN) & _MASK64)

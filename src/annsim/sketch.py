@@ -136,12 +136,13 @@ _COIN_MATRICES: dict[int, dict] = {}
 
 
 def sketch_apply(matrix: SketchMatrix, p: Point) -> Point:
-    """GF(2) product, a point of the rows-dimensional cube: bit r is parity(row_r AND p)."""
+    """GF(2) product, a point of the rows-dimensional cube: bit r is
+    parity(row_r AND p). The point's words run as one column through the
+    kernel of :func:`sketch_apply_batch`."""
     if matrix.dim != p.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs point dim {p.dim}")
-    ones = np.bitwise_count(matrix.packed & p.packed()).sum(axis=1)
-    bits = np.packbits(ones & np.uint64(1), bitorder="little")
-    return Point(matrix.rows, int.from_bytes(bits.tobytes(), "little"))
+    words = _sketch_words(matrix, p.packed()[:, None])
+    return Point(matrix.rows, int.from_bytes(words.tobytes(), "little"))
 
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
@@ -150,39 +151,48 @@ def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:
 
     Bit r of point j (bit r % 64 of word r // 64) is parity(row_r AND point_j).
     The C twin of :func:`sketch_apply_batch_numpy` runs where the C kernels
-    load (see :mod:`annsim._native`): per row, it XORs the ANDs of the row's
-    nonzero words with the word-major database array (`db.words`) into one
-    n-word accumulator and sets one popcount parity bit per point straight
-    in that point's words. Elsewhere, the numpy kernel's bits are packed.
+    load (see :mod:`annsim._native`): it takes the matrix rows 4 at a time
+    and the points of the word-major database array (`db.words`) 32 at a
+    time, XORs the ANDs over the words where any of the 4 rows is nonzero
+    into 4 x 32 accumulators held in registers, and folds each to its
+    parity. Elsewhere, the numpy kernel's bits are packed.
     """
-    native = _native.kernels()
-    if native is None:
-        return pack_words(sketch_apply_batch_numpy(matrix, db))
     if matrix.dim != db.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
-    packed = np.ascontiguousarray(matrix.packed)
-    out = np.empty((db.n, (matrix.rows + 63) // 64), dtype=np.uint64)
-    native.sketch_apply_batch(db.words, db.n, packed, matrix.rows, packed.shape[1],
-                              np.empty(db.n, dtype=np.uint64), out)
+    return _sketch_words(matrix, db.words)
+
+
+def _sketch_words(matrix: SketchMatrix, words: np.ndarray) -> np.ndarray:
+    """The sketch words of the m points of a word-major (nwords, m) array, (m, ceil(rows/64))."""
+    native = _native.kernels()
+    if native is None:
+        return pack_words(sketch_apply_batch_numpy(matrix, words))
+    nwords, m = words.shape
+    out = np.empty((m, (matrix.rows + 63) // 64), dtype=np.uint64)
+    # The scratch holds the word list of one group of 4 rows.
+    native.sketch_apply_batch(words, m, np.ascontiguousarray(matrix.packed), matrix.rows, nwords,
+                              np.empty(nwords, dtype=np.uint64), out)
     return out
 
 
-def sketch_apply_batch_numpy(matrix: SketchMatrix, db: Database) -> np.ndarray:
-    """The numpy kernel of :func:`sketch_apply_batch` as (n, rows) uint8 bits,
+def sketch_apply_batch_numpy(matrix: SketchMatrix, words: np.ndarray) -> np.ndarray:
+    """The numpy kernel of :func:`sketch_apply_batch` as (m, rows) uint8 bits
+    for the m points of a word-major (nwords, m) array such as `db.words`,
     and the reference for its C twin.
 
     Bit (j, r) is parity(row_r AND point_j), and the parity of an AND over
     many words is the parity of the XOR of the per-word ANDs, to which zero
-    words add nothing. So each row gathers its nonzero words of the
-    word-major database array (`db.words`), ANDs them with the row's words
-    and XOR-folds them; an all-zero row folds nothing and gives 0.
+    words add nothing. So each row gathers its nonzero words of the points,
+    ANDs them with the row's words and XOR-folds them; an all-zero row folds
+    nothing and gives 0.
     """
-    if matrix.dim != db.dim:
-        raise DimensionMismatch(f"matrix dim {matrix.dim} vs database dim {db.dim}")
-    out = np.empty((db.n, matrix.rows), dtype=np.uint8)
+    if words.shape[0] != matrix.packed.shape[1]:
+        raise DimensionMismatch(f"matrix words {matrix.packed.shape[1]} vs point words "
+                                f"{words.shape[0]}")
+    out = np.empty((words.shape[1], matrix.rows), dtype=np.uint8)
     for r, row in enumerate(matrix.packed):
         cols = np.flatnonzero(row)
-        gathered = db.words[cols]
-        gathered &= row[cols, None]  # in place: no second (count, n) block per row
+        gathered = words[cols]
+        gathered &= row[cols, None]  # in place: no second (count, m) block per row
         out[:, r] = np.bitwise_count(np.bitwise_xor.reduce(gathered, axis=0)) & 1
     return out

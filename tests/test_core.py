@@ -185,6 +185,22 @@ class TestParams:
         assert p.r_main == 64
         assert replace(p, s=2.0).r_aux == 32
 
+    @given(n=st.integers(1, 10**6), c1=st.floats(0.5, 200.0), c2=st.floats(0.5, 200.0),
+           s=st.floats(0.25, 50.0), s2=st.floats(0.25, 50.0))
+    def test_row_counts_are_kept_and_follow_replace(self, n, c1, c2, s, s2):
+        # The kept counts are the formulas; replace() builds a record that
+        # computes them afresh.
+        p = Params(n=n, d=64, gamma=4.0, k=1, c1=c1, c2=c2, s=s)
+        log_n = math.log2(max(n, 2))
+        assert p.r_main == max(1, math.ceil(c1 * log_n))
+        assert p.r_aux == max(1, math.ceil(c2 / s * log_n))
+        assert (vars(p)["r_main"], vars(p)["r_aux"]) == (p.r_main, p.r_aux)
+        q = replace(p, s=s2, n=n + 1)
+        assert q.r_aux == max(1, math.ceil(c2 / s2 * math.log2(n + 1)))
+        assert q.r_main == max(1, math.ceil(c1 * math.log2(n + 1)))
+        with pytest.raises(ValueError, match="refinement depth s"):
+            replace(p, s=None).r_aux
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -295,3 +311,43 @@ class TestFractionAtMost:
     def test_factor_scales_the_bound(self):
         assert fraction_at_most(4, 32, 256, 2.0, factor=2.0)
         assert not fraction_at_most(5, 32, 256, 2.0, factor=2.0)
+
+    # Near misses that the float band used to admit: n^(1/s) is irrational
+    # and part / whole lies within 1e-9 (in log) above n^(-1/s).
+    @pytest.mark.parametrize("part, whole, n, s", [
+        (346, 1645, 1999, 4.875),  # params_general at k = 41, c = 4
+        (466, 2183, 2256, 5.0),    # 466^5 * 2256 > 2183^5
+        (793, 3149, 3921, 6.0),
+        (81, 1046, 1136, 2.75),
+    ])
+    def test_near_misses_inside_the_float_band_are_large(self, part, whole, n, s):
+        a, b = Fraction(s).numerator, Fraction(s).denominator
+        assert part**a * n**b > whole**a
+        assert not fraction_at_most(part, whole, n, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.one_of(st.integers(1, 6).map(float), st.integers(8, 48).map(lambda e: e / 8)),
+        n=st.integers(2, 2**20),
+        part=st.integers(1, 5000),
+        offset=st.integers(-2, 2),
+        factor=st.sampled_from([1.0, 2.0]),
+    )
+    @example(s=4.875, n=1999, part=346, offset=0, factor=1.0)
+    def test_matches_integer_arithmetic_near_the_bound(self, s, n, part, offset, factor):
+        # whole near part * n^(1/s) / factor, where the answer turns.
+        whole = max(1, round(part * n ** (1 / s) / factor) + offset)
+        a, b = Fraction(s).numerator, Fraction(s).denominator
+        f = Fraction(factor)
+        want = part**a * n**b * f.denominator**a <= (f.numerator * whole) ** a
+        assert fraction_at_most(part, whole, n, s, factor=factor) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(root=st.integers(2, 40), s=st.sampled_from([1.0, 2.0, 3.0, 2.5, 1.75]),
+           part=st.integers(1, 1000))
+    def test_exact_ties_are_small_and_one_less_whole_is_large(self, root, s, part):
+        # n = root^a makes n^(1/s) = root^b an integer, so whole ties exactly.
+        a, b = Fraction(s).numerator, Fraction(s).denominator
+        n, whole = root**a, part * root**b
+        assert fraction_at_most(part, whole, n, s)
+        assert not fraction_at_most(part, whole - 1, n, s)

@@ -514,25 +514,38 @@ class TestSelftest:
         assert "native" not in out.replace("kernels: numpy", "")
 
     def test_a_wrong_native_generator_fails(self, capsys, monkeypatch):
-        self.check_a_wrong_kernel_fails("generator", capsys, monkeypatch)
+        self.check_a_wrong_kernel_fails("bernoulli_matrix", capsys, monkeypatch)
 
     def test_a_wrong_native_sketch_kernel_fails(self, capsys, monkeypatch):
-        self.check_a_wrong_kernel_fails("sketch kernel", capsys, monkeypatch)
+        self.check_a_wrong_kernel_fails("sketch_apply_batch", capsys, monkeypatch)
 
-    @staticmethod
-    def check_a_wrong_kernel_fails(wrong, capsys, monkeypatch):
+    def test_a_wrong_native_stream_kernel_fails(self, capsys, monkeypatch):
+        self.check_a_wrong_kernel_fails("raw64_block", capsys, monkeypatch)
+
+    # Each kernel's line in the self-test.
+    LINES = {"bernoulli_matrix": "native generator matches the numpy kernel",
+             "raw64_block": "native stream words match numpy",
+             "sketch_apply_batch": "native sketch kernel matches the numpy kernel"}
+
+    @classmethod
+    def check_a_wrong_kernel_fails(cls, wrong, capsys, monkeypatch):
+        # The wrong kernel's line is the only FAIL: the other kernels' checks
+        # do not draw through it, and the simulator's checks run on numpy.
         def all_zero(*args):
             args[-1].fill(0)
 
-        kernels = SimpleNamespace(bernoulli_matrix=_generator_twin, sketch_apply_batch=_sketch_twin)
-        setattr(kernels, {"generator": "bernoulli_matrix", "sketch kernel": "sketch_apply_batch"}[wrong],
-                all_zero)
+        kernels = SimpleNamespace(bernoulli_matrix=_generator_twin, raw64_block=_stream_twin,
+                                  sketch_apply_batch=_sketch_twin)
+        setattr(kernels, wrong, all_zero)
         monkeypatch.setattr(_native, "_state", (kernels, "native"))
         assert not selftest(verbose=True)
         lines = capsys.readouterr().out.splitlines()
-        assert f"  FAIL  native {wrong} matches the numpy kernel" in lines
-        right = {"generator": "sketch kernel", "sketch kernel": "generator"}[wrong]
-        assert f"  ok  native {right} matches the numpy kernel" in lines
+        assert [line for line in lines if line.startswith("  FAIL")] == [
+            f"  FAIL  {cls.LINES[wrong]}"]
+        for kernel, line in cls.LINES.items():
+            if kernel != wrong:
+                assert f"  ok  {line}" in lines
+        assert _native._state == (kernels, "native")
 
 
 def _generator_twin(keys, rows, count, cut, out):
@@ -541,7 +554,14 @@ def _generator_twin(keys, rows, count, cut, out):
     out[:] = pack_words(randomness._finalize(x, np.empty_like(x)) < np.uint64(cut))
 
 
-def _sketch_twin(words, n, packed, rows, nwords, acc, out):
+def _stream_twin(first, count, out):
+    """The C stream kernel's answer, in its calling convention: first is
+    the key plus one step, so the key is first minus one."""
+    key = (first - randomness._GOLDEN) % 2**64
+    out[:] = randomness.raw64_block_numpy(key, 0, count)
+
+
+def _sketch_twin(words, n, packed, rows, nwords, scratch, out):
     """The C sketch kernel's answer, in its calling convention."""
     parities = np.bitwise_count(np.bitwise_xor.reduce(words & packed[:, :, None], axis=1)) & 1
     out[:] = pack_words(parities.T)

@@ -19,6 +19,7 @@ from annsim.randomness import (
     coin_for_trial,
     raw64,
     raw64_block,
+    raw64_block_numpy,
     splitmix64,
 )
 from annsim.sketch import SketchMatrix, derive_matrix, sketch_apply_batch
@@ -33,7 +34,7 @@ def bernoulli_block(key: int, start: int, count: int, p: float) -> np.ndarray:
     """The generator's reference: Bernoulli(p) bits of stream words
     start..start+count-1, each 1 when the word's top 53 bits fall below
     floor(p * 2^53), as uint8."""
-    top53 = raw64_block(key, start, count) >> np.uint64(11)
+    top53 = raw64_block_numpy(key, start, count) >> np.uint64(11)
     return (top53 < randomness._threshold(p)).astype(np.uint8)
 
 
@@ -251,9 +252,10 @@ class TestFinalizerSkipNumpy(TestFinalizerSkip):
 
 
 class TestNativeKernel:
-    """bernoulli_matrix and sketch_apply_batch build their C twins together on
-    first use, and both fall back to their numpy kernels, with the same bits,
-    wherever that build or the load of either twin fails."""
+    """bernoulli_matrix, raw64_block and sketch_apply_batch build their C
+    twins together on first use, and all three fall back to their numpy
+    kernels, with the same bits, wherever that build or the load of any twin
+    fails."""
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_native_kernel_loads_where_cc_exists(self):
@@ -275,22 +277,33 @@ class TestNativeKernel:
         db, _ = make_instance(n=20, d=300, seed=5)
         m = derive_matrix(coin_for_trial(5, 0, 0), "main", 0, 70, 300, 2.0)
         out = np.full((20, 2), ~np.uint64(0))
-        native.sketch_apply_batch(db.words, 20, m.packed, 70, 5, np.full(20, ~np.uint64(0)), out)
+        # The scratch is the word list of one group of rows: nwords words.
+        native.sketch_apply_batch(db.words, 20, m.packed, 70, 5, np.full(5, ~np.uint64(0)), out)
         assert np.array_equal(out, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+        out = np.full(65, ~np.uint64(0))
+        native.raw64_block((7 + 3 * _GOLDEN) % 2**64, 65, out)
+        assert np.array_equal(out, raw64_block_numpy(7, 2, 65))
 
     @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing",
-                                          "only bernoulli_matrix"])
+                                          "only bernoulli_matrix", "no raw64_block",
+                                          "no sketch_apply_batch"])
     def test_failed_build_falls_back_to_the_same_bits(self, breakage, monkeypatch, tmp_path):
         monkeypatch.setattr(_native, "_state", None)
+        source = _native._C_SOURCE
         if breakage == "no cc on PATH":
             monkeypatch.setenv("PATH", str(tmp_path))
         elif breakage == "compile error":
             monkeypatch.setattr(_native, "_C_SOURCE", "#error no kernel here\n")
         elif breakage == "symbol missing":
             monkeypatch.setattr(_native, "_C_SOURCE", "int not_the_kernel;\n")
-        else:  # a library whose generator loads but whose sketch kernel is missing
-            source = _native._C_SOURCE
-            monkeypatch.setattr(_native, "_C_SOURCE", source[: source.index("/* sketch_apply_batch")])
+        elif breakage == "only bernoulli_matrix":  # the generator loads, the others are missing
+            monkeypatch.setattr(_native, "_C_SOURCE", source[: source.index("/* raw64_block")])
+        else:  # the one kernel is built as a static function, which the library does not export
+            name = breakage.removeprefix("no ")
+            assert source.count(f"\nvoid {name}(") == 1
+            monkeypatch.setattr(_native, "_C_SOURCE",
+                                source.replace(f"\nvoid {name}(", f"\nstatic void {name}("))
+        assert np.array_equal(raw64_block(11, 3, 70), raw64_block_numpy(11, 3, 70))
         keys = absorb_block(99, np.arange(6, dtype=np.uint64))
         for p in (0.25, 0.3, 1.0):
             mat = bernoulli_matrix(keys, 300, p)
@@ -343,6 +356,27 @@ class TestNativeKernel:
         assert seen["before"] == [] and not seen["built"]
         if seen["path"] == "native":  # the spies do see a build when one happens
             assert "process" in seen["after"] and "library" in seen["after"]
+
+
+class TestRaw64Block:
+    """raw64_block, the dataset stream, against its numpy kernel and the
+    scalar raw64, across a word's worth of counts and starts past 2^32 and
+    2^63; TestRaw64BlockNumpy runs it on the numpy kernel."""
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("start", [0, 5, 2**32 + 1, 2**63])
+    def test_matches_numpy_and_scalar(self, start, count):
+        key = PublicCoin(77).stream_key(randomness.TAG_DATA)
+        got = raw64_block(key, start, count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, raw64_block_numpy(key, start, count))
+        for i in {0, count // 2, count - 1} if count else ():
+            assert int(got[i]) == raw64(key, start + i)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestRaw64BlockNumpy(TestRaw64Block):
+    """TestRaw64Block on the numpy kernel."""
 
 
 class TestCoinDerivation:

@@ -16,6 +16,7 @@ from annsim.sketch import (
     row_collision_prob,
     sketch_apply,
     sketch_apply_batch,
+    sketch_apply_batch_numpy,
     sketch_rows,
     threshold,
 )
@@ -189,6 +190,17 @@ class TestSketchApply:
             ) % 2
             assert got[r] == naive
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 65, 129])
+    def test_rows_past_the_last_group_of_four_match_the_naive_dot_product(self, coin, rows):
+        # The kernel sketches rows 4 at a time; a last group of 1 to 3 rows
+        # must neither read nor set the bits of the rows it lacks.
+        m = derive_matrix(coin, "main", 0, rows, 100, 2.0)
+        p = Point(100, 0x9E3779B97F4A7C15 << 30 | 0x123456789)
+        got = sketch_bits(m, p)
+        bits = m.bits_matrix()
+        assert got.tolist() == [sum(int(a) & b for a, b in zip(bits[r], _bits_of(p))) % 2
+                                for r in range(rows)]
+
     def test_dimension_mismatch(self, coin):
         m = derive_matrix(coin, "main", 0, 8, 64, 2.0)
         with pytest.raises(DimensionMismatch):
@@ -203,8 +215,9 @@ class TestSketchApply:
 
 
 class TestSketchApplyBatchDifferential:
-    """sketch_apply_batch (word-major XOR fold over each row's nonzero words)
-    against the oracle's dense-matmul route and the per-point kernel."""
+    """sketch_apply_batch (register tiles of 4 rows x 32 points over the
+    words where a group's rows are nonzero) against the oracle's dense-matmul
+    route and the per-point kernel."""
 
     @staticmethod
     def check(n, d, scale, rows, seed):
@@ -304,6 +317,37 @@ class TestSketchApplyBatchRowKinds:
     def test_matches_oracle_and_single(self, n, d, kinds, seed):
         db, _ = make_instance(n=n, d=d, seed=seed % 1000)
         self.check(self.mixed_matrix(kinds, d, seed), db)
+
+
+class TestSketchApplyBatchTileEdges:
+    """The C kernel takes rows in groups of 4 and points in tiles of 32,
+    then one point at a time: every count around those edges, against the
+    numpy kernel, the oracle's dense product and the per-point kernel."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 257])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 128, 129, 384])
+    def test_matches_numpy_oracle_and_single(self, rows, n):
+        db, _ = make_instance(n=n, d=200, seed=rows * 1000 + n)
+        coin = coin_for_trial(rows, n, 0)
+        dense = derive_matrix(coin, "main", 0, rows, 200, 2.0).packed
+        sparse = derive_matrix(coin, "main", 5, rows, 200, 2.0).packed
+        # Groups of 4 rows alternate dense and sparse, and group 1 is all
+        # zero: an all-zero group between two dense ones.
+        group = np.arange(rows) // 4
+        packed = np.where((group % 2 == 0)[:, None], dense, sparse)
+        packed[group == 1] = 0
+        m = SketchMatrix(rows=rows, dim=200, packed=packed)
+        batch = sketch_apply_batch(m, db)
+        assert batch.shape == (n, (rows + 63) // 64) and batch.dtype == np.uint64
+        assert np.array_equal(batch, pack_words(sketch_apply_batch_numpy(m, db.words)))
+        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+        for i in {0, 31, 32, n - 1} & set(range(n)):  # tile ends and the tail's ends
+            assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestSketchApplyBatchTileEdgesNumpy(TestSketchApplyBatchTileEdges):
+    """TestSketchApplyBatchTileEdges on the numpy kernel."""
 
 
 @pytest.mark.usefixtures("numpy_kernel")
