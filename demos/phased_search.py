@@ -42,9 +42,9 @@ for label, dataset, seed in [
     print(f"{label}:")
     for i, phase in enumerate(t.phases, start=1):
         print(
-            f"  phase {i}: window {phase['window']} grid {phase['grid']}"
-            f" -> slot r*={phase['r_star']}, CASE {phase['case']},"
-            f" new window {phase['new_window']}"
+            f"  phase {i}: window {phase.window} grid {phase.grid}"
+            f" -> slot r*={phase.r_star}, CASE {phase.case},"
+            f" new window {phase.new_window}"
         )
     print(f"  completion window {t.final_window}, hit at scale {t.result_scale}")
     print(

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 from .core import Params, Point
 from .errors import InvalidRoundBudget
-from .probe_engine import ProbeSession
+from .probe_engine import Phase, ProbeSession
 from .randomness import PublicCoin
 from .search_common import (
     completion_round,
@@ -115,10 +115,9 @@ def run_general(x: Point, session: ProbeSession) -> Point:
     l, u = 0, params.scale_count
     pending = membership_addresses(x)
     threshold = max(3 * tau, params.k)
-    record = session.transcript
 
     while u - l >= threshold:
-        record.windows.append((l, u))
+        window = (l, u)
         grid = scale_grid(l, u, tau)
         top_sketch = main_address(session.coin, params, x, u)
         aux_groups = build_group_addresses(l, u, x, session.coin, params)
@@ -152,14 +151,6 @@ def run_general(x: Point, session: ProbeSession) -> Point:
             else:
                 u = below
                 case = 3
-        record.phases.append(
-            {
-                "window": record.windows[-1],
-                "grid": grid,
-                "r_star": r_star,
-                "case": case,
-                "new_window": (l, u),
-            }
-        )
+        session.transcript.phases.append(Phase(window, tuple(grid), r_star, case, (l, u)))
 
     return completion_round(session, x, l, u, pending)

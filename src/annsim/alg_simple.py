@@ -14,7 +14,7 @@ dispose of the exact-match and distance-1 degenerate cases.
 from __future__ import annotations
 
 from .core import Params, Point
-from .probe_engine import ProbeSession
+from .probe_engine import Phase, ProbeSession
 from .search_common import (
     completion_round,
     main_address,
@@ -57,12 +57,10 @@ def run_simple(x: Point, session: ProbeSession) -> Point:
     k = params.k
     l, u, tau = 0, params.scale_count, branching_factor(k, params.scale_count)
     pending = membership_addresses(x)
-    shrinks = 0
 
     # Shrinking rounds; capped at k-1 so the completion round always fits
     # the budget even when the tau inequality is tight.
-    while u - l >= tau and shrinks < k - 1:
-        session.transcript.windows.append((l, u))
+    while u - l >= tau and len(session.transcript.phases) < k - 1:
         grid = scale_grid(l, u, tau)
         probe_scales = grid[1:tau]
         addresses = [main_address(session.coin, params, x, i) for i in probe_scales]
@@ -77,7 +75,7 @@ def run_simple(x: Point, session: ProbeSession) -> Point:
         new_l, new_u = grid[r_star - 1], grid[r_star]
         if new_u - new_l > (u - l) / tau + 1 + 1e-9:
             raise AssertionError("window shrank too little")
+        session.transcript.phases.append(Phase((l, u), tuple(grid), r_star, None, (new_l, new_u)))
         l, u = new_l, new_u
-        shrinks += 1
 
     return completion_round(session, x, l, u, pending)

@@ -24,7 +24,7 @@ from .core import (CALIBRATED_C1, CALIBRATED_C2, Database, Params, Point, first_
 from .errors import AssumptionViolated, ConfigError, RoundBudgetExceeded
 from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
-from .probe_engine import ProbeSession
+from .probe_engine import ProbeSession, ProbeTranscript
 from .randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
 
 CSV_HEADER = (
@@ -231,78 +231,72 @@ def probe_bound(cfg: ExperimentConfig) -> int:
     return probe_bound_general(params)
 
 
-def _near_success(answer_dist: int, exact_dist: int, gamma: float, lam: float) -> bool:
-    if answer_dist < 0:  # NO answer
-        return exact_dist > lam
-    return answer_dist <= gamma * lam
+@dataclass(frozen=True)
+class Repetition:
+    """One repetition of a trial: its closed transcript, its answer (None
+    when the search raised AssumptionViolated), and the oracle's verdicts.
+    A verdict is None when it is not checked: both with the checks off, and
+    assumption2 outside the general search."""
+
+    transcript: ProbeTranscript
+    answer: Point | None
+    assumption1: bool | None
+    assumption2: bool | None
+
+
+def run_repetition(cfg: ExperimentConfig, params: Params, db: Database, x: Point,
+                   trial: int, rep: int) -> Repetition:
+    """Search for x with repetition `rep`'s coin of trial `trial`, then check it."""
+    coin = coin_for_trial(cfg.seed, trial, rep)
+    session = ProbeSession(db, coin, params)
+    try:
+        if cfg.algo == "simple":
+            answer = run_simple(x, session)
+        elif cfg.algo == "general":
+            answer = run_general(x, session)
+        else:
+            answer = run_near(x, cfg.lam, session)
+    except AssumptionViolated:
+        answer = None
+    except RoundBudgetExceeded as exc:
+        # Only the general search can run out: each of its phases can take
+        # two rounds, and an override (s, tau) is not sized to k.
+        raise ConfigError(
+            f"round budget k={cfg.k} ran out in trial {trial}: "
+            "the search's phases need more rounds; raise --k"
+        ) from exc
+    transcript = session.close()
+    a1 = a2 = None
+    if cfg.check_assumptions:
+        sets = exact_sets(x, db, coin, params)
+        a1 = check_assumption1(sets)
+        if cfg.algo == "general":
+            a2 = a1 and check_assumption2(sets)
+    return Repetition(transcript, answer, a1, a2)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    """Run one trial: generate, search (per repetition), validate."""
+    """Run one trial: generate, search and check each repetition, score."""
     params = params_for(cfg)
     db, x = trial_instance(cfg.seed, trial, cfg.n, cfg.d, cfg.dataset)
-
-    probes_sum = 0
-    rounds_max = 0
-    candidates: list[Point | None] = []
-    a1_any: bool | None = None
-    a2_any: bool | None = None
-    for rep in range(cfg.repeat):
-        coin = coin_for_trial(cfg.seed, trial, rep)
-        session = ProbeSession(db, coin, params)
-        try:
-            if cfg.algo == "simple":
-                candidate = run_simple(x, session)
-            elif cfg.algo == "general":
-                candidate = run_general(x, session)
-            else:
-                candidate = run_near(x, cfg.lam, session)
-        except AssumptionViolated:
-            candidate = None
-        except RoundBudgetExceeded as exc:
-            # Only the general search can run out: each of its phases can take
-            # two rounds, and an override (s, tau) is not sized to k.
-            raise ConfigError(
-                f"round budget k={cfg.k} ran out in trial {trial}: "
-                "the search's phases need more rounds; raise --k"
-            ) from exc
-        transcript = session.close()
-        probes_sum += transcript.probes_total
-        rounds_max = max(rounds_max, transcript.rounds_used)
-        candidates.append(candidate)
-
-        if cfg.check_assumptions:
-            sets = exact_sets(x, db, coin, params)
-            a1 = check_assumption1(sets)
-            a1_any = a1 if a1_any is None else (a1_any or a1)
-            if cfg.algo == "general":
-                joint = a1 and check_assumption2(sets)
-                a2_any = joint if a2_any is None else (a2_any or joint)
-
-    best_candidate = None
-    best_dist = -1
-    for cand in candidates:
-        if cand is None:
-            continue
-        d = hamming_dist(x, cand)
-        if best_candidate is None or d < best_dist:
-            best_candidate, best_dist = cand, d
-
+    reps = [run_repetition(cfg, params, db, x, trial, rep) for rep in range(cfg.repeat)]
+    best_dist = min((hamming_dist(x, r.answer) for r in reps if r.answer is not None), default=-1)
     _, exact_dist = exact_nn(x, db)
-    if cfg.algo == "near":
-        success = _near_success(best_dist, exact_dist, cfg.gamma, cfg.lam)
+    if cfg.algo == "near":  # no answer is a NO, right when no point lies within lambda
+        success = exact_dist > cfg.lam if best_dist < 0 else best_dist <= cfg.gamma * cfg.lam
     else:
-        success = best_candidate is not None and best_dist <= cfg.gamma * exact_dist
-
+        success = 0 <= best_dist <= cfg.gamma * exact_dist
+    a1 = [r.assumption1 for r in reps]
+    a2 = [r.assumption2 for r in reps]
     return TrialRecord(
         trial=trial,
         seed=coin_for_trial(cfg.seed, trial, 0).seed,
         algo=cfg.algo,
         success=success,
-        probes_total=probes_sum,
-        rounds_used=rounds_max,
-        assumption1=a1_any,
-        assumption2=a2_any,
+        probes_total=sum(r.transcript.probes_total for r in reps),
+        rounds_used=max(r.transcript.rounds_used for r in reps),
+        assumption1=None if a1[0] is None else any(a1),
+        assumption2=None if a2[0] is None else any(a2),
         exact_dist=exact_dist,
         returned_dist=best_dist,
     )
@@ -316,23 +310,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             records = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:
         records = [run_trial(cfg, t) for t in range(cfg.trials)]
+    bound = probe_bound(cfg) * cfg.repeat
     for rec in records:
-        _check_record_bounds(cfg, rec)
+        if rec.probes_total > bound:
+            raise AssertionError(f"trial {rec.trial} used {rec.probes_total} probes, bound is {bound}")
+        if rec.rounds_used > cfg.k:
+            raise AssertionError(f"trial {rec.trial} used {rec.rounds_used} rounds, budget is {cfg.k}")
     if cfg.out:
         write_csv(records, cfg.out)
     return records
-
-
-def _check_record_bounds(cfg: ExperimentConfig, rec: TrialRecord) -> None:
-    bound = probe_bound(cfg) * cfg.repeat
-    if rec.probes_total > bound:
-        raise AssertionError(
-            f"trial {rec.trial} used {rec.probes_total} probes, bound is {bound}"
-        )
-    if rec.rounds_used > cfg.k:
-        raise AssertionError(
-            f"trial {rec.trial} used {rec.rounds_used} rounds, budget is {cfg.k}"
-        )
 
 
 def _bool_cell(v: bool | None) -> str:

@@ -18,24 +18,42 @@ from .randomness import PublicCoin
 from .tables import CellAddress, CellContent, cell_content
 
 
+@dataclass(frozen=True)
+class Phase:
+    """One completed shrinking step of a search.
+
+    The step starts from `window` (l, u), whose scale grid rho(0..tau) is
+    `grid`, locates slot `r_star` and leaves `new_window`. `case` is the general search's move (1, 2 or 3); it is
+    None for the simple search's rounds, which have a single move.
+    """
+
+    window: tuple[int, int]
+    grid: tuple[int, ...]
+    r_star: int
+    case: int | None
+    new_window: tuple[int, int]
+
+
 @dataclass
 class ProbeTranscript:
     """One repetition's record, filled in by its session as the search runs.
 
     `rounds` holds each round's distinct (address, content) pairs. The
-    searches note the rest: the windows (l, u) the shrinking rounds or
-    phases start from, one dict per phase of the general search, the window
-    the completion round covers, which membership probe ended the search
-    early, and the scale whose cell gave the answer.
+    searches note the rest: one `Phase` per completed shrinking round or
+    phase, the window the completion round covers, which membership probe
+    ended the search early, and the scale whose cell gave the answer.
     """
 
-    round_budget: int
     rounds: list[tuple[tuple[CellAddress, CellContent], ...]] = field(default_factory=list)
-    windows: list[tuple[int, int]] = field(default_factory=list)
-    phases: list[dict] = field(default_factory=list)
+    phases: list[Phase] = field(default_factory=list)
     final_window: tuple[int, int] | None = None
     early_exit: str | None = None
     result_scale: int | None = None
+
+    @property
+    def windows(self) -> list[tuple[int, int]]:
+        """The window each completed shrinking step started from."""
+        return [phase.window for phase in self.phases]
 
     @property
     def rounds_used(self) -> int:
@@ -68,7 +86,7 @@ class ProbeSession:
         self.db = db
         self.coin = coin
         self.params = params
-        self.transcript = ProbeTranscript(params.k)
+        self.transcript = ProbeTranscript()
         self._closed = False
 
     def probe_round(self, addresses: list[CellAddress]) -> list[CellContent]:

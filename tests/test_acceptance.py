@@ -115,8 +115,8 @@ def test_criterion_2_conditional_correctness_general():
             if result is None or hamming_dist(x, result) > params.gamma * best:
                 success_violations += 1
             for phase in transcript.phases:
-                l0, u0 = phase["window"]
-                l1, u1 = phase["new_window"]
+                l0, u0 = phase.window
+                l1, u1 = phase.new_window
                 gap_ok = (u1 - l1) <= (u0 - l0) / params.tau + 3
                 shrink_ok = fraction_at_most(
                     len(sets.sketch_ball(u1)), len(sets.sketch_ball(u0)),

@@ -108,6 +108,19 @@ class TestSmallWindowEqualsSimpleCompletion:
             assert transcript.phases == []
 
 
+class TestEarlyExit:
+    def test_query_in_database_leaves_no_phase(self):
+        # I = 8 >= max(3 tau, k) = 6, so the first round is a phase round;
+        # its exact-match probe ends the search before the phase completes.
+        db, _ = make_instance(n=40, d=160, seed=1)
+        params = make_params(n=40, d=160, k=5, s=1.0, tau=2)
+        result, transcript, _ = run_one(db, db.point(3), params)
+        assert result == db.point(3)
+        assert transcript.early_exit == "exact"
+        assert transcript.rounds_used == 1
+        assert transcript.phases == [] == transcript.windows
+
+
 class TestCaseBranches:
     def cluster_instance(self):
         """16 near points force a large first-slot refinement (CASE 1)."""
@@ -129,14 +142,14 @@ class TestCaseBranches:
         params = make_params(n=128, d=4096, k=8, c1=48.0, c2=64.0, s=2.0, tau=4)
         result, transcript, coin = run_one(db, x, params, seed=31)
         phase = transcript.phases[0]
-        assert phase["case"] == 1
-        assert phase["new_window"][1] == phase["grid"][1] + 1
+        assert phase.case == 1
+        assert phase.new_window[1] == phase.grid[1] + 1
         # Oracle confirms the branch condition: the first refinement slot
         # really does keep a large fraction of the candidate set.
         sets = exact_sets(x, db, coin, params)
         top = params.scale_count
         c_size = len(sets.sketch_ball(top))
-        d_size = len(sets.refined(top, phase["grid"][1]))
+        d_size = len(sets.refined(top, phase.grid[1]))
         assert not fraction_at_most(d_size, c_size, 128, params.s)
         # phase spent one round, completion one more
         assert transcript.rounds_used == 2
@@ -153,10 +166,10 @@ class TestCaseBranches:
             except AssumptionViolated:
                 continue
             for phase in transcript.phases:
-                if phase["case"] == 2:
+                if phase.case == 2:
                     seen = True
-                    l_new = phase["new_window"][0]
-                    assert l_new == max(phase["window"][0], phase["grid"][phase["r_star"] - 1] - 1)
+                    l_new = phase.new_window[0]
+                    assert l_new == max(phase.window[0], phase.grid[phase.r_star - 1] - 1)
         assert seen
 
     def test_case3_lowers_upper_end(self):
@@ -172,10 +185,10 @@ class TestCaseBranches:
             except AssumptionViolated:
                 continue
             for phase in transcript.phases:
-                if phase["case"] == 3:
+                if phase.case == 3:
                     seen = True
-                    assert phase["new_window"][0] == phase["window"][0]
-                    assert phase["new_window"][1] == phase["grid"][phase["r_star"] - 1] - 1
+                    assert phase.new_window[0] == phase.window[0]
+                    assert phase.new_window[1] == phase.grid[phase.r_star - 1] - 1
         assert seen
 
 
@@ -212,8 +225,8 @@ class TestConditionalCorrectness:
             if not (check_assumption1(sets) and check_assumption2(sets)):
                 continue
             for phase in transcript.phases:
-                l0, u0 = phase["window"]
-                l1, u1 = phase["new_window"]
+                l0, u0 = phase.window
+                l1, u1 = phase.new_window
                 gap_ok = (u1 - l1) <= (u0 - l0) / params.tau + 3
                 shrink_ok = fraction_at_most(
                     len(sets.sketch_ball(u1)), len(sets.sketch_ball(u0)),

@@ -74,6 +74,8 @@ class TestDegenerateCases:
         result, transcript, _ = run_one(db, db.point(7), params, seed=3)
         assert result == db.point(7)
         assert transcript.rounds_used == 1
+        # The first round was a shrinking round; it ended early, so no step completed.
+        assert transcript.phases == [] == transcript.windows
 
     def test_distance_one_neighbor_returned_immediately(self):
         db, _ = make_instance(n=16, d=64, seed=4)

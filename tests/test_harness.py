@@ -14,10 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from annsim import _native, cli, harness, randomness
 from annsim.cli import _config_from_args, build_parser, main
-from annsim.alg_general import run_general
-from annsim.alg_simple import run_simple
 from annsim.core import Point, hamming_dist, pack_words
-from annsim.errors import AssumptionViolated, ConfigError
+from annsim.errors import ConfigError
 from annsim.harness import (
     CSV_HEADER,
     DatasetSpec,
@@ -33,9 +31,7 @@ from annsim.harness import (
     validate_config,
     write_csv,
 )
-from annsim.near_search import run_near
 from annsim.oracle import exact_nn
-from annsim.probe_engine import ProbeSession
 from annsim.randomness import Stream, coin_for_trial
 from reference_data import ScalarStream, reference_database
 
@@ -370,11 +366,86 @@ class TestRunExperiment:
         assert len(calls) == 3
 
 
+class TestRunRepetition:
+    def test_traced_call_sites_fire_once_per_repetition(self, monkeypatch):
+        """The benchmark's tracer wraps these module bindings of `harness`;
+        a repetition that stops calling one of them leaves its span empty."""
+        calls = []
+
+        def counting(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls.append((name, result))
+                return result
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        for name in ("exact_sets", "check_assumption1", "check_assumption2", "exact_nn",
+                     "run_general", "run_simple"):
+            counting(name)
+        cfg = small_cfg(algo="general", n=64, d=128, k=8, override=(2, 4), c1=48.0, c2=64.0,
+                        repeat=2, seed=2)
+        harness.run_trial(cfg, 0)
+        names = [name for name, _ in calls]
+        for name in ("exact_sets", "check_assumption1", "run_general"):
+            assert names.count(name) == cfg.repeat
+        assert names.count("exact_nn") == 1 and "run_simple" not in names
+        # check_assumption2 runs right after each check_assumption1 that held, and only then.
+        after_a1 = [names[i + 1] == "check_assumption2" for i, (name, result) in enumerate(calls)
+                    if name == "check_assumption1" and result]
+        assert after_a1 and all(after_a1)
+        assert names.count("check_assumption2") == len(after_a1)
+
+        calls.clear()
+        harness.run_trial(small_cfg(repeat=2), 0)
+        assert [name for name, _ in calls].count("run_simple") == 2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_cfg(k=2, seed=1, repeat=3),
+            small_cfg(algo="general", k=8, override=(2, 4), seed=3, repeat=3),
+            small_cfg(algo="near", k=1, gamma=2.0, lam=12.0, seed=6, repeat=3),
+        ],
+        ids=["simple", "general", "near"],
+    )
+    def test_record_folds_its_repetitions(self, cfg):
+        params = harness.params_for(cfg)
+        db, x = trial_instance(cfg.seed, 0, cfg.n, cfg.d, cfg.dataset)
+        reps = [harness.run_repetition(cfg, params, db, x, 0, rep) for rep in range(3)]
+        dists = [hamming_dist(x, r.answer) for r in reps if r.answer is not None]
+        returned = min(dists) if dists else -1
+        _, exact = exact_nn(x, db)
+        if cfg.algo == "near":
+            success = exact > cfg.lam if returned < 0 else returned <= cfg.gamma * cfg.lam
+            assert 0 < len(dists) < 3  # answers and NOs (None) are folded together
+        else:
+            success = returned >= 0 and returned <= cfg.gamma * exact
+        a1 = [r.assumption1 for r in reps]
+        a2 = [r.assumption2 for r in reps]
+        assert None not in a1 and (None in a2) == (cfg.algo != "general")
+        assert harness.run_trial(cfg, 0) == harness.TrialRecord(
+            trial=0,
+            seed=coin_for_trial(cfg.seed, 0, 0).seed,
+            algo=cfg.algo,
+            success=success,
+            probes_total=sum(r.transcript.probes_total for r in reps),
+            rounds_used=max(r.transcript.rounds_used for r in reps),
+            assumption1=any(a1),
+            assumption2=any(a2) if cfg.algo == "general" else None,
+            exact_dist=exact,
+            returned_dist=returned,
+        )
+
+
 class TestTranscriptInvariants:
     """Every search, on any small instance, keeps the cost model's rules:
     distinct addresses within a round, at most k rounds, and at most
-    `probe_bound` probes. Its record's windows nest, the answer's scale lies
-    in the last one, and an early exit ends the first round."""
+    `probe_bound` probes. Its record's phases chain into the completion
+    window, each new window inside the one before, the answer's scale lies in
+    the last one, and an early exit ends the first round with no phase."""
 
     # The phased search spends up to two rounds per phase, and validation does
     # not yet reject an override whose phases need more than k rounds, so
@@ -397,20 +468,10 @@ class TestTranscriptInvariants:
         algo, k = algo_k
         cfg = small_cfg(algo=algo, n=n, d=d, k=k, seed=seed, c1=8.0, c2=8.0,
                         override=override if algo == "general" else None,
-                        lam=4.0 if algo == "near" else 0.0)
+                        lam=4.0 if algo == "near" else 0.0, check_assumptions=False)
         validate_config(cfg)
         db, x = trial_instance(seed, 0, n, d, cfg.dataset)
-        session = ProbeSession(db, coin_for_trial(seed, 0, 0), harness.params_for(cfg))
-        try:
-            if algo == "simple":
-                run_simple(x, session)
-            elif algo == "general":
-                run_general(x, session)
-            else:
-                run_near(x, cfg.lam, session)
-        except AssumptionViolated:
-            pass
-        transcript = session.close()
+        transcript = harness.run_repetition(cfg, harness.params_for(cfg), db, x, 0, 0).transcript
         assert 1 <= transcript.rounds_used <= k
         for batch in transcript.rounds:
             addresses = [addr for addr, _ in batch]
@@ -418,22 +479,23 @@ class TestTranscriptInvariants:
         assert transcript.probes_total == sum(len(b) for b in transcript.rounds)
         assert transcript.probes_total <= probe_bound(cfg)
 
-        windows = transcript.windows
-        if transcript.final_window is not None:
-            windows = windows + [transcript.final_window]
-        for (l0, u0), (l1, u1) in zip(windows, windows[1:]):
+        phases = transcript.phases
+        for phase in phases:
+            (l0, u0), (l1, u1) = phase.window, phase.new_window
             assert l0 <= l1 < u1 <= u0
+            assert phase.case in ((1, 2, 3) if algo == "general" else (None,))
+        for before, after in zip(phases, phases[1:]):
+            assert before.new_window == after.window
+        if phases and transcript.final_window is not None:
+            assert phases[-1].new_window == transcript.final_window
         if transcript.result_scale is not None:
             l, u = transcript.final_window
             assert l < transcript.result_scale <= u
         if transcript.early_exit is not None:
             assert transcript.rounds_used == 1 and transcript.result_scale is None
-        if algo == "general":
-            assert [phase["window"] for phase in transcript.phases] == transcript.windows
-        else:
-            assert transcript.phases == []
+            assert phases == []
         if algo == "near":
-            assert transcript.windows == [] and transcript.final_window is None
+            assert phases == [] and transcript.final_window is None
             assert transcript.early_exit is None and transcript.result_scale is None
 
 

@@ -24,7 +24,6 @@ class TestSessionLifecycle:
         s = ProbeSession(db, coin, make_params(n=16, d=64, k=3))
         assert s.transcript.rounds_used == 0
         assert s.transcript.probes_total == 0
-        assert s.transcript.round_budget == 3
 
     def test_params_of_another_dimension_are_refused(self, setup):
         # A query sketched under d=128 matrices and a database under d=64
