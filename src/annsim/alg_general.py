@@ -28,13 +28,7 @@ from .core import Params, Point
 from .errors import InvalidRoundBudget
 from .probe_engine import Phase, ProbeSession
 from .randomness import PublicCoin
-from .search_common import (
-    completion_round,
-    main_address,
-    membership_addresses,
-    scale_grid,
-    search_round,
-)
+from .search_common import check_entry, completion_round, main_address, scale_grid, search_round
 from .sketch import derive_matrix, sketch_apply
 from .tables import AuxAddress, CellAddress
 
@@ -105,15 +99,11 @@ def run_general(x: Point, session: ProbeSession) -> Point:
     """Run the phased k-round search for one query on a fresh session,
     with the session's params, which carry s and tau."""
     params = session.params
-    if session.transcript.rounds:
-        raise ValueError("run_general needs a fresh session")
-    if x.dim != params.d:
-        raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
+    check_entry(x, session)
     if params.s is None or params.tau is None:
         raise ValueError("run_general needs params with s and tau (see params_general)")
     tau, s_int = params.tau, params.s_int
     l, u = 0, params.scale_count
-    pending = membership_addresses(x)
     threshold = max(3 * tau, params.k)
 
     while u - l >= threshold:
@@ -124,7 +114,7 @@ def run_general(x: Point, session: ProbeSession) -> Point:
         aux_addrs = [
             CellAddress.aux_cell(u, top_sketch.sketch, g) for g in aux_groups
         ]
-        hit, contents = search_round(session, pending, [top_sketch] + aux_addrs)
+        hit, contents = search_round(session, x, [top_sketch] + aux_addrs)
         if hit is not None:
             return hit
 
@@ -153,4 +143,4 @@ def run_general(x: Point, session: ProbeSession) -> Point:
                 case = 3
         session.transcript.phases.append(Phase(window, tuple(grid), r_star, case, (l, u)))
 
-    return completion_round(session, x, l, u, pending)
+    return completion_round(session, x, l, u)

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from .core import Params, Point
 from .probe_engine import Phase, ProbeSession
-from .search_common import (
-    completion_round,
-    main_address,
-    membership_addresses,
-    scale_grid,
-    search_round,
-)
+from .search_common import check_entry, completion_round, main_address, scale_grid, search_round
 
 
 def branching_factor(k: int, count: int) -> int:
@@ -50,13 +44,9 @@ def probe_bound_simple(params: Params) -> int:
 def run_simple(x: Point, session: ProbeSession) -> Point:
     """Run the k-round search for one query on a fresh session, with the session's params."""
     params = session.params
-    if session.transcript.rounds:
-        raise ValueError("run_simple needs a fresh session")
-    if x.dim != params.d:
-        raise ValueError(f"query dim {x.dim} does not match params d {params.d}")
+    check_entry(x, session)
     k = params.k
     l, u, tau = 0, params.scale_count, branching_factor(k, params.scale_count)
-    pending = membership_addresses(x)
 
     # Shrinking rounds; capped at k-1 so the completion round always fits
     # the budget even when the tau inequality is tight.
@@ -64,7 +54,7 @@ def run_simple(x: Point, session: ProbeSession) -> Point:
         grid = scale_grid(l, u, tau)
         probe_scales = grid[1:tau]
         addresses = [main_address(session.coin, params, x, i) for i in probe_scales]
-        hit, contents = search_round(session, pending, addresses)
+        hit, contents = search_round(session, x, addresses)
         if hit is not None:
             return hit
         r_star = tau
@@ -78,4 +68,4 @@ def run_simple(x: Point, session: ProbeSession) -> Point:
         session.transcript.phases.append(Phase((l, u), tuple(grid), r_star, None, (new_l, new_u)))
         l, u = new_l, new_u
 
-    return completion_round(session, x, l, u, pending)
+    return completion_round(session, x, l, u)

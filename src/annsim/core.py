@@ -6,6 +6,11 @@ invariant so equality and hashing are canonical. A database is an ordered
 collection of n distinct points that lives only in little-endian uint64
 words, the layout the sketching kernels consume; `Database.point(i)` builds
 one `Point` from its row when a point leaves the database.
+
+This module owns that packed-word format, for points, sketches and sketch
+matrices alike: `pack_words` and `unpack_words` convert between words and
+0/1 bits, and `Point.packed` and `Point.from_words` between words and
+points. No other module converts it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ class Point:
         if not (self.value >= 0 and self.value.bit_length() <= self.dim):
             raise ValueError("point has bits set beyond its dimension")
 
+    @classmethod
+    def from_words(cls, words: np.ndarray, dim: int) -> "Point":
+        """The point of dimension dim whose little-endian uint64 words are `words`."""
+        return cls(dim, int.from_bytes(words.tobytes(), "little"))
+
     def packed(self) -> np.ndarray:
         """Little-endian uint64 words; bits above dim are zero."""
         raw = self.value.to_bytes(8 * ((self.dim + 63) // 64), "little")
@@ -56,11 +66,12 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little")).view(np.uint64)
 
 
-def unpack_bits(value: int, dim: int) -> np.ndarray:
-    """Coordinates as a uint8 array of length dim."""
-    nbytes = (dim + 7) // 8
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:dim]
+def unpack_words(words: np.ndarray, dim: int) -> np.ndarray:
+    """The inverse of `pack_words` along the last axis: (..., ceil(dim/64))
+    little-endian uint64 words as (..., dim) 0/1 uint8 bits, bit b of word
+    w at 64w + b."""
+    raw = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, bitorder="little")[..., :dim]
 
 
 def hamming_dist(p: Point, q: Point) -> int:
@@ -124,16 +135,16 @@ class Database:
     @classmethod
     def from_points(cls, points: list[Point] | tuple[Point, ...]) -> "Database":
         """Pack points of one dimension into words for the constructor."""
-        dim = points[0].dim if points else 1
+        if not points:
+            raise ValueError("database must contain at least one point")
+        dim = points[0].dim
         if any(p.dim != dim for p in points):
             raise DimensionMismatch("all database points must share one dimension")
-        nwords = (dim + 63) // 64
-        raw = b"".join(p.value.to_bytes(8 * nwords, "little") for p in points)
-        return cls(np.frombuffer(raw, dtype=np.uint64).reshape(len(points), nwords), dim)
+        return cls(np.stack([p.packed() for p in points]), dim)
 
     def point(self, i: int) -> Point:
         """Point i, built from row i of `packed`."""
-        return Point(self.dim, int.from_bytes(self.packed[i].tobytes(), "little"))
+        return Point.from_words(self.packed[i], self.dim)
 
 
 # A power alpha^i is compared with its bound as a float, unless the float

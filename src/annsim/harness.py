@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,12 +26,6 @@ from .near_search import run_near
 from .oracle import check_assumption1, check_assumption2, exact_nn, exact_sets
 from .probe_engine import ProbeSession, ProbeTranscript
 from .randomness import TAG_DATA, PublicCoin, Stream, coin_for_trial
-
-CSV_HEADER = (
-    "trial,seed,algo,success,probes_total,rounds_used,"
-    "assumption1,assumption2,exact_dist,returned_dist"
-)
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -80,6 +74,11 @@ class TrialRecord:
     assumption2: bool | None
     exact_dist: int
     returned_dist: int
+
+
+# The CSV has one column per TrialRecord field, in field order.
+_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 # Bits one sketch matrix (rows x d) or the database (n x d) may hold. The C
@@ -192,7 +191,7 @@ def gen_database(n: int, d: int, dataset: DatasetSpec, seed: int) -> tuple[Datab
         return block
 
     query = draw(1)[0]
-    x = Point(d, int.from_bytes(query.tobytes(), "little"))
+    x = Point.from_words(query, d)
     rows = np.empty((0, nwords), dtype=np.uint64)
     gap, limit = -1, None  # reject points within `gap` of x; give up after `limit` draws
     if dataset.kind == "planted":
@@ -321,24 +320,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-def _bool_cell(v: bool | None) -> str:
-    return "" if v is None else str(int(v))
+def _cell(value: object) -> str:
+    """A CSV cell: None is empty, a string stays as it is, a number or a bool is an integer."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else str(int(value))
 
 
 def csv_lines(records: list[TrialRecord]) -> list[str]:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.trial},{r.seed},{r.algo},{int(r.success)},{r.probes_total},"
-            f"{r.rounds_used},{_bool_cell(r.assumption1)},{_bool_cell(r.assumption2)},"
-            f"{r.exact_dist},{r.returned_dist}"
-        )
-    return lines
+    return [CSV_HEADER] + [",".join(_cell(getattr(r, c)) for c in _CSV_COLUMNS) for r in records]
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write `lines` to `path` as ASCII, one per line; a failed write is a ConfigError."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def write_csv(records: list[TrialRecord], path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(records)) + "\n")
+    _write_lines(path, csv_lines(records))
 
 
 def summarize(records: list[TrialRecord]) -> dict:
@@ -382,7 +385,6 @@ def calibrate(
     target: float = 0.8,
     c1_grid: tuple[float, ...] = (8.0, 16.0, 32.0, 48.0, 64.0, 96.0),
     c2_grid: tuple[float, ...] = (16.0, 32.0, 48.0, 64.0, 96.0),
-    dataset: DatasetSpec = DatasetSpec(),
     out: str | None = None,
 ) -> CalibrationReport:
     """Sweep the sketch-row factors and measure the assumption rates.
@@ -400,14 +402,14 @@ def calibrate(
     if not 0 <= target <= 1:  # NaN fails this too
         raise ConfigError("target must lie in [0, 1]")
     validate_config(ExperimentConfig(algo="simple", n=n, d=d, gamma=gamma, k=1, trials=seeds,
-                                     seed=seed, dataset=dataset, out=out))
+                                     seed=seed, out=out))
     # The sweep goes up to the largest factors of its grids.
     c1, c2 = max(c1_grid), max(c2_grid)
     _check_matrix_sizes(n, d, [("c1", c1, "main", c1), ("c2", c2, "aux", c2 / s)])
     if seeds * n * d > _MAX_MATRIX_BITS:
         raise ConfigError(f"{seeds} databases of n={n} points of d={d} bits pass the cap of "
                           "2^30 bits for the databases calibrate holds at once")
-    instances = [(*trial_instance(seed, i, n, d, dataset), coin_for_trial(seed, i, 0))
+    instances = [(*trial_instance(seed, i, n, d, DatasetSpec()), coin_for_trial(seed, i, 0))
                  for i in range(seeds)]
 
     def sets(i: int, c1: float, c2: float, depth: float | None = None):
@@ -432,10 +434,8 @@ def calibrate(
     c2_rates, chosen_c2 = sweep(c2_grid, joint)
 
     if out:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("factor,value,rate\n")
-            fh.writelines(f"c1,{c1:g},{rate}\n" for c1, rate in c1_rates)
-            fh.writelines(f"c2,{c2:g},{rate}\n" for c2, rate in c2_rates)
+        _write_lines(out, ["factor,value,rate", *(f"c1,{c1:g},{rate}" for c1, rate in c1_rates),
+                           *(f"c2,{c2:g},{rate}" for c2, rate in c2_rates)])
     return CalibrationReport(
         c1_rates=c1_rates,
         c2_rates=c2_rates,
@@ -513,10 +513,13 @@ def _simulator_checks(check) -> None:
     from .sketch import derive_matrix
     from .tables import main_cell
 
+    # The second derivation is generated afresh: the other coin drops the first from the cache.
     coin = coin_for_trial(1234, 0, 0)
     m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
+    derive_matrix(coin_for_trial(1234, 1, 0), "main", 0, 16, 64, 2.0)
     m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
-    check("matrix derivation is deterministic", (m1.packed == m2.packed).all())
+    check("matrix derivation is deterministic",
+          m1 is not m2 and np.array_equal(m1.packed, m2.packed))
 
     cfg = ExperimentConfig(
         algo="simple", n=32, d=64, gamma=4.0, k=2, trials=4, seed=99,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import Params, Point, first_scale
 from .probe_engine import ProbeSession
-from .search_common import main_address
+from .search_common import check_entry, main_address
 
 
 def near_scale(lam: float, params: Params) -> int:
@@ -23,8 +23,7 @@ def near_scale(lam: float, params: Params) -> int:
 def run_near(x: Point, lam: float, session: ProbeSession) -> Point | None:
     """Answer a lambda-near-neighbor query with exactly one probe: the
     cell's point, or None (an empty cell) for NO."""
-    if session.transcript.rounds:
-        raise ValueError("run_near needs a fresh session")
+    check_entry(x, session)
     params = session.params
     scale = near_scale(lam, params)
     (content,) = session.probe_round([main_address(session.coin, params, x, scale)])

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Database, Params, Point, fraction_at_most, unpack_bits
+from .core import Database, Params, Point, fraction_at_most, unpack_words
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
 from .sketch import derive_matrix, sketch_rows, threshold
@@ -78,11 +78,6 @@ def _pair_parities(matrix_bits: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 _SPARSE = 4
 
 
-def _word_bits(words: np.ndarray) -> np.ndarray:
-    """uint64 words as bools along the last axis, bit b of word k at 64k + b."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool)
-
-
 def _point_columns(diff: np.ndarray) -> np.ndarray:
     """(n, d) 0/1 bits as (d, ceil(n/64)) words: bit j of word g in row c
     is diff[64g + j, c].
@@ -112,12 +107,7 @@ def _column_parities(columns: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         return np.zeros(n, dtype=np.intp)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     parities = np.bitwise_xor.reduceat(columns[cols], starts, axis=0)
-    return np.count_nonzero(_word_bits(parities), axis=0)[:n]
-
-
-def _db_bits(db: Database) -> np.ndarray:
-    raw = np.ascontiguousarray(db.packed).view(np.uint8).reshape(db.n, -1)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, : db.dim]
+    return np.count_nonzero(unpack_words(parities, n).view(bool), axis=0)
 
 
 class ScaleSets:
@@ -142,7 +132,7 @@ class ScaleSets:
         # distances. Its columns as words serve the column route; then two
         # points per entry (a zero row pads an odd n), as one C-contiguous
         # (d, ceil(n/2)) float32 operand for every product.
-        diff = _db_bits(db) ^ unpack_bits(x.value, x.dim)
+        diff = unpack_words(db.packed, db.dim) ^ unpack_words(x.packed(), x.dim)
         radii = np.array([params.radius(sc) for sc in range(self.top + 2)])
         self.balls = diff.sum(axis=1) <= radii[:, None]
         self._columns = _point_columns(diff)
@@ -177,10 +167,10 @@ class ScaleSets:
         flat = matrix.packed.ravel()
         if _SPARSE * np.count_nonzero(flat) <= flat.size:
             nonzero = np.flatnonzero(flat)
-            ones = np.flatnonzero(_word_bits(flat[nonzero]))
+            ones = np.flatnonzero(unpack_words(flat[nonzero], 64 * nonzero.size).view(bool))
             rows, words = np.divmod(nonzero[ones >> 6], matrix.packed.shape[1])
             return _column_parities(self._columns, rows, 64 * words + (ones & 63), n)
-        acc = _pair_parities(matrix.bits_matrix(), self._pairs)
+        acc = _pair_parities(unpack_words(matrix.packed, matrix.dim), self._pairs)
         dists = np.empty(2 * acc.shape[1], dtype=np.intp)
         dists[0::2] = np.count_nonzero(acc & 1, axis=0)
         dists[1::2] = np.count_nonzero(acc & (1 << _SHIFT), axis=0)

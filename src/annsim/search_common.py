@@ -1,8 +1,9 @@
-"""Pieces shared by the multi-round search algorithms.
+"""Pieces shared by the search algorithms.
 
-Both searches walk the same scale grid, carry the same two degenerate
-membership probes in their first round, and finish with the same completion
-round over the remaining window of scales.
+All three searches make the same entry check. The two multi-round searches
+walk the same scale grid, carry the same two degenerate membership probes in
+their first round, and finish with the same completion round over the
+remaining window of scales.
 """
 
 from __future__ import annotations
@@ -12,6 +13,15 @@ from .errors import AssumptionViolated
 from .probe_engine import ProbeSession
 from .sketch import derive_matrix, sketch_apply
 from .tables import KIND_MEMBER_EXACT, KIND_MEMBER_NEAR1, CellAddress, CellContent
+
+
+def check_entry(x: Point, session: ProbeSession) -> None:
+    """Reject a session that has probed already and a query whose dimension
+    is not the session's params d."""
+    if session.transcript.rounds:
+        raise ValueError("a search needs a fresh session")
+    if x.dim != session.params.d:
+        raise ValueError(f"query dim {x.dim} does not match params d {session.params.d}")
 
 
 def scale_grid(l: int, u: int, tau: int) -> list[int]:
@@ -37,22 +47,20 @@ def membership_addresses(x: Point) -> list[CellAddress]:
 
 def search_round(
     session: ProbeSession,
-    pending: list[CellAddress],
+    x: Point,
     addresses: list[CellAddress],
 ) -> tuple[Point | None, list[CellContent]]:
-    """Send one round of `addresses` with the pending membership probes in front.
+    """Send one round of `addresses`; the search's first round carries x's
+    two membership probes in front.
 
-    The membership probes ride along once: `pending` is emptied here. When one
-    of them hits, the hit comes back first (an exact match wins over a
-    distance-1 point), the record notes which one, and the search is over;
-    otherwise the hit is None.
+    When a membership probe hits, the hit comes back first (an exact match
+    wins over a distance-1 point), the record notes which one, and the search
+    is over; otherwise the hit is None.
     The contents of `addresses` come back second, in request order.
     """
-    contents = session.probe_round(pending + addresses)
-    if not pending:
-        return None, contents
-    pending.clear()
-    exact, near1, *contents = contents
+    if session.transcript.rounds:
+        return None, session.probe_round(addresses)
+    exact, near1, *contents = session.probe_round(membership_addresses(x) + addresses)
     hit = exact if exact is not None else near1
     if hit is not None:
         session.transcript.early_exit = "exact" if exact is not None else "near1"
@@ -64,7 +72,6 @@ def completion_round(
     x: Point,
     l: int,
     u: int,
-    pending: list[CellAddress],
 ) -> Point:
     """Probe every scale in (l, u] in parallel; return the smallest hit.
 
@@ -77,7 +84,7 @@ def completion_round(
     session.transcript.final_window = (l, u)
     scales = list(range(l + 1, u + 1))
     addresses = [main_address(session.coin, session.params, x, i) for i in scales]
-    hit, contents = search_round(session, pending, addresses)
+    hit, contents = search_round(session, x, addresses)
     if hit is not None:
         return hit
     for scale, content in zip(scales, contents):

@@ -94,11 +94,6 @@ class SketchMatrix:
         if self.dim % 64 and (self.packed[:, -1] >> np.uint64(self.dim % 64)).any():
             raise ValueError(f"packed words have bits set beyond dim {self.dim}")
 
-    def bits_matrix(self) -> np.ndarray:
-        """All entries unpacked: (rows, dim) uint8."""
-        raw = self.packed.view(np.uint8).reshape(self.rows, -1)
-        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.dim]
-
 
 def derive_matrix(
     coin: PublicCoin, role: str, scale: int, rows: int, dim: int, alpha: float
@@ -142,7 +137,7 @@ def sketch_apply(matrix: SketchMatrix, p: Point) -> Point:
     if matrix.dim != p.dim:
         raise DimensionMismatch(f"matrix dim {matrix.dim} vs point dim {p.dim}")
     words = _sketch_words(matrix, p.packed()[:, None])
-    return Point(matrix.rows, int.from_bytes(words.tobytes(), "little"))
+    return Point.from_words(words, matrix.rows)
 
 
 def sketch_apply_batch(matrix: SketchMatrix, db: Database) -> np.ndarray:

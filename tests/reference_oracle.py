@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist, unpack_bits
+from annsim.core import Database, Params, Point, fraction_at_most, hamming_dist
 from annsim.randomness import PublicCoin
 from annsim.sketch import derive_matrix, threshold
 
@@ -26,9 +26,20 @@ def _parity_product(point_bits: np.ndarray, matrix_bits: np.ndarray) -> np.ndarr
     return counts.astype(np.int64) & 1
 
 
+def _bits(words: np.ndarray, dim: int) -> np.ndarray:
+    """(m, ceil(dim/64)) little-endian uint64 words as (m, dim) 0/1 uint8
+    bits, unpacked here rather than by `annsim.core`, whose codec these
+    tests check."""
+    raw = np.ascontiguousarray(words).view(np.uint8).reshape(len(words), -1)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :dim]
+
+
 def _db_bits(db: Database) -> np.ndarray:
-    raw = np.ascontiguousarray(db.packed).view(np.uint8).reshape(db.n, -1)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, : db.dim]
+    return _bits(db.packed, db.dim)
+
+
+def _matrix_bits(matrix) -> np.ndarray:
+    return _bits(matrix.packed, matrix.dim)
 
 
 class ScaleSets:
@@ -59,7 +70,8 @@ class ScaleSets:
             for sc in range(self.top + 2)
         ]
         # Database rows then the query, as float32 once for every product.
-        self._bits = np.vstack([_db_bits(db), unpack_bits(x.value, x.dim)]).astype(np.float32)
+        x_bits = [(x.value >> j) & 1 for j in range(x.dim)]
+        self._bits = np.vstack([_db_bits(db), x_bits]).astype(np.float32)
         self.approx: list[frozenset[int]] = []
         for sc in range(self.top + 1):
             matrix = derive_matrix(coin, "main", sc, params.r_main, db.dim, params.alpha)
@@ -71,7 +83,7 @@ class ScaleSets:
 
     def _sketch_dists(self, matrix) -> np.ndarray:
         """Sketch distance from the query to every database point under `matrix`."""
-        sketches = _parity_product(self._bits, matrix.bits_matrix())
+        sketches = _parity_product(self._bits, _matrix_bits(matrix))
         return np.count_nonzero(sketches[:-1] != sketches[-1], axis=1)
 
     def ball(self, i: int) -> frozenset[int]:

@@ -16,6 +16,7 @@ from annsim.core import (
     fraction_at_most,
     hamming_dist,
     pack_words,
+    unpack_words,
 )
 from annsim.errors import DimensionMismatch
 from annsim.near_search import near_scale
@@ -74,12 +75,19 @@ class TestPoint:
         lambda d: st.tuples(st.just(d), st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=5))
     ))
     def test_pack_words_packs_bit_rows_like_points(self, dim_values):
-        # Sketch bit rows and points share one word layout, padding included.
+        # Sketch bit rows and points share one word layout, padding included;
+        # unpack_words and Point.from_words invert the packings.
         dim, values = dim_values
         bits = np.array([[(v >> j) & 1 for j in range(dim)] for v in values], dtype=np.uint8)
         words = pack_words(bits)
         assert words.shape == (len(values), (dim + 63) // 64) and words.dtype == np.uint64
         assert np.array_equal(words, np.array([Point(dim, v).packed() for v in values]))
+        assert np.array_equal(unpack_words(words, dim), bits)
+        assert np.array_equal(unpack_words(words.T.copy().T, dim), bits)  # a word-major layout
+        assert np.array_equal(unpack_words(words[None], dim), bits[None])
+        for v, row, point_bits in zip(values, words, bits):
+            assert Point.from_words(row, dim) == Point(dim, v)
+            assert np.array_equal(unpack_words(Point(dim, v).packed(), dim), point_bits)
 
     def test_hex_roundtrip_msb_first(self):
         p = Point(12, 0xABC)

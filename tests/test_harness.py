@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from annsim import _native, cli, harness, randomness
+from annsim import _native, cli, harness, randomness, sketch
 from annsim.cli import _config_from_args, build_parser, main
 from annsim.core import Point, hamming_dist, pack_words
 from annsim.errors import ConfigError
@@ -575,6 +575,22 @@ class TestSelftest:
         assert "  kernels: numpy (no C compiler: cc is not on PATH)\n" in out
         assert "native" not in out.replace("kernels: numpy", "")
 
+    def test_a_nondeterministic_matrix_derivation_fails(self, capsys, monkeypatch):
+        # Each generation differs in its first word, so two derivations of
+        # one matrix agree only when the second is the first, cached.
+        calls = itertools.count()
+        generate = sketch.bernoulli_matrix
+
+        def drifting(keys, dim, rate):
+            out = generate(keys, dim, rate)
+            out[0, 0] ^= np.uint64(next(calls))
+            return out
+
+        monkeypatch.setattr(sketch, "bernoulli_matrix", drifting)
+        monkeypatch.setattr(sketch, "_COIN_MATRICES", {})
+        assert not selftest(verbose=True)
+        assert "  FAIL  matrix derivation is deterministic" in capsys.readouterr().out.splitlines()
+
     def test_a_wrong_native_generator_fails(self, capsys, monkeypatch):
         self.check_a_wrong_kernel_fails("bernoulli_matrix", capsys, monkeypatch)
 
@@ -743,6 +759,15 @@ class TestCli:
             f"config error: {str(tmp_path)!r} is a directory, not a file to write"
         ]
         assert list(tmp_path.iterdir()) == []
+
+    @OUT_COMMANDS
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_out_write_failure_exit_code(self, argv, capsys):
+        # /dev/full accepts the open and fails the write with ENOSPC.
+        assert main([*argv, "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: cannot write '/dev/full': No space left on device"]
 
     def test_matrix_past_the_cap_exit_code(self, capsys, monkeypatch):
         def no_trial(*args, **kwargs):

@@ -1,5 +1,7 @@
-"""The package's public surface: its export list, and the demos built on it."""
+"""The package's public surface: its export list, the demos built on it, and the
+module that owns the packed-word format."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +38,16 @@ def test_demo_runs(demo):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+# The conversions between uint64 words, bits, bytes and Python integers.
+CODEC_CALLS = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "annsim").glob("*.py")))
+def test_only_core_converts_the_packed_word_format(module):
+    tree = ast.parse((ROOT / "src" / "annsim" / module).read_text())
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "") for f in funcs}
+    # core calls all four, which shows that the scan finds them.
+    assert called & CODEC_CALLS == (CODEC_CALLS if module == "core.py" else set())

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
+from annsim.alg_general import run_general
+from annsim.alg_simple import run_simple
 from annsim.core import Database, Params, Point
 from annsim.errors import DimensionMismatch, RoundBudgetExceeded, SessionClosed
+from annsim.near_search import run_near
 from annsim.probe_engine import ProbeSession
 from annsim.randomness import coin_for_trial
 from annsim.search_common import main_address, membership_addresses
@@ -16,6 +21,43 @@ def setup():
     params = make_params(n=16, d=64)
     coin = coin_for_trial(2, 0, 0)
     return db, x, params, coin
+
+
+SEARCHES = pytest.mark.parametrize("search", [
+    run_simple, run_general, lambda x, session: run_near(x, 2.0, session),
+], ids=["simple", "general", "near"])
+
+
+class TestSearchEntryChecks:
+    """Every search refuses a used session and a query of another dimension
+    before it probes."""
+
+    @staticmethod
+    def session(setup):
+        db, x, params, coin = setup
+        return x, ProbeSession(db, coin, replace(params, k=5, s=1.0, tau=2))
+
+    @SEARCHES
+    def test_a_used_session_is_refused(self, setup, search):
+        x, session = self.session(setup)
+        session.probe_round(membership_addresses(x))
+        with pytest.raises(ValueError, match="needs a fresh session"):
+            search(x, session)
+        assert session.transcript.rounds_used == 1
+
+    @SEARCHES
+    def test_a_query_of_another_dimension_is_refused(self, setup, search):
+        _, session = self.session(setup)
+        with pytest.raises(ValueError, match="query dim 32 does not match params d 64"):
+            search(Point(32, 1), session)
+        assert session.transcript.rounds_used == 0
+
+    def test_the_general_search_needs_s_and_tau(self, setup):
+        db, x, params, coin = setup
+        session = ProbeSession(db, coin, params)
+        with pytest.raises(ValueError, match="needs params with s and tau"):
+            run_general(x, session)
+        assert session.transcript.rounds_used == 0
 
 
 class TestSessionLifecycle:

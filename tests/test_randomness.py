@@ -25,7 +25,7 @@ from annsim.randomness import (
 from annsim.sketch import SketchMatrix, derive_matrix, sketch_apply_batch
 
 from conftest import make_instance
-from reference_oracle import _db_bits, _parity_product
+from reference_oracle import _db_bits, _matrix_bits, _parity_product
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -279,7 +279,7 @@ class TestNativeKernel:
         out = np.full((20, 2), ~np.uint64(0))
         # The scratch is the word list of one group of rows: nwords words.
         native.sketch_apply_batch(db.words, 20, m.packed, 70, 5, np.full(5, ~np.uint64(0)), out)
-        assert np.array_equal(out, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+        assert np.array_equal(out, pack_words(_parity_product(_db_bits(db), _matrix_bits(m))))
         out = np.full(65, ~np.uint64(0))
         native.raw64_block((7 + 3 * _GOLDEN) % 2**64, 65, out)
         assert np.array_equal(out, raw64_block_numpy(7, 2, 65))
@@ -315,7 +315,7 @@ class TestNativeKernel:
                             for scale in (0, 6)] + [np.zeros((1, 5), dtype=np.uint64)])
         m = SketchMatrix(rows=13, dim=300, packed=packed)
         assert np.array_equal(sketch_apply_batch(m, db),
-                              pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+                              pack_words(_parity_product(_db_bits(db), _matrix_bits(m))))
         assert _native.status().startswith("numpy (")
         assert _native.kernels() is None
 

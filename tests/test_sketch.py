@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from annsim import sketch
-from annsim.core import Params, Point, hamming_dist, pack_words, unpack_bits
+from annsim.core import Params, Point, hamming_dist, pack_words
 from annsim.errors import DimensionMismatch
 from annsim.randomness import coin_for_trial
 from annsim.sketch import (
@@ -22,7 +22,7 @@ from annsim.sketch import (
 )
 
 from conftest import make_instance, point_from_bits
-from reference_oracle import _db_bits, _parity_product
+from reference_oracle import _db_bits, _matrix_bits, _parity_product
 
 
 def empirical_density(matrix: SketchMatrix) -> float:
@@ -186,7 +186,7 @@ class TestSketchApply:
         got = sketch_bits(m, p)
         for r in range(16):
             naive = sum(
-                int(a) & int(b) for a, b in zip(m.bits_matrix()[r], _bits_of(p))
+                int(a) & int(b) for a, b in zip(_matrix_bits(m)[r], _bits_of(p))
             ) % 2
             assert got[r] == naive
 
@@ -197,7 +197,7 @@ class TestSketchApply:
         m = derive_matrix(coin, "main", 0, rows, 100, 2.0)
         p = Point(100, 0x9E3779B97F4A7C15 << 30 | 0x123456789)
         got = sketch_bits(m, p)
-        bits = m.bits_matrix()
+        bits = _matrix_bits(m)
         assert got.tolist() == [sum(int(a) & b for a, b in zip(bits[r], _bits_of(p))) % 2
                                 for r in range(rows)]
 
@@ -225,7 +225,7 @@ class TestSketchApplyBatchDifferential:
         m = derive_matrix(coin_for_trial(seed, 0, 0), "main", scale, rows, d, 2.0)
         batch = sketch_apply_batch(m, db)
         assert batch.shape == (n, (rows + 63) // 64) and batch.dtype == np.uint64
-        want = pack_words(_parity_product(_db_bits(db), m.bits_matrix()))
+        want = pack_words(_parity_product(_db_bits(db), _matrix_bits(m)))
         assert np.array_equal(batch, want)
         for i in range(db.n):
             assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
@@ -296,7 +296,7 @@ class TestSketchApplyBatchRowKinds:
     def check(m: SketchMatrix, db) -> None:
         batch = sketch_apply_batch(m, db)
         assert batch.shape == (db.n, (m.rows + 63) // 64) and batch.dtype == np.uint64
-        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), _matrix_bits(m))))
         for i in range(db.n):
             assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
 
@@ -340,7 +340,7 @@ class TestSketchApplyBatchTileEdges:
         batch = sketch_apply_batch(m, db)
         assert batch.shape == (n, (rows + 63) // 64) and batch.dtype == np.uint64
         assert np.array_equal(batch, pack_words(sketch_apply_batch_numpy(m, db.words)))
-        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), m.bits_matrix())))
+        assert np.array_equal(batch, pack_words(_parity_product(_db_bits(db), _matrix_bits(m))))
         for i in {0, 31, 32, n - 1} & set(range(n)):  # tile ends and the tail's ends
             assert np.array_equal(batch[i], sketch_apply(m, db.point(i)).packed())
 
@@ -377,7 +377,7 @@ def test_bits_above_dim_are_refused(bit):
     with pytest.raises(ValueError, match="beyond dim 70"):
         SketchMatrix(rows=4, dim=70, packed=packed)
     packed[3, 1] = np.uint64(1) << np.uint64(69 - 64)
-    assert SketchMatrix(rows=4, dim=70, packed=packed).bits_matrix()[3, 69] == 1
+    assert _matrix_bits(SketchMatrix(rows=4, dim=70, packed=packed))[3, 69] == 1
 
 
 class TestMatrixCache:
@@ -404,8 +404,7 @@ class TestMatrixCache:
 
 def sketch_bits(m: SketchMatrix, p: Point) -> np.ndarray:
     """The sketch of p as a uint8 array of length m.rows."""
-    v = sketch_apply(m, p)
-    return unpack_bits(v.value, v.dim)
+    return np.array(_bits_of(sketch_apply(m, p)), dtype=np.uint8)
 
 
 def _bits_of(p: Point):
