@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -304,20 +305,52 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run all trials; records come back in trial order."""
     validate_config(cfg)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
-    else:
-        records = [run_trial(cfg, t) for t in range(cfg.trials)]
-    bound = probe_bound(cfg) * cfg.repeat
-    for rec in records:
-        if rec.probes_total > bound:
-            raise AssertionError(f"trial {rec.trial} used {rec.probes_total} probes, bound is {bound}")
-        if rec.rounds_used > cfg.k:
-            raise AssertionError(f"trial {rec.trial} used {rec.rounds_used} rounds, budget is {cfg.k}")
-    if cfg.out:
-        write_csv(records, cfg.out)
+    with _lines_out(cfg.out, CSV_HEADER) as write:
+        if cfg.jobs > 1:
+            records = _run_pool(cfg)
+        else:
+            records = [run_trial(cfg, t) for t in range(cfg.trials)]
+        bound = probe_bound(cfg) * cfg.repeat
+        for rec in records:
+            if rec.probes_total > bound:
+                raise AssertionError(
+                    f"trial {rec.trial} used {rec.probes_total} probes, bound is {bound}")
+            if rec.rounds_used > cfg.k:
+                raise AssertionError(
+                    f"trial {rec.trial} used {rec.rounds_used} rounds, budget is {cfg.k}")
+        write(csv_lines(records)[1:])
     return records
+
+
+# The variables that OpenBLAS, OpenMP and MKL read for their thread counts
+# when they load.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_pool(cfg: ExperimentConfig) -> list[TrialRecord]:
+    """Run the trials in cfg.jobs worker processes, in trial order.
+
+    The workers are spawned, not forked, so that each loads numpy afresh
+    with cpu_count // jobs BLAS threads: a forked worker would inherit a
+    BLAS pool of one thread per core, and the workers together would run
+    jobs times as many BLAS threads as there are cores. The thread
+    variables are set for the pool's lifetime only.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, str((os.cpu_count() or 1) // cfg.jobs)))
+    try:
+        with ProcessPoolExecutor(max_workers=cfg.jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _cell(value: object) -> str:
@@ -331,17 +364,42 @@ def csv_lines(records: list[TrialRecord]) -> list[str]:
     return [CSV_HEADER] + [",".join(_cell(getattr(r, c)) for c in _CSV_COLUMNS) for r in records]
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    """Write `lines` to `path` as ASCII, one per line; a failed write is a ConfigError."""
+def _writing(path: str, fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), with an OSError raised as the ConfigError that
+    `path` cannot be written."""
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return fn(*args, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _lines_out(path: str | None, first: str) -> Iterator[Callable[[list[str]], None]]:
+    """A writer of the ASCII lines that follow `first` in `path`, one per line.
+
+    `first` is written and flushed on entry, so that a path that cannot take
+    it (a full device, say) fails before any work is done, and the file is
+    closed on exit. Without a path nothing is written. A failed write is a
+    ConfigError.
+    """
+    if not path:
+        yield lambda lines: None
+        return
+    fh = _writing(path, open, path, "w", encoding="ascii", newline="\n")
+    try:
+        _writing(path, fh.write, first + "\n")
+        _writing(path, fh.flush)
+        yield lambda lines: _writing(path, fh.write, "".join(line + "\n" for line in lines))
+        _writing(path, fh.close)
+    finally:
+        with suppress(OSError):  # a failed write leaves its bytes to fail again
+            fh.close()
+
+
 def write_csv(records: list[TrialRecord], path: str) -> None:
-    _write_lines(path, csv_lines(records))
+    lines = csv_lines(records)
+    with _lines_out(path, lines[0]) as write:
+        write(lines[1:])
 
 
 def summarize(records: list[TrialRecord]) -> dict:
@@ -409,33 +467,36 @@ def calibrate(
     if seeds * n * d > _MAX_MATRIX_BITS:
         raise ConfigError(f"{seeds} databases of n={n} points of d={d} bits pass the cap of "
                           "2^30 bits for the databases calibrate holds at once")
-    instances = [(*trial_instance(seed, i, n, d, DatasetSpec()), coin_for_trial(seed, i, 0))
-                 for i in range(seeds)]
+    with _lines_out(out, "factor,value,rate") as write:
+        instances = [(*trial_instance(seed, i, n, d, DatasetSpec()), coin_for_trial(seed, i, 0))
+                     for i in range(seeds)]
 
-    def sets(i: int, c1: float, c2: float, depth: float | None = None):
-        db, x, coin = instances[i]
-        return exact_sets(x, db, coin, Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2, s=depth))
+        def sets(i: int, c1: float, c2: float, depth: float | None = None):
+            db, x, coin = instances[i]
+            params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2, s=depth)
+            return exact_sets(x, db, coin, params)
 
-    def sweep(grid: tuple[float, ...], passes) -> tuple[list[tuple[float, float]], float]:
-        """(factor, rate) up to the first factor whose rate reaches `target`, and that factor."""
-        rates = []
-        for value in grid:
-            rate = sum(passes(value, i) for i in range(seeds)) / seeds
-            rates.append((value, rate))
-            if rate >= target:
-                return rates, value
-        return rates, grid[-1]
+        def sweep(grid: tuple[float, ...], passes) -> tuple[list[tuple[float, float]], float]:
+            """(factor, rate) up to the first factor whose rate reaches
+            `target`, and that factor."""
+            rates = []
+            for value in grid:
+                rate = sum(passes(value, i) for i in range(seeds)) / seeds
+                rates.append((value, rate))
+                if rate >= target:
+                    return rates, value
+            return rates, grid[-1]
 
-    def joint(c2: float, i: int) -> bool:
-        scale_sets = sets(i, chosen_c1, c2, s)
-        return check_assumption1(scale_sets) and check_assumption2(scale_sets)
+        def joint(c2: float, i: int) -> bool:
+            scale_sets = sets(i, chosen_c1, c2, s)
+            return check_assumption1(scale_sets) and check_assumption2(scale_sets)
 
-    c1_rates, chosen_c1 = sweep(c1_grid, lambda c1, i: check_assumption1(sets(i, c1, c2_grid[0])))
-    c2_rates, chosen_c2 = sweep(c2_grid, joint)
+        c1_rates, chosen_c1 = sweep(c1_grid,
+                                    lambda c1, i: check_assumption1(sets(i, c1, c2_grid[0])))
+        c2_rates, chosen_c2 = sweep(c2_grid, joint)
 
-    if out:
-        _write_lines(out, ["factor,value,rate", *(f"c1,{c1:g},{rate}" for c1, rate in c1_rates),
-                           *(f"c2,{c2:g},{rate}" for c2, rate in c2_rates)])
+        write([*(f"c1,{c1:g},{rate}" for c1, rate in c1_rates),
+               *(f"c2,{c2:g},{rate}" for c2, rate in c2_rates)])
     return CalibrationReport(
         c1_rates=c1_rates,
         c2_rates=c2_rates,

@@ -117,6 +117,12 @@ class ScaleSets:
     (top+2, n), `candidates` is (top+1, n), and each auxiliary scale j gets
     one mask of the points passing its sketch test, built on first use.
     `ball`, `sketch_ball` and `refined` return them as frozensets.
+
+    The candidate sets are built from the top scale down, testing the
+    sandwich at each scale, and the build stops at the first scale where it
+    breaks: the verdict is then known, and the scales below, the dense
+    products, are built only when something reads them. Top down is also
+    the cheap order, since the matrices grow denser at every lower scale.
     """
 
     def __init__(self, x: Point, db: Database, coin: PublicCoin, params: Params):
@@ -141,8 +147,45 @@ class ScaleSets:
         pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
         del diff
         self._pairs = np.ascontiguousarray(pairs.T, dtype=np.float32)
-        self.candidates = np.array([self._passing("main", sc) for sc in range(self.top + 1)])
+        self._candidates = np.zeros((self.top + 1, db.n), dtype=bool)
+        self._built = [False] * (self.top + 1)
         self._aux_masks: dict[int, np.ndarray] = {}
+        self.sandwich_holds()  # builds the candidate sets down to the first break
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """The (top+1, n) candidate masks; reading them builds every scale."""
+        for i in range(self.top + 1):
+            self._candidate(i)
+        return self._candidates
+
+    @candidates.setter
+    def candidates(self, masks: np.ndarray) -> None:
+        self._candidates = masks
+        self._built = [True] * (self.top + 1)
+
+    def _candidate(self, i: int) -> np.ndarray:
+        """Mask of the scale-i candidate set, built on first use."""
+        if not self._built[i]:
+            self._candidates[i] = self._passing("main", i)
+            self._built[i] = True
+        return self._candidates[i]
+
+    def sandwich_break(self, i: int) -> str | None:
+        """The side where ball(i) <= sketch_ball(i) <= ball(i+1) breaks at
+        scale i, "ball ⊄ sketch_ball" (tested first) or "sketch_ball ⊄ next
+        ball", or None when it holds there."""
+        cand = self._candidate(i)
+        if (self.balls[i] & ~cand).any():
+            return "ball ⊄ sketch_ball"
+        if (cand & ~self.balls[i + 1]).any():
+            return "sketch_ball ⊄ next ball"
+        return None
+
+    def sandwich_holds(self) -> bool:
+        """Whether the sandwich holds at every scale, tested from the top
+        scale down up to the first break."""
+        return not any(self.sandwich_break(i) for i in range(self.top, -1, -1))
 
     def _passing(self, role: str, scale: int) -> np.ndarray:
         """Mask of the database points that pass the `role` sketch test at `scale`."""
@@ -181,7 +224,7 @@ class ScaleSets:
         return _members(self.balls[i])
 
     def sketch_ball(self, i: int) -> frozenset[int]:
-        return _members(self.candidates[i])
+        return _members(self._candidate(i))
 
     def aux_pass(self, j: int) -> np.ndarray:
         """Mask of the database points that pass the scale-j auxiliary sketch test."""
@@ -193,7 +236,7 @@ class ScaleSets:
     def refined(self, i: int, j: int) -> frozenset[int]:
         """Members of the scale-i candidate set that also pass the scale-j
         auxiliary sketch test."""
-        return _members(self.candidates[i] & self.aux_pass(j))
+        return _members(self._candidate(i) & self.aux_pass(j))
 
 
 def _members(mask: np.ndarray) -> frozenset[int]:
@@ -201,7 +244,8 @@ def _members(mask: np.ndarray) -> frozenset[int]:
 
 
 def exact_sets(x: Point, db: Database, coin: PublicCoin, params: Params) -> ScaleSets:
-    """Materialize the exact balls and candidate sets for one trial."""
+    """Materialize the exact balls for one trial, and its candidate sets
+    from the top scale down to the first scale where the sandwich breaks."""
     return ScaleSets(x, db, coin, params)
 
 
@@ -210,21 +254,24 @@ def assumption1_failure(sets: ScaleSets) -> tuple[int, str] | None:
 
     Returns the lowest failing scale i with the side that fails there,
     "ball ⊄ sketch_ball" (checked first) or "sketch_ball ⊄ next ball", or
-    None when the sandwich holds at every scale.
+    None when the sandwich holds at every scale. The scales are tested from
+    0 up, so the candidate sets below the break that `exact_sets` stopped
+    at are built here.
     """
-    balls, cand = sets.balls, sets.candidates
-    low = (balls[:-1] & ~cand).any(axis=1)
-    high = (cand & ~balls[1:]).any(axis=1)
-    failing = np.flatnonzero(low | high)
-    if not failing.size:
-        return None
-    i = int(failing[0])
-    return i, "ball ⊄ sketch_ball" if low[i] else "sketch_ball ⊄ next ball"
+    for i in range(sets.top + 1):
+        side = sets.sandwich_break(i)
+        if side is not None:
+            return i, side
+    return None
 
 
 def check_assumption1(sets: ScaleSets) -> bool:
-    """The sandwich: ball(i) <= sketch_ball(i) <= ball(i+1) at every scale."""
-    return assumption1_failure(sets) is None
+    """The sandwich: ball(i) <= sketch_ball(i) <= ball(i+1) at every scale.
+
+    The scales are tested from the top down, so after `exact_sets` this
+    reaches only scales it already built.
+    """
+    return sets.sandwich_holds()
 
 
 def assumption2_failure(sets: ScaleSets) -> tuple[int, int, str] | None:
@@ -245,12 +292,13 @@ def assumption2_failure(sets: ScaleSets) -> tuple[int, int, str] | None:
     when every pair passes.
     """
     n, s = sets.params.n, sets.params.s
-    live = np.flatnonzero(sets.candidates.any(axis=1))
+    candidates = sets.candidates
+    live = np.flatnonzero(candidates.any(axis=1))
     for j in range(sets.top + 1):
         scales = live[live >= j]
         if not scales.size:
             break
-        cand = sets.candidates[scales]
+        cand = candidates[scales]
         refined = cand & sets.aux_pass(j)
         ball_j = sets.balls[j]
         far = cand & ~sets.balls[j + 1]

@@ -1,10 +1,13 @@
+import concurrent.futures
 import contextlib
+import gc
 import io
 import itertools
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -340,6 +343,62 @@ class TestRunExperiment:
         seq = run_experiment(small_cfg(trials=6, jobs=1))
         par = run_experiment(small_cfg(trials=6, jobs=2))
         assert csv_lines(seq) == csv_lines(par)
+
+    def test_pool_restores_the_thread_variables_and_leaves_no_resource_warning(
+            self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(small_cfg(trials=3, jobs=2))
+            gc.collect()
+        assert dict(os.environ) == before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_pool_restores_the_thread_variables_when_a_worker_raises(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        cfg = small_cfg(algo="general", n=16, k=1, override=(1, 2), trials=2, jobs=2)
+        with pytest.raises(ConfigError, match="round budget k=1 ran out"):
+            run_experiment(cfg)
+        assert dict(os.environ) == before
+
+    def test_pool_spawns_workers_with_a_share_of_the_blas_threads(self, monkeypatch):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                seen.append((max_workers, mp_context.get_start_method(),
+                             {name: os.environ.get(name) for name in harness._BLAS_THREADS}))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for name in harness._BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        par = run_experiment(small_cfg(trials=3, jobs=2))
+        assert seen == [(2, "spawn", dict.fromkeys(harness._BLAS_THREADS, "2"))]
+        assert csv_lines(par) == csv_lines(run_experiment(small_cfg(trials=3)))
+        assert not set(harness._BLAS_THREADS) & set(os.environ)
+
+    def test_importing_the_package_loads_no_worker_pool(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, annsim; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert res.stdout.strip() == "False", res.stderr
 
     def test_skipping_assumption_checks_blanks_columns(self):
         recs = run_experiment(small_cfg(check_assumptions=False, trials=3))
@@ -685,7 +744,7 @@ class TestCli:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         argv = ["run", "--algo", "simple", "--n", "8", "--d", "64", "--gamma", "4",
                 "--k", "1", "--trials", "1", "--seed", "1", "--jobs", jobs]
         with pytest.raises(ConfigError, match="jobs"):
@@ -768,6 +827,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "config error: cannot write '/dev/full': No space left on device"]
+
+    @OUT_COMMANDS
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_out_write_failure_stops_before_any_trial(self, argv, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        monkeypatch.setattr(harness, "gen_database", no_trial)
+        assert main([*argv, "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: cannot write '/dev/full': No space left on device"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cpus")
+    def test_jobs_two_from_the_command_line(self, tmp_path):
+        # annsim/__main__.py has no `if __name__` guard, and the spawned
+        # workers must not run it again.
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            res = self.run_cli(
+                "run", "--algo", "simple", "--n", "32", "--d", "64", "--gamma", "4",
+                "--k", "2", "--c1", "16", "--trials", "4", "--seed", "9", "--jobs", jobs,
+                "--out", str(out),
+            )
+            assert res.returncode == 0, res.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_matrix_past_the_cap_exit_code(self, capsys, monkeypatch):
         def no_trial(*args, **kwargs):

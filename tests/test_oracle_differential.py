@@ -28,7 +28,7 @@ from annsim.oracle import (
     check_assumption2,
     exact_sets,
 )
-from annsim.randomness import PublicCoin
+from annsim.randomness import PublicCoin, coin_for_trial
 from annsim.sketch import SketchMatrix, derive_matrix
 
 from conftest import make_instance, make_params
@@ -156,6 +156,9 @@ class TestRandomInstances:
         params = make_params(n=n, d=96, c1=c, c2=c, s=2.0)
         new = exact_sets(x, db, coin, params)
         old = ref.ScaleSets(x, db, coin, params, s_real=2.0)
+        # The reference builds every candidate set up front; the production
+        # sets stop at the first sandwich break unless the sets are read.
+        new.candidates
         derived = {}
         for name, module, sets, check in (
             ("new", oracle, new, check_assumption2),
@@ -473,3 +476,108 @@ class TestInjectedSets:
         inject(new, old, np.tile(inner, (top + 2, 1)), cand, aux)
         assert ref.check_assumption2(old, 1.0, n) is False
         assert check_assumption2(new) is False
+
+
+def bottom_up_failure(balls, cand):
+    """The sandwich's first break as the bottom-up oracle found it, from
+    every scale's masks at once: the lowest failing scale, low side first."""
+    low = (balls[:-1] & ~cand).any(axis=1)
+    high = (cand & ~balls[1:]).any(axis=1)
+    failing = np.flatnonzero(low | high)
+    if not failing.size:
+        return None
+    i = int(failing[0])
+    return i, "ball ⊄ sketch_ball" if low[i] else "sketch_ball ⊄ next ball"
+
+
+def top_break(balls, cand):
+    """The highest scale where the sandwich breaks, or None."""
+    failing = np.flatnonzero((balls[:-1] & ~cand).any(axis=1) | (cand & ~balls[1:]).any(axis=1))
+    return int(failing[-1]) if failing.size else None
+
+
+def main_scales_derived(fn, *args):
+    """fn(*args), and the scales of the main matrices the oracle derived during it."""
+    scales = set()
+
+    def recording(coin, role, scale, *rest):
+        if role == "main":
+            scales.add(scale)
+        return derive_matrix(coin, role, scale, *rest)
+
+    with mock.patch.object(oracle, "derive_matrix", recording):
+        result = fn(*args)
+    return result, scales
+
+
+class TestTopDown:
+    """exact_sets builds the candidate sets from the top scale down and stops
+    at the first sandwich break; the verdicts keep the bottom-up answers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(2, 200),
+        gamma=st.sampled_from([1.5, 2.0, 4.0]),
+        c=st.sampled_from([0.25, 0.5, 2.0, 8.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=40, d=130, gamma=4.0, c=0.5, seed=1)
+    def test_verdict_and_site_match_the_bottom_up_oracle(self, n, d, gamma, c, seed):
+        assume(d >= 64 or n <= 2**d)
+        db, x = gen_database(n, d, DatasetSpec(), seed)
+        coin = PublicCoin(seed)
+        params = Params(n=n, d=d, gamma=gamma, k=1, c1=c, c2=c)
+        new, built = main_scales_derived(exact_sets, x, db, coin, params)
+        held = check_assumption1(new)
+        failure = assumption1_failure(new)
+        old = ref.ScaleSets(x, db, coin, params)
+        assert held == (failure is None) == ref.check_assumption1(old)
+        assert failure == bottom_up_failure(new.balls, new.candidates)
+        b = top_break(new.balls, new.candidates)
+        assert built == set(range(0 if b is None else b, new.top + 1))
+
+    @pytest.mark.parametrize("low, high", [
+        ((2,), ()), ((), (3,)), ((1,), (4,)), ((4,), (1,)), ((2,), (2,)), ((0, 3), (1, 5)),
+    ], ids=["low", "high", "low-under-high", "high-under-low", "both-at-one", "several"])
+    def test_injected_breaks(self, low, high):
+        new, old = both(n=16, d=64, seed=4, s_real=1.0)
+        balls, cand, aux = TestFailureSites.nested(new.top)
+        for scale in low:
+            cand[scale, 3] = False  # ball(scale) leaves sketch_ball(scale)
+        for scale in high:
+            cand[scale, 9] = True  # sketch_ball(scale) leaves ball(scale + 1)
+        inject(new, old, balls, cand, aux)
+        failure = assumption1_failure(new)
+        assert failure is not None
+        assert failure == bottom_up_failure(balls, cand)
+        assert check_assumption1(new) is ref.check_assumption1(old) is False
+
+    def test_no_main_matrix_below_the_break(self):
+        # Starved rows break the sandwich; the build stops at the highest
+        # failing scale b and derives no main matrix below it.
+        params = make_params(n=64, d=256, c1=0.5)
+        stops = []
+        for seed in range(12):
+            db, x = make_instance(n=64, d=256, seed=seed)
+            coin = coin_for_trial(seed, 1, 0)
+            sets, built = main_scales_derived(exact_sets, x, db, coin, params)
+            b = top_break(sets.balls, sets.candidates)
+            if b is not None:
+                assert built == set(range(b, sets.top + 1))
+                stops.append(b)
+        assert any(b > 0 for b in stops)
+
+    def test_the_verdicts_after_exact_sets_derive_no_main_matrix(self):
+        params = make_params(n=64, d=256, c1=64.0, c2=64.0, s=2.0)
+        verdicts = []
+        for seed in range(6):
+            db, x = make_instance(n=64, d=256, seed=seed)
+            sets = exact_sets(x, db, coin_for_trial(seed, 1, 0), params)
+            held, built = main_scales_derived(check_assumption1, sets)
+            assert built == set()
+            verdicts.append(held)
+            if held:  # as run_repetition: the refinement bounds only after the sandwich
+                _, built = main_scales_derived(check_assumption2, sets)
+                assert built == set()
+        assert set(verdicts) == {True, False}
