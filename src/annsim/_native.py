@@ -1,19 +1,20 @@
 """The C kernels: one source, built together on first use.
 
-Three kernels have a C twin of their numpy kernel: `randomness.bernoulli_matrix`
-(`bernoulli_matrix_numpy`), `randomness.raw64_block` (`raw64_block_numpy`)
-and the sketch kernel behind `sketch.sketch_apply` and
-`sketch.sketch_apply_batch` (`sketch_apply_batch_numpy`). All three twins
-live in `_C_SOURCE`, which the first call of any kernel in a process
+Four kernels have a C twin of their numpy kernel: `randomness.bernoulli_matrix`
+(`bernoulli_matrix_numpy`), `randomness.raw64_block` (`raw64_block_numpy`),
+the sketch kernel behind `sketch.sketch_apply` and
+`sketch.sketch_apply_batch` (`sketch_apply_batch_numpy`), and the oracle's
+column kernel `oracle.column_parities` (`column_parities_numpy`). All four
+twins live in `_C_SOURCE`, which the first call of any kernel in a process
 compiles with one `cc` call in a private temporary directory and loads
 through `ctypes`; the directory is deleted once the library is loaded, so
 nothing is kept on disk, and importing the package builds nothing. Loading
-is all or nothing: unless all three symbols load, no C kernel is used and
+is all or nothing: unless all four symbols load, no C kernel is used and
 the numpy kernels run, with the same bits. The C kernels write
 little-endian uint64 words: the generator and the sketch kernel in the
 packed layout of `core.pack_words`, so each twin's output is `pack_words`
 of its numpy kernel's bit matrix, and the stream kernel the stream words
-themselves.
+themselves. The column kernel writes its numpy kernel's int64 counts.
 
 The sketch kernel is register-tiled (the micro-kernel of Goto and van de
 Geijn, "Anatomy of high-performance matrix multiplication", 2008, over
@@ -21,7 +22,8 @@ AND and XOR): a tile is 4 matrix rows by 32 points, whose 128 accumulators
 gcc keeps in vector registers, and the word loop, innermost, runs over the
 words where any of the 4 rows is nonzero. Its scratch argument holds that
 word list (one word per matrix word). The points past the last full tile
-run one at a time.
+run one at a time. The column kernel shares only the build with it: it
+XORs point columns at each row's set bits (see `oracle.column_parities`).
 """
 
 from __future__ import annotations
@@ -164,6 +166,45 @@ void sketch_apply_batch(const uint64_t *words, size_t n, const uint64_t *packed,
             sketch_point(words, n, row, list, len, j, r0 %% 64, keep, dst, owords);
     }
 }
+
+/* One tile of column_parities: the width column words from g0 XORed at each
+   set bit of the row into accumulators held in registers (width is constant
+   wherever this is inlined), then each point's parity bit added to its count. */
+static inline __attribute__((always_inline)) void
+column_tile(const uint64_t *row, size_t nwords, const uint64_t *columns, size_t gwords,
+            size_t g0, const int width, int64_t *counts)
+{
+    uint64_t acc[4] = {0, 0, 0, 0};
+    for (size_t w = 0; w < nwords; w++)
+        for (uint64_t x = row[w]; x; x &= x - 1) {
+            const uint64_t *col = columns + (64 * w + __builtin_ctzll(x)) * gwords + g0;
+            for (int t = 0; t < width; t++)
+                acc[t] ^= col[t];
+        }
+    for (int t = 0; t < width; t++)
+        for (int b = 0; b < 64; b++)
+            counts[64 * (g0 + t) + b] += (int64_t)(acc[t] >> b & 1);
+}
+
+/* column_parities_numpy: counts[j] (64 * gwords of them) is the number of
+   matrix rows (rows x nwords words) whose AND with point j has odd parity;
+   columns holds point j at bit j %% 64 of word j / 64 of each of its d rows,
+   and bits past the last point are zero, so their counts stay 0. */
+void column_parities(const uint64_t *packed, size_t rows, size_t nwords,
+                     const uint64_t *columns, size_t gwords, int64_t *counts)
+{
+    memset(counts, 0, 64 * gwords * sizeof *counts);
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t *row = packed + r * nwords;
+        for (size_t g0 = 0; g0 < gwords; g0 += 4)
+            switch (gwords - g0) {
+            case 1: column_tile(row, nwords, columns, gwords, g0, 1, counts); break;
+            case 2: column_tile(row, nwords, columns, gwords, g0, 2, counts); break;
+            case 3: column_tile(row, nwords, columns, gwords, g0, 3, counts); break;
+            default: column_tile(row, nwords, columns, gwords, g0, 4, counts);
+            }
+    }
+}
 """
 
 # None until the first call of a kernel in the process; then the pair
@@ -172,9 +213,10 @@ _state: tuple | None = None
 
 
 def kernels():
-    """The loaded C library, whose `bernoulli_matrix`, `raw64_block` and
-    `sketch_apply_batch` are the twins of the numpy kernels, or None where
-    the numpy kernels run. Builds the library on the first call in a process."""
+    """The loaded C library, whose `bernoulli_matrix`, `raw64_block`,
+    `sketch_apply_batch` and `column_parities` are the twins of the numpy
+    kernels, or None where the numpy kernels run. Builds the library on the
+    first call in a process."""
     global _state
     if _state is None:
         _state = _build()
@@ -189,7 +231,7 @@ def status() -> str:
 
 
 def _build() -> tuple:
-    """Compile `_C_SOURCE` in a private temporary directory and load the three kernels."""
+    """Compile `_C_SOURCE` in a private temporary directory and load the four kernels."""
     import ctypes
     import shutil
     import subprocess
@@ -216,8 +258,9 @@ def _build() -> tuple:
             return None, f"numpy (cc exited with {built.returncode}: {first})"
         try:
             native = ctypes.CDLL(lib)
-            bernoulli, batch, stream = (native.bernoulli_matrix, native.sketch_apply_batch,
-                                        native.raw64_block)
+            bernoulli, batch, stream, columns = (native.bernoulli_matrix,
+                                                 native.sketch_apply_batch, native.raw64_block,
+                                                 native.column_parities)
         except (OSError, AttributeError) as exc:
             return None, f"numpy (the C kernels did not load: {exc})"
     size, u64 = ctypes.c_size_t, ctypes.c_uint64
@@ -225,7 +268,9 @@ def _build() -> tuple:
     batch.argtypes = [_array(np.uint64, 2), size, _array(np.uint64, 2), size, size,
                       _array(np.uint64, 1, "WRITEABLE"), _array(np.uint64, 2, "WRITEABLE")]
     stream.argtypes = [u64, size, _array(np.uint64, 1, "WRITEABLE")]
-    bernoulli.restype = batch.restype = stream.restype = None
+    columns.argtypes = [_array(np.uint64, 2), size, size, _array(np.uint64, 2), size,
+                        _array(np.int64, 1, "WRITEABLE")]
+    bernoulli.restype = batch.restype = stream.restype = columns.restype = None
     return native, "native"
 
 

@@ -107,10 +107,7 @@ class Database:
     stored once, word-major as `words` (word w of every point is
     contiguous, which is what the sketching kernels read); `packed` is the
     point-major view of the same array. No `Point` is kept: `point(i)`
-    builds one from row i for a cell content or an answer. A small
-    per-instance memo of database sketch words is maintained by the tables
-    module; it caches pure functions of (database, coin, alpha, scale)
-    only, so logical immutability is preserved.
+    builds one from row i for a cell content or an answer.
     """
 
     def __init__(self, words: np.ndarray, dim: int):
@@ -130,7 +127,6 @@ class Database:
         self.words = rows.T.copy()
         self.words.flags.writeable = False
         self.packed = self.words.T
-        self._sketch_memo: dict = {}
 
     @classmethod
     def from_points(cls, points: list[Point] | tuple[Point, ...]) -> "Database":

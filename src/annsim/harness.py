@@ -84,10 +84,10 @@ CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 # Bits one sketch matrix (rows x d) or the database (n x d) may hold. The C
 # generator writes a matrix as packed words (2^30 bits are 128 MiB), the
-# numpy generator first as one byte per bit (1 GiB), and the oracle unpacks
-# both to float32 (4 GiB), so a larger one would exhaust memory partway
-# through a run. The largest shipped configurations hold about 2^24.6 bits
-# (d = 2^16 with 384 main rows) and 2^24 (256 points of d = 2^16).
+# numpy generator and the oracle's unpacked database one byte per bit (1 GiB),
+# so a larger one would exhaust memory partway through a run. The largest
+# shipped configurations hold about 2^24.6 bits (d = 2^16 with 384 main rows)
+# and 2^24 (256 points of d = 2^16).
 _MAX_MATRIX_BITS = 1 << 30
 
 # Scales a run may walk: I = ceil(log_alpha d) grows without bound as gamma
@@ -322,35 +322,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-# The variables that OpenBLAS, OpenMP and MKL read for their thread counts
-# when they load.
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _run_pool(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run the trials in cfg.jobs worker processes, in trial order.
 
-    The workers are spawned, not forked, so that each loads numpy afresh
-    with cpu_count // jobs BLAS threads: a forked worker would inherit a
-    BLAS pool of one thread per core, and the workers together would run
-    jobs times as many BLAS threads as there are cores. The thread
-    variables are set for the pool's lifetime only.
+    The workers are spawned, not forked: Python 3.12 deprecates `fork()`
+    in a process that runs threads, and numpy's OpenBLAS starts its threads
+    when numpy is imported.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-    os.environ.update(dict.fromkeys(_BLAS_THREADS, str((os.cpu_count() or 1) // cfg.jobs)))
-    try:
-        with ProcessPoolExecutor(max_workers=cfg.jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    with ProcessPoolExecutor(max_workers=cfg.jobs,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
 
 
 def _cell(value: object) -> str:
@@ -518,6 +502,7 @@ def selftest(verbose: bool = True) -> bool:
             failures.append(name)
 
     from . import _native
+    from .oracle import column_parities, column_parities_numpy
     from .randomness import bernoulli_matrix, bernoulli_matrix_numpy, raw64_block, raw64_block_numpy
     from .sketch import SketchMatrix, derive_matrix, sketch_apply_batch, sketch_apply_batch_numpy
 
@@ -556,6 +541,18 @@ def selftest(verbose: bool = True) -> bool:
             np.array_equal(sketch_apply_batch(m, db),
                            pack_words(sketch_apply_batch_numpy(m, db.words))),
         )
+        # 300 points as columns (a tile of 4 column words and a tail of 1)
+        # under 8 rows of about one in 4 ones, 8 of one in 64, zeros and ones.
+        columns = raw64_block_numpy(coin.seed, 1000, 300 * 5).reshape(300, 5)
+        draws = raw64_block_numpy(coin.seed, 3000, 6 * 8 * 5).reshape(6, 8, 5)
+        packed = np.vstack([draws[0] & draws[1], np.bitwise_and.reduce(draws),
+                            np.zeros((1, 5), np.uint64), np.full((1, 5), 2**64 - 1, np.uint64)])
+        columns[:, -1] &= np.uint64((1 << 44) - 1)
+        packed[:, -1] &= np.uint64((1 << 44) - 1)
+        m = SketchMatrix(rows=18, dim=300, packed=packed)
+        check("native column kernel matches the numpy kernel",
+              np.array_equal(column_parities(m, columns, 300),
+                             column_parities_numpy(m, columns, 300)))
     saved = _native._state
     if failures:
         # A wrong C kernel has its FAIL line above. The checks below are of

@@ -4,26 +4,18 @@ Everything here is recomputed from definitions, independently of the table
 machinery: exact nearest neighbors by a popcount scan of the database words,
 exact distance balls from the unpacked bits with the exact integer radii
 floor(alpha^i), and the sketch-based candidate sets rebuilt from the raw
-matrices by routes of their own (deliberately different from the packed
+matrices by a route of their own (deliberately different from the packed
 parity kernels the tables use, so cross-checks between the two are
 meaningful).
 
 The query is XORed into every database point first. The row sums of the
 unpacked XOR are the exact distances, and the sketches of p and x differ in
-row r exactly when row r has odd parity with p XOR x. A matrix takes one of
-two routes to those parities, chosen by its number of nonzero 64-bit words:
-
-- Sparse (at most one in four words nonzero): the ones are found from the
-  matrix's nonzero words, and row r's parities with all n points are the
-  XOR of the columns of p XOR x at row r's ones, stored as (d, ceil(n/64))
-  words, so one word XOR serves 64 points.
-- Dense: a float32 product over the unpacked bits. Two points share one
-  entry, `diff[2i] + 4096 * diff[2i+1]`, so one product serves both. The
-  product runs over blocks of at most 2048 columns: each 12-bit field then
-  counts at most 2048 < 2^12 ones, and every partial sum stays at most
-  2048 * 4097 < 2^24, which float32 holds exactly in any summation order.
-  The block results are XORed, so bit 0 and bit 12 carry the two points'
-  parities.
+row r exactly when row r has odd parity with p XOR x. Those parities come
+by one route at every density: the columns of p XOR x are stored as
+(d, ceil(n/64)) words, so one word XOR serves 64 points, and row r's
+parities with all n points are the XOR of the columns at row r's ones
+(`column_parities`, with a C twin). The table kernels instead AND each
+matrix row with the points' words.
 
 The sets are kept as boolean masks over database indices. Only the sketch
 primitives themselves, matrix derivation and the one sketch test
@@ -34,10 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _native
 from .core import Database, Params, Point, fraction_at_most, unpack_words
 from .errors import DimensionMismatch
 from .randomness import PublicCoin
-from .sketch import derive_matrix, sketch_rows, threshold
+from .sketch import SketchMatrix, derive_matrix, sketch_rows, threshold
 
 
 def exact_nn(x: Point, db: Database) -> tuple[Point, int]:
@@ -47,35 +40,6 @@ def exact_nn(x: Point, db: Database) -> tuple[Point, int]:
     dists = np.bitwise_count(db.packed ^ x.packed()).sum(axis=1)
     best = int(np.argmin(dists))
     return db.point(best), int(dists[best])
-
-
-# Columns per product and the second field's shift: a field counts at most
-# _BLOCK < 2^_SHIFT ones, and _BLOCK * (2^_SHIFT + 1) < 2^24.
-_BLOCK = 2048
-_SHIFT = 12
-
-
-def _pair_parities(matrix_bits: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """GF(2) products of a matrix's rows (rows, d) with point pairs packed
-    as `lo + 4096 * hi` in a C-contiguous (d, m) float32 operand, as a
-    (rows, m) int32 array whose bit 0 is the parity with lo and bit 12 the
-    parity with hi.
-
-    Each product runs as matrix @ pairs over at most _BLOCK columns, so it
-    is exact, and the block results are XORed. The matrix is cast once,
-    whole, and the blocks are views of it: casting each block into its own
-    fresh array cost more in a full trial than the packing saves.
-    """
-    matrix = matrix_bits.astype(np.float32)
-    acc = np.zeros((matrix.shape[0], pairs.shape[1]), dtype=np.int32)
-    for lo in range(0, matrix.shape[1], _BLOCK):
-        acc ^= (matrix[:, lo : lo + _BLOCK] @ pairs[lo : lo + _BLOCK]).astype(np.int32)
-    return acc
-
-
-# A matrix with at most one in _SPARSE of its 64-bit words nonzero takes
-# the column route.
-_SPARSE = 4
 
 
 def _point_columns(diff: np.ndarray) -> np.ndarray:
@@ -93,21 +57,51 @@ def _point_columns(diff: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(octets.T).view(np.uint64)
 
 
-def _column_parities(columns: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     n: int) -> np.ndarray:
-    """Sketch distances of n points from a matrix's ones at (rows, cols),
-    listed in row-major order.
+# Matrix bits times column words per chunk of rows of `column_parities_numpy`,
+# so that its gather holds at most 8 MiB even for a matrix of ones (unchunked,
+# scale 0 at d = 2^16 and n = 256 would gather about 200 MB).
+_CHUNK_WORDS = 1 << 20
 
-    `columns` holds column c of the points XOR the query as (d, ceil(n/64))
-    words. One reduceat XORs each nonzero row's columns into its parity
-    words, and a point's distance is the number of rows whose parity bit is
-    set; all-zero rows add 0 to every count.
-    """
-    if not rows.size:
-        return np.zeros(n, dtype=np.intp)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    parities = np.bitwise_xor.reduceat(columns[cols], starts, axis=0)
-    return np.count_nonzero(unpack_words(parities, n).view(bool), axis=0)
+
+def column_parities(matrix: SketchMatrix, columns: np.ndarray, n: int) -> np.ndarray:
+    """Sketch distances of n points held column by column in `columns`
+    (see `_point_columns`): entry j counts the matrix rows whose AND with
+    point j has odd parity.
+
+    The C twin of :func:`column_parities_numpy` runs where the C kernels
+    load (see :mod:`annsim._native`): per row, it walks the set bits of the
+    row's words and XORs the columns there into up to 4 column words held
+    in registers."""
+    if len(columns) != matrix.dim:  # the C kernel reads the column at each one
+        raise DimensionMismatch(f"matrix dim {matrix.dim} vs {len(columns)} point columns")
+    native = _native.kernels()
+    if native is None:
+        return column_parities_numpy(matrix, columns, n)
+    counts = np.empty(64 * columns.shape[1], dtype=np.int64)
+    native.column_parities(np.ascontiguousarray(matrix.packed), matrix.rows,
+                           matrix.packed.shape[1], columns, columns.shape[1], counts)
+    return counts[:n]
+
+
+def column_parities_numpy(matrix: SketchMatrix, columns: np.ndarray, n: int) -> np.ndarray:
+    """The numpy kernel of :func:`column_parities`, and the reference for its
+    C twin: the ones of a chunk of rows are found from its nonzero words, one
+    reduceat XORs each nonzero row's columns at its ones into its parity
+    words, and each parity bit adds 1 to its point's count."""
+    nwords = matrix.packed.shape[1]
+    counts = np.zeros(n, dtype=np.int64)
+    step = max(1, _CHUNK_WORDS // (64 * nwords * columns.shape[1]))
+    for lo in range(0, matrix.rows, step):
+        flat = matrix.packed[lo : lo + step].ravel()
+        nonzero = np.flatnonzero(flat)
+        if not nonzero.size:
+            continue
+        ones = np.flatnonzero(unpack_words(flat[nonzero], 64 * nonzero.size).view(bool))
+        rows, words = np.divmod(nonzero[ones >> 6], nwords)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        parities = np.bitwise_xor.reduceat(columns[64 * words + (ones & 63)], starts, axis=0)
+        counts += np.count_nonzero(unpack_words(parities, n).view(bool), axis=0)
+    return counts
 
 
 class ScaleSets:
@@ -120,9 +114,9 @@ class ScaleSets:
 
     The candidate sets are built from the top scale down, testing the
     sandwich at each scale, and the build stops at the first scale where it
-    breaks: the verdict is then known, and the scales below, the dense
-    products, are built only when something reads them. Top down is also
-    the cheap order, since the matrices grow denser at every lower scale.
+    breaks: the verdict is then known, and the scales below, with the
+    densest matrices, are built only when something reads them. Top down is
+    also the cheap order, since the matrices grow denser at every lower scale.
     """
 
     def __init__(self, x: Point, db: Database, coin: PublicCoin, params: Params):
@@ -135,18 +129,11 @@ class ScaleSets:
             raise DimensionMismatch(
                 f"query dim {x.dim}, database dim {db.dim} and params d {params.d} differ")
         # Each database point XOR the query: its row sums are the exact
-        # distances. Its columns as words serve the column route; then two
-        # points per entry (a zero row pads an odd n), as one C-contiguous
-        # (d, ceil(n/2)) float32 operand for every product.
+        # distances, and its columns as words serve every sketch distance.
         diff = unpack_words(db.packed, db.dim) ^ unpack_words(x.packed(), x.dim)
         radii = np.array([params.radius(sc) for sc in range(self.top + 2)])
         self.balls = diff.sum(axis=1) <= radii[:, None]
         self._columns = _point_columns(diff)
-        if db.n % 2:
-            diff = np.vstack([diff, np.zeros((1, db.dim), dtype=np.uint8)])
-        pairs = diff[0::2].astype(np.uint16) | diff[1::2].astype(np.uint16) << _SHIFT
-        del diff
-        self._pairs = np.ascontiguousarray(pairs.T, dtype=np.float32)
         self._candidates = np.zeros((self.top + 1, db.n), dtype=bool)
         self._built = [False] * (self.top + 1)
         self._aux_masks: dict[int, np.ndarray] = {}
@@ -194,30 +181,9 @@ class ScaleSets:
         matrix = derive_matrix(self.coin, role, scale, rows, self.db.dim, params.alpha)
         return self._sketch_dists(matrix) <= threshold(params, role, scale)
 
-    def _sketch_dists(self, matrix) -> np.ndarray:
-        """Sketch distance from the query to every database point under `matrix`.
-
-        A matrix with at most one in _SPARSE of its words nonzero takes the
-        column route (`_column_parities`): one count of its nonzero words
-        decides, and only then are its ones unpacked from those words. Every
-        other matrix runs the blocked float32 product over all of its
-        entries (`_pair_parities`). At d = 4096 a quarter of the words is
-        one in 256 entries; a cut-over at one in 64 entries was slower in
-        full trials, from the page faults of the column route's larger
-        buffers.
-        """
-        n = self.db.n
-        flat = matrix.packed.ravel()
-        if _SPARSE * np.count_nonzero(flat) <= flat.size:
-            nonzero = np.flatnonzero(flat)
-            ones = np.flatnonzero(unpack_words(flat[nonzero], 64 * nonzero.size).view(bool))
-            rows, words = np.divmod(nonzero[ones >> 6], matrix.packed.shape[1])
-            return _column_parities(self._columns, rows, 64 * words + (ones & 63), n)
-        acc = _pair_parities(unpack_words(matrix.packed, matrix.dim), self._pairs)
-        dists = np.empty(2 * acc.shape[1], dtype=np.intp)
-        dists[0::2] = np.count_nonzero(acc & 1, axis=0)
-        dists[1::2] = np.count_nonzero(acc & (1 << _SHIFT), axis=0)
-        return dists[:n]
+    def _sketch_dists(self, matrix: SketchMatrix) -> np.ndarray:
+        """Sketch distance from the query to every database point under `matrix`."""
+        return column_parities(matrix, self._columns, self.db.n)
 
     def ball(self, i: int) -> frozenset[int]:
         """Exact ball of radius floor(alpha^i) (index top+1 covers the whole base)."""

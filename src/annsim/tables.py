@@ -94,19 +94,11 @@ class CellAddress:
 def db_sketch_bits(
     db: Database, coin: PublicCoin, params: Params, role: str, scale: int
 ) -> np.ndarray:
-    """(n, ceil(rows/64)) `role` sketch words of the database at `scale`, memoized per database.
-
-    Packed like `Database.packed`, so a sketch compares to them as a point does.
-    """
-    rows = sketch_rows(params, role)
-    key = (coin.seed, params.alpha, role, scale, rows)
-    words = db._sketch_memo.get(key)
-    if words is None:
-        matrix = derive_matrix(coin, role, scale, rows, db.dim, params.alpha)
-        words = sketch_apply_batch(matrix, db)
-        words.flags.writeable = False
-        db._sketch_memo[key] = words
-    return words
+    """(n, ceil(rows/64)) `role` sketch words of the database at `scale`, computed
+    on every call and packed like `Database.packed`, so a sketch compares to
+    them as a point does."""
+    matrix = derive_matrix(coin, role, scale, sketch_rows(params, role), db.dim, params.alpha)
+    return sketch_apply_batch(matrix, db)
 
 
 def _within(words: np.ndarray, p: Point, radius: float) -> np.ndarray:

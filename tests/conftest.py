@@ -13,8 +13,9 @@ def coin():
 
 @pytest.fixture(scope="class")
 def numpy_kernel():
-    """Switch the C kernels off for one class: bernoulli_matrix, raw64_block
-    and the sketch kernels then run their numpy kernels. Class-scoped, so
+    """Switch the C kernels off for one class: bernoulli_matrix, raw64_block,
+    the sketch kernels and the oracle's column kernel then run their numpy
+    kernels. Class-scoped, so
     hypothesis tests may use it."""
     saved = _native._state
     _native._state = (None, "numpy (switched off by the test)")

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from annsim import _native, cli, harness, randomness, sketch
 from annsim.cli import _config_from_args, build_parser, main
-from annsim.core import Point, hamming_dist, pack_words
+from annsim.core import Point, hamming_dist, pack_words, unpack_words
 from annsim.errors import ConfigError
 from annsim.harness import (
     CSV_HEADER,
@@ -346,9 +346,9 @@ class TestRunExperiment:
 
     def test_pool_restores_the_thread_variables_and_leaves_no_resource_warning(
             self, monkeypatch):
+        # The pool leaves the environment, thread variables included, as it was.
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         before = dict(os.environ)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -359,20 +359,18 @@ class TestRunExperiment:
 
     def test_pool_restores_the_thread_variables_when_a_worker_raises(self, monkeypatch):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         before = dict(os.environ)
         cfg = small_cfg(algo="general", n=16, k=1, override=(1, 2), trials=2, jobs=2)
         with pytest.raises(ConfigError, match="round budget k=1 ran out"):
             run_experiment(cfg)
         assert dict(os.environ) == before
 
-    def test_pool_spawns_workers_with_a_share_of_the_blas_threads(self, monkeypatch):
+    def test_pool_spawns_its_workers(self, monkeypatch):
         seen = []
 
         class SerialPool:
             def __init__(self, max_workers, mp_context):
-                seen.append((max_workers, mp_context.get_start_method(),
-                             {name: os.environ.get(name) for name in harness._BLAS_THREADS}))
+                seen.append((max_workers, mp_context.get_start_method(), dict(os.environ)))
 
             def __enter__(self):
                 return self
@@ -385,12 +383,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        for name in harness._BLAS_THREADS:
-            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
         par = run_experiment(small_cfg(trials=3, jobs=2))
-        assert seen == [(2, "spawn", dict.fromkeys(harness._BLAS_THREADS, "2"))]
+        assert seen == [(2, "spawn", before)]
         assert csv_lines(par) == csv_lines(run_experiment(small_cfg(trials=3)))
-        assert not set(harness._BLAS_THREADS) & set(os.environ)
+        assert dict(os.environ) == before
 
     def test_importing_the_package_loads_no_worker_pool(self):
         res = subprocess.run(
@@ -626,6 +623,7 @@ class TestSelftest:
         assert "  kernels: native" in lines
         assert "  ok  native generator matches the numpy kernel" in lines
         assert "  ok  native sketch kernel matches the numpy kernel" in lines
+        assert "  ok  native column kernel matches the numpy kernel" in lines
 
     def test_numpy_fallback_is_reported_not_failed(self, capsys, monkeypatch):
         monkeypatch.setattr(_native, "_state", (None, "numpy (no C compiler: cc is not on PATH)"))
@@ -659,10 +657,14 @@ class TestSelftest:
     def test_a_wrong_native_stream_kernel_fails(self, capsys, monkeypatch):
         self.check_a_wrong_kernel_fails("raw64_block", capsys, monkeypatch)
 
+    def test_a_wrong_native_column_kernel_fails(self, capsys, monkeypatch):
+        self.check_a_wrong_kernel_fails("column_parities", capsys, monkeypatch)
+
     # Each kernel's line in the self-test.
     LINES = {"bernoulli_matrix": "native generator matches the numpy kernel",
              "raw64_block": "native stream words match numpy",
-             "sketch_apply_batch": "native sketch kernel matches the numpy kernel"}
+             "sketch_apply_batch": "native sketch kernel matches the numpy kernel",
+             "column_parities": "native column kernel matches the numpy kernel"}
 
     @classmethod
     def check_a_wrong_kernel_fails(cls, wrong, capsys, monkeypatch):
@@ -672,7 +674,7 @@ class TestSelftest:
             args[-1].fill(0)
 
         kernels = SimpleNamespace(bernoulli_matrix=_generator_twin, raw64_block=_stream_twin,
-                                  sketch_apply_batch=_sketch_twin)
+                                  sketch_apply_batch=_sketch_twin, column_parities=_column_twin)
         setattr(kernels, wrong, all_zero)
         monkeypatch.setattr(_native, "_state", (kernels, "native"))
         assert not selftest(verbose=True)
@@ -702,6 +704,14 @@ def _sketch_twin(words, n, packed, rows, nwords, scratch, out):
     """The C sketch kernel's answer, in its calling convention."""
     parities = np.bitwise_count(np.bitwise_xor.reduce(words & packed[:, :, None], axis=1)) & 1
     out[:] = pack_words(parities.T)
+
+
+def _column_twin(packed, rows, nwords, columns, gwords, counts):
+    """The C column kernel's answer, in its calling convention: the count,
+    per point, of the matrix rows with odd parity against it."""
+    bits = unpack_words(packed, len(columns)).astype(np.int64)
+    points = unpack_words(columns, 64 * gwords).astype(np.int64)
+    counts[:] = ((bits @ points) & 1).sum(axis=0)
 
 
 class TestCli:

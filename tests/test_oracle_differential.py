@@ -3,22 +3,23 @@
 `reference_oracle` keeps the earlier `ScaleSets`, `check_assumption1` and
 `check_assumption2` verbatim: one full product over every column with the
 query as its own column, frozensets built pair by pair, and an i-major pair
-loop. The production oracle XORs the query into the points; a sparse matrix
-XORs the point columns at each row's ones, and a dense one runs a product
-with two points per float32 entry in column blocks. It keeps its sets as
-boolean masks and checks the pairs j-major. Both must give the same sets
-and verdicts.
+loop. The production oracle XORs the query into the points and, at every
+density, XORs the point columns at each matrix row's ones (the C column
+kernel, or its numpy twin). It keeps its sets as boolean masks and checks
+the pairs j-major. Both must give the same sets and verdicts, on the C
+kernels and on the numpy kernels.
 """
 
 import random
+import shutil
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import reference_oracle as ref
-from annsim import oracle
+from annsim import _native, oracle
 from annsim.core import Database, Params, Point, pack_words
 from annsim.harness import DatasetSpec, gen_database
 from annsim.oracle import (
@@ -65,32 +66,6 @@ def assert_same_verdicts(new, old, n):
         assert check_assumption2(new) == ref.check_assumption2(old, old.s_real, n)
 
 
-def routes(new, bits, monkeypatch):
-    """The routes `new._sketch_dists` takes for one matrix: ("product",
-    matrix shape) for the blocked float32 product and ("columns", ones) for
-    the column route."""
-    taken = []
-    product, columns = oracle._pair_parities, oracle._column_parities
-
-    def recording_product(matrix_bits, pairs):
-        taken.append(("product", matrix_bits.shape))
-        return product(matrix_bits, pairs)
-
-    def recording_columns(point_columns, rows, cols, n):
-        taken.append(("columns", rows.size))
-        return columns(point_columns, rows, cols, n)
-
-    monkeypatch.setattr(oracle, "_pair_parities", recording_product)
-    monkeypatch.setattr(oracle, "_column_parities", recording_columns)
-    new._sketch_dists(matrix_from_bits(bits))
-    return taken
-
-
-def product_shapes(new, bits, monkeypatch):
-    """The matrix shapes `new._sketch_dists` hands to the product helper."""
-    return [shape for route, shape in routes(new, bits, monkeypatch) if route == "product"]
-
-
 def with_words(rows, d, words, seed):
     """A (rows, d) matrix with exactly `words` nonzero 64-bit words at random
     places, the last word included, each holding one to four ones."""
@@ -121,7 +96,10 @@ def inject(new, old, balls, cand, aux):
 
 
 class TestRandomInstances:
-    @settings(max_examples=40, deadline=None)
+    # TestRandomInstancesNumpy runs these methods too, under another class;
+    # the examples are valid for both kernels, so that is not a hazard here.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(
         n=st.integers(1, 40),
         d=st.integers(2, 200),
@@ -147,7 +125,8 @@ class TestRandomInstances:
                 m = derive_matrix(coin, role, sc, rows, d, params.alpha)
                 assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**64 - 1),
            c=st.sampled_from([0.5, 2.0, 8.0]))
     def test_no_aux_matrix_the_reference_would_not_derive(self, n, seed, c):
@@ -177,7 +156,8 @@ class TestRandomInstances:
 
 
 class TestSketchDists:
-    """Matrices built by hand, one per edge of the choice between the routes."""
+    """Matrices built by hand: all zero, a single nonzero word, single ones,
+    one column, and few or many nonzero words."""
 
     D = 64
 
@@ -187,14 +167,6 @@ class TestSketchDists:
         dists = new._sketch_dists(m)
         assert np.array_equal(dists, old._sketch_dists(m))
         return dists
-
-    def product_shapes(self, bits, monkeypatch):
-        new, _ = both(d=self.D)
-        return product_shapes(new, bits, monkeypatch)
-
-    def routes(self, bits, monkeypatch):
-        new, _ = both(d=self.D)
-        return routes(new, bits, monkeypatch)
 
     def half_columns(self):
         rng = np.random.default_rng(5)
@@ -207,22 +179,14 @@ class TestSketchDists:
     def test_exactly_half_the_columns(self):
         self.check(self.half_columns())
 
-    def test_cut_over_runs_the_full_product_at_half(self, monkeypatch):
-        bits = self.half_columns()
-        assert self.product_shapes(bits, monkeypatch) == [(12, self.D)]
+    # 12 rows of 64 columns hold 12 words.
+    @pytest.mark.parametrize("words", [2, 3, 4, 12])
+    def test_nonzero_words(self, words):
+        self.check(with_words(12, self.D, words, seed=words))
 
-    # 12 rows of 64 columns hold 12 words and put the cut-over at 3
-    # nonzero words.
-    @pytest.mark.parametrize("words, route", [(2, "columns"), (3, "columns"), (4, "product")])
-    def test_cut_over_pins_the_route(self, words, route, monkeypatch):
-        bits = with_words(12, self.D, words, seed=words)
-        assert [taken for taken, _ in self.routes(bits, monkeypatch)] == [route]
-        self.check(bits)
-
-    def test_ones_in_one_word_take_the_column_route(self, monkeypatch):
+    def test_ones_in_one_word_take_the_column_route(self):
         bits = np.zeros((12, self.D), dtype=bool)
         bits[5, [0, 9, 40, 63]] = True  # one nonzero word, four ones
-        assert self.routes(bits, monkeypatch) == [("columns", 4)]
         self.check(bits)
 
     def test_all_zero_matrix(self):
@@ -241,12 +205,13 @@ class TestSketchDists:
 
 
 class TestBlockEdges:
-    """Hand-built cases at the edges of the 2048-column product blocks and of
-    the two-points-per-entry packing.
+    """Hand-built dense cases with d around 2048 and 4096 (the edges of the
+    column blocks of an earlier float32 product) and past them, with the
+    query's complement among the points.
 
-    The query's complement differs from the query in every coordinate, so an
-    all-ones matrix row counts a full block of ones in its field: exactly
-    2048 in every block but the last.
+    The complement differs from the query in every coordinate, so its
+    distance under a matrix is the number of rows with an odd number of
+    ones.
     """
 
     @staticmethod
@@ -270,8 +235,7 @@ class TestBlockEdges:
         assert np.array_equal(dists, old._sketch_dists(m))
         return dists
 
-    # (n, at): the complement in the low field of a full pair, in the high
-    # field, in the low field beside the pad row of an odd n, and alone.
+    # (n, at): the complement first, last or inside an even or odd n, and alone.
     @pytest.mark.parametrize("n, at", [(2, 0), (2, 1), (3, 2), (5, 2), (5, 3), (1, 0)])
     @pytest.mark.parametrize("d", [2047, 2048, 2049, 4095, 4096, 4097])
     def test_all_ones_row_against_the_complement(self, n, at, d):
@@ -288,35 +252,31 @@ class TestBlockEdges:
         for row in bits[:3]:
             self.check(new, old, row[None])
 
-    # At d = 8200 the full product spans five blocks.
-    @pytest.mark.parametrize("nonzero, shape", [(4100, (6, 8200))])
-    def test_cut_over_above_two_blocks(self, nonzero, shape, monkeypatch):
-        new, old = self.oracles(5, 8200, 0, seed=nonzero)
+    def test_dense_columns_at_d_8200(self):
+        # The first 4100 columns of 5 rows, about half ones, and a sixth row of zeros.
+        new, old = self.oracles(5, 8200, 0, seed=4100)
         bits = np.zeros((6, 8200), dtype=bool)
-        bits[:5, :nonzero] = np.random.default_rng(nonzero).random((5, nonzero)) < 0.5
-        bits[0, :nonzero] = True
-        assert product_shapes(new, bits, monkeypatch) == [shape]
-        self.check(new, old, bits)
+        bits[:5, :4100] = np.random.default_rng(4100).random((5, 4100)) < 0.5
+        bits[0, :4100] = True
+        dists = self.check(new, old, bits)
+        assert dists[0] == np.count_nonzero(bits.sum(axis=1) % 2)
 
-    # 6 rows of 8190 columns (four blocks, the last word partial) hold
-    # 6 * 128 words and put the cut-over at 192 nonzero words, with the
-    # complement of the query among the points.
-    @pytest.mark.parametrize("words, route", [(191, "columns"), (192, "columns"),
-                                              (193, "product")])
-    def test_cut_over_pins_the_route_past_two_blocks(self, words, route, monkeypatch):
+    # 6 rows of 8190 columns (the last word partial) hold 6 * 128 words.
+    @pytest.mark.parametrize("words", [191, 192, 193])
+    def test_nonzero_words_at_d_8190(self, words):
         new, old = self.oracles(5, 8190, 0, seed=words)
         bits = with_words(6, 8190, words, seed=words)
-        assert [taken for taken, _ in routes(new, bits, monkeypatch)] == [route]
         dists = self.check(new, old, bits)
         assert dists[0] == np.count_nonzero(bits.sum(axis=1) % 2)
 
 
-ROW_KINDS = ("zero", "single", "last word", "sparse", "half")
+ROW_KINDS = ("zero", "single", "last word", "sparse", "half", "full")
 
 
 def rows_of(kinds, d, rng):
     """One matrix row per kind: all zero, a single one, ones only in the
-    last word (partial when 64 does not divide d), a few ones, or about d/2."""
+    last word (partial when 64 does not divide d), a few ones, about d/2,
+    or all ones."""
     bits = np.zeros((len(kinds), d), dtype=bool)
     last = 64 * ((d - 1) // 64)
     for row, kind in zip(bits, kinds):
@@ -328,14 +288,19 @@ def rows_of(kinds, d, rng):
             row[rng.integers(d, size=5)] = True
         elif kind == "half":
             row[:] = rng.random(d) < 0.5
+        elif kind == "full":
+            row[:] = True
     return bits
 
 
 class TestColumnRoute:
-    """The column route against the reference over the shapes its words
-    pad: n around multiples of 64 (the last point word), d around them."""
+    """The oracle's one route against the reference over the shapes its
+    words pad: n around multiples of 64 (the last point word), d around them."""
 
-    @settings(max_examples=40, deadline=None)
+    # TestColumnRouteNumpy runs this method too, under another class; the
+    # examples are valid for both kernels, so that is not a hazard here.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(
         n=st.sampled_from([1, 2, 63, 64, 65, 127, 128]),
         d=st.one_of(st.integers(7, 200), st.sampled_from([64, 128, 4097])),
@@ -359,16 +324,57 @@ class TestColumnRoute:
         if last_nonzero:
             bits[-1, rng.integers(d)] = True
         m = matrix_from_bits(bits)
-        ones = np.count_nonzero(bits)
-        expected = "columns" if 4 * np.count_nonzero(m.packed) <= m.packed.size else "product"
-        with pytest.MonkeyPatch.context() as patch:
-            assert [route for route, _ in routes(new, bits, patch)] == [expected]
         assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
-        # Every matrix through the column route, however dense.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_SPARSE", 1)
-            assert routes(new, bits, patch) == [("columns", ones)]
-            assert np.array_equal(new._sketch_dists(m), old._sketch_dists(m))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+class TestColumnKernel:
+    """The C column kernel against its numpy twin over the shapes its words
+    pad and its register tiles of 4 column words (256 points) split: n
+    around multiples of 64 and past one and two tiles, d around multiples
+    of 64, and rows at every density from all zero to all ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 63, 64, 65, 128, 129, 255, 256, 257, 320, 449, 520]),
+        d=st.one_of(st.integers(2, 200), st.sampled_from([64, 128, 4097])),
+        rates=st.lists(st.sampled_from([0.0, 1 / 512, 1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0]),
+                       min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=257, d=130, rates=[0.0, 1.0, 1 / 4], seed=0)
+    @example(n=520, d=4097, rates=[1.0, 1 / 512, 0.0, 1 / 2], seed=1)
+    def test_c_twin_matches_the_numpy_twin(self, n, d, rates, seed):
+        assert _native.status() == "native"
+        rng = np.random.default_rng(seed)
+        bits = rng.random((len(rates), d)) < np.array(rates)[:, None]
+        points = (rng.random((n, d)) < 0.5).astype(np.uint8)
+        # Point j at bit j % 64 of word j // 64 of its columns' rows.
+        columns = pack_words(np.ascontiguousarray(points.T))
+        m = matrix_from_bits(bits)
+        dists = oracle.column_parities(m, columns, n)
+        assert np.array_equal(dists, oracle.column_parities_numpy(m, columns, n))
+        assert np.array_equal(dists, ref._parity_product(points, bits.astype(np.uint8)).sum(axis=1))
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestRandomInstancesNumpy(TestRandomInstances):
+    """TestRandomInstances on the numpy kernels."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestSketchDistsNumpy(TestSketchDists):
+    """TestSketchDists on the numpy kernels."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestBlockEdgesNumpy(TestBlockEdges):
+    """TestBlockEdges on the numpy kernels."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestColumnRouteNumpy(TestColumnRoute):
+    """TestColumnRoute on the numpy kernels."""
 
 
 class TestFailureSites:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from annsim import _native, randomness
+from annsim import _native, oracle, randomness
 from annsim.core import pack_words
 from annsim.randomness import (
     PublicCoin,
@@ -252,10 +252,10 @@ class TestFinalizerSkipNumpy(TestFinalizerSkip):
 
 
 class TestNativeKernel:
-    """bernoulli_matrix, raw64_block and sketch_apply_batch build their C
-    twins together on first use, and all three fall back to their numpy
-    kernels, with the same bits, wherever that build or the load of any twin
-    fails."""
+    """bernoulli_matrix, raw64_block, sketch_apply_batch and the oracle's
+    column_parities build their C twins together on first use, and all four
+    fall back to their numpy kernels, with the same bits, wherever that build
+    or the load of any twin fails."""
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_native_kernel_loads_where_cc_exists(self):
@@ -283,10 +283,15 @@ class TestNativeKernel:
         out = np.full(65, ~np.uint64(0))
         native.raw64_block((7 + 3 * _GOLDEN) % 2**64, 65, out)
         assert np.array_equal(out, raw64_block_numpy(7, 2, 65))
+        # The column kernel counts into all 64 slots of its one column word.
+        counts = np.full(64, -1, dtype=np.int64)
+        native.column_parities(m.packed, 70, 5, oracle._point_columns(_db_bits(db)), 1, counts)
+        assert np.array_equal(counts[:20], _parity_product(_db_bits(db), _matrix_bits(m)).sum(1))
+        assert not counts[20:].any()
 
     @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing",
                                           "only bernoulli_matrix", "no raw64_block",
-                                          "no sketch_apply_batch"])
+                                          "no sketch_apply_batch", "no column_parities"])
     def test_failed_build_falls_back_to_the_same_bits(self, breakage, monkeypatch, tmp_path):
         monkeypatch.setattr(_native, "_state", None)
         source = _native._C_SOURCE
@@ -316,6 +321,8 @@ class TestNativeKernel:
         m = SketchMatrix(rows=13, dim=300, packed=packed)
         assert np.array_equal(sketch_apply_batch(m, db),
                               pack_words(_parity_product(_db_bits(db), _matrix_bits(m))))
+        assert np.array_equal(oracle.column_parities(m, oracle._point_columns(_db_bits(db)), 20),
+                              _parity_product(_db_bits(db), _matrix_bits(m)).sum(axis=1))
         assert _native.status().startswith("numpy (")
         assert _native.kernels() is None
 
@@ -334,7 +341,7 @@ class TestNativeKernel:
             ctypes.CDLL.__init__ = spy("library", ctypes.CDLL.__init__)
             import numpy as np
             import annsim
-            from annsim import _native, randomness
+            from annsim import _native, oracle, randomness
             from annsim.harness import DatasetSpec, ExperimentConfig, validate_config
             for cfg in (
                 ExperimentConfig(algo="simple", n=256, d=2**14, gamma=4.0, k=2, trials=100,

@@ -216,8 +216,8 @@ class TestSketchApply:
 
 class TestSketchApplyBatchDifferential:
     """sketch_apply_batch (register tiles of 4 rows x 32 points over the
-    words where a group's rows are nonzero) against the oracle's dense-matmul
-    route and the per-point kernel."""
+    words where a group's rows are nonzero) against the test reference's
+    dense matmul and the per-point kernel."""
 
     @staticmethod
     def check(n, d, scale, rows, seed):
@@ -322,7 +322,7 @@ class TestSketchApplyBatchRowKinds:
 class TestSketchApplyBatchTileEdges:
     """The C kernel takes rows in groups of 4 and points in tiles of 32,
     then one point at a time: every count around those edges, against the
-    numpy kernel, the oracle's dense product and the per-point kernel."""
+    numpy kernel, the test reference's dense product and the per-point kernel."""
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 257])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 128, 129, 384])

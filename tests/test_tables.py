@@ -237,9 +237,10 @@ class TestAuxCell:
 
 
 class TestTablesMatchOracle:
-    """The table route (packed sketch kernels, memoized per database) and the
-    oracle route (dense float32 matmul over unpacked bits) build the same
-    candidate and refinement sets on random small instances."""
+    """The table route (packed sketch kernels, which AND each matrix row with
+    the points' words) and the oracle route (point columns XORed at each
+    row's ones) build the same candidate and refinement sets on random small
+    instances."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -280,7 +281,8 @@ class TestDatabaseSketchMemo:
     def test_memo_tells_alphas_apart(self):
         # gamma=4 and gamma=2 share r_main but not the matrices above scale
         # 0: one database and coin must not hand the second caller the
-        # first caller's sketches.
+        # first caller's sketches. db_sketch_bits keeps no memo now, but
+        # the matrix cache behind it must tell the alphas apart too.
         db, _ = make_instance(n=64, d=128, seed=8)
         coin = coin_for_trial(8, 0, 0)
         for gamma in (4.0, 2.0):
