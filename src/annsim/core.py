@@ -224,6 +224,8 @@ class Params:
             raise ValueError("d must be >= 2")
         if not self.gamma > 1.0:  # NaN fails this too
             raise ValueError("gamma must be > 1")
+        if math.isinf(self.gamma):  # the success test's gamma * 0 would be NaN
+            raise ValueError("gamma must be finite")
         if self.k < 1:
             raise ValueError("round budget k must be >= 1")
         if not all(math.isfinite(v) for v in (self.c1, self.c2, self.c)):

@@ -434,8 +434,9 @@ def calibrate(
     Picks the smallest c1 whose empirical sandwich rate reaches `target`,
     then (holding it fixed) the smallest c2 whose joint rate with the
     refinement bounds reaches `target` at refinement depth `s`. Rates are
-    measured on one (database, query, coin) triple per seed index, drawn once
-    for both sweeps. With `out`, the rates are also written there as CSV.
+    measured on one (database, query, coin) triple per seed index; the
+    instances are drawn once for both sweeps, the coin afresh per measurement.
+    With `out`, the rates are also written there as CSV.
     """
     if seeds < 1:
         raise ConfigError("seeds must be >= 1")
@@ -452,13 +453,13 @@ def calibrate(
         raise ConfigError(f"{seeds} databases of n={n} points of d={d} bits pass the cap of "
                           "2^30 bits for the databases calibrate holds at once")
     with _lines_out(out, "factor,value,rate") as write:
-        instances = [(*trial_instance(seed, i, n, d, DatasetSpec()), coin_for_trial(seed, i, 0))
-                     for i in range(seeds)]
+        instances = [trial_instance(seed, i, n, d, DatasetSpec()) for i in range(seeds)]
 
         def sets(i: int, c1: float, c2: float, depth: float | None = None):
-            db, x, coin = instances[i]
+            # A kept coin would hold its matrices for the whole sweep.
+            db, x = instances[i]
             params = Params(n=n, d=d, gamma=gamma, k=1, c1=c1, c2=c2, s=depth)
-            return exact_sets(x, db, coin, params)
+            return exact_sets(x, db, coin_for_trial(seed, i, 0), params)
 
         def sweep(grid: tuple[float, ...], passes) -> tuple[list[tuple[float, float]], float]:
             """(factor, rate) up to the first factor whose rate reaches
@@ -571,11 +572,9 @@ def _simulator_checks(check) -> None:
     from .sketch import derive_matrix
     from .tables import main_cell
 
-    # The second derivation is generated afresh: the other coin drops the first from the cache.
-    coin = coin_for_trial(1234, 0, 0)
-    m1 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
-    derive_matrix(coin_for_trial(1234, 1, 0), "main", 0, 16, 64, 2.0)
-    m2 = derive_matrix(coin, "main", 0, 16, 64, 2.0)
+    # Two coin objects of one seed: the second derivation is generated afresh.
+    m1 = derive_matrix(coin_for_trial(1234, 0, 0), "main", 0, 16, 64, 2.0)
+    m2 = derive_matrix(coin_for_trial(1234, 0, 0), "main", 0, 16, 64, 2.0)
     check("matrix derivation is deterministic",
           m1 is not m2 and np.array_equal(m1.packed, m2.packed))
 

@@ -22,7 +22,7 @@ every test tolerance in the suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,9 +177,13 @@ def _finalize(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PublicCoin:
-    """Shared randomness: a single seed both the table and the querier hold."""
+    """Shared randomness: a single seed both the table and the querier hold.
+
+    `matrices` holds the sketch matrices `derive_matrix` drew from this coin,
+    so they live exactly as long as the coin; equality stays by seed."""
 
     seed: int
+    matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MASK64:

@@ -102,32 +102,22 @@ def derive_matrix(
 
     Entry (r, c) is Bernoulli(1/(4*alpha^scale)) taken from the counter
     stream keyed by (seed, role, scale, r) at counter c. Identical inputs
-    always produce bit-identical matrices; this is the public coin.
+    always produce bit-identical matrices; this is the public coin. The
+    matrices are kept in `coin.matrices`, so they die with the coin.
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
     if role not in ("main", "aux"):
         raise ValueError(f"unknown sketch role {role!r}")
-    cache = _COIN_MATRICES.get(coin.seed)
-    if cache is None:  # a new coin: the old coin's matrices are never read again
-        _COIN_MATRICES.clear()
-        cache = _COIN_MATRICES[coin.seed] = {}
     key = (role, scale, rows, dim, alpha)
-    matrix = cache.get(key)
+    matrix = coin.matrices.get(key)
     if matrix is not None:
         return matrix
     rate = 1.0 / (4.0 * alpha**scale)
     packed = bernoulli_matrix(coin.row_keys(role, scale, rows), dim, rate)
     packed.flags.writeable = False
-    matrix = SketchMatrix(rows=rows, dim=dim, packed=packed)
-    cache[key] = matrix
+    matrix = coin.matrices[key] = SketchMatrix(rows=rows, dim=dim, packed=packed)
     return matrix
-
-
-# The matrices of the current coin only, as {coin seed: {(role, scale, rows,
-# dim, alpha): matrix}}. A trial's search, tables and oracle share one coin
-# and each trial draws a new one, so older coins' matrices are dropped.
-_COIN_MATRICES: dict[int, dict] = {}
 
 
 def sketch_apply(matrix: SketchMatrix, p: Point) -> Point:

@@ -226,6 +226,7 @@ class TestParams:
             dict(n=4, d=64, gamma=4.0, k=1, s=math.nan),
             dict(n=4, d=64, gamma=4.0, k=1, s=math.inf),
             dict(n=4, d=64, gamma=4.0, k=1, s=2.0, tau=1),
+            dict(n=4, d=64, gamma=math.inf, k=1),
         ],
     )
     def test_invalid_params(self, kw):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -36,6 +37,7 @@ from annsim.harness import (
 )
 from annsim.oracle import exact_nn
 from annsim.randomness import Stream, coin_for_trial
+from annsim.sketch import SketchMatrix
 from reference_data import ScalarStream, reference_database
 
 
@@ -495,6 +497,27 @@ class TestRunRepetition:
             returned_dist=returned,
         )
 
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(seed=1, repeat=2),
+        small_cfg(algo="general", n=64, d=128, k=8, override=(2, 4), c1=48.0, c2=64.0,
+                  repeat=2, seed=2),
+    ], ids=["simple", "general-checked"])
+    def test_a_trial_leaves_no_sketch_matrix_alive(self, cfg, monkeypatch):
+        """A repetition's matrices live on its coin, so they die with it:
+        no cache may keep them past the trial."""
+        made = []
+
+        def tracking(*args, **kwargs):
+            matrix = SketchMatrix(*args, **kwargs)
+            made.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(sketch, "SketchMatrix", tracking)
+        for trial in range(3):
+            made.clear()
+            harness.run_trial(cfg, trial)
+            assert made and all(ref() is None for ref in made), trial
+
 
 class TestTranscriptInvariants:
     """Every search, on any small instance, keeps the cost model's rules:
@@ -644,7 +667,6 @@ class TestSelftest:
             return out
 
         monkeypatch.setattr(sketch, "bernoulli_matrix", drifting)
-        monkeypatch.setattr(sketch, "_COIN_MATRICES", {})
         assert not selftest(verbose=True)
         assert "  FAIL  matrix derivation is deterministic" in capsys.readouterr().out.splitlines()
 
@@ -774,7 +796,8 @@ class TestCli:
         (("--algo", "near", "--k", "1", "--lambda", "nan"),
          "near search needs a distance budget --lambda >= 1"),
         (("--algo", "near", "--k", "1", "--lambda", "2", "--gamma", "nan"), "gamma must be > 1"),
-    ], ids=["c1-inf", "c1-nan", "c2-inf", "c-nan", "lambda-nan", "gamma-nan"])
+        (("--algo", "simple", "--k", "1", "--gamma", "inf"), "gamma must be finite"),
+    ], ids=["c1-inf", "c1-nan", "c2-inf", "c-nan", "lambda-nan", "gamma-nan", "gamma-inf"])
     def test_non_finite_numbers_exit_code(self, args, message):
         res = self.run_cli("run", "--n", "8", "--d", "64", "--gamma", "4", "--trials", "2",
                            "--seed", "0", *args)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from annsim import sketch
 from annsim.core import Params, Point, hamming_dist, pack_words
 from annsim.errors import DimensionMismatch
 from annsim.randomness import coin_for_trial
@@ -381,25 +380,31 @@ def test_bits_above_dim_are_refused(bit):
 
 
 class TestMatrixCache:
-    """derive_matrix keeps only the current coin's matrices."""
+    """derive_matrix keeps its matrices on the coin they were drawn from."""
 
     def test_same_coin_returns_the_same_object(self):
         coin = coin_for_trial(31, 0, 0)
         a = derive_matrix(coin, "main", 2, 8, 200, 2.0)
         assert derive_matrix(coin, "main", 2, 8, 200, 2.0) is a
-        assert derive_matrix(coin_for_trial(31, 0, 0), "main", 2, 8, 200, 2.0) is a
-        assert derive_matrix(coin, "aux", 2, 8, 200, 2.0) is not a
+        assert coin.matrices == {("main", 2, 8, 200, 2.0): a}
 
-    def test_new_coin_evicts_the_old_coins_matrices(self):
-        old, new = coin_for_trial(31, 1, 0), coin_for_trial(31, 2, 0)
-        a = derive_matrix(old, "main", 1, 8, 200, 2.0)
-        b = derive_matrix(new, "main", 1, 8, 200, 2.0)
-        assert list(sketch._COIN_MATRICES) == [new.seed]
-        assert all(m is not a for m in sketch._COIN_MATRICES[new.seed].values())
-        again = derive_matrix(old, "main", 1, 8, 200, 2.0)
-        assert again is not a and np.array_equal(again.packed, a.packed)
-        assert list(sketch._COIN_MATRICES) == [old.seed]
-        assert derive_matrix(new, "main", 1, 8, 200, 2.0) is not b
+    def test_another_coin_of_the_same_seed_derives_afresh(self):
+        coin, twin = coin_for_trial(31, 1, 0), coin_for_trial(31, 1, 0)
+        assert coin == twin and hash(coin) == hash(twin)
+        a = derive_matrix(coin, "main", 1, 8, 200, 2.0)
+        b = derive_matrix(twin, "main", 1, 8, 200, 2.0)
+        assert b is not a and np.array_equal(b.packed, a.packed)
+        assert coin.matrices[("main", 1, 8, 200, 2.0)] is a
+
+    def test_roles_and_alphas_stay_apart(self):
+        coin = coin_for_trial(31, 2, 0)
+        main = derive_matrix(coin, "main", 1, 8, 200, 2.0)
+        aux = derive_matrix(coin, "aux", 1, 8, 200, 2.0)
+        other_alpha = derive_matrix(coin, "main", 1, 8, 200, 1.5)
+        assert len({id(main), id(aux), id(other_alpha)}) == 3
+        assert not np.array_equal(main.packed, aux.packed)
+        assert not np.array_equal(main.packed, other_alpha.packed)
+        assert len(coin.matrices) == 3
 
 
 def sketch_bits(m: SketchMatrix, p: Point) -> np.ndarray:
