@@ -15,6 +15,9 @@ little-endian uint64 words: the generator and the sketch kernel in the
 packed layout of `core.pack_words`, so each twin's output is `pack_words`
 of its numpy kernel's bit matrix, and the stream kernel the stream words
 themselves. The column kernel writes its numpy kernel's int64 counts.
+The generator splits a matrix's rows across OpenMP threads (as many as
+OpenMP's default, which `OMP_NUM_THREADS` overrides); the other three
+kernels are single-threaded.
 
 The sketch kernel is register-tiled (the micro-kernel of Goto and van de
 Geijn, "Anatomy of high-performance matrix multiplication", 2008, over
@@ -63,17 +66,22 @@ static inline void bernoulli_row(uint64_t key, size_t count, uint64_t cut, int l
 }
 
 /* bernoulli_matrix_numpy, packed: the same words and the same test against
-   the cut, written as rows x ceil(count / 64) little-endian words. */
+   the cut, written as rows x ceil(count / 64) little-endian words. A row
+   depends only on its key, so the rows are split across the OpenMP threads
+   in fixed blocks, and the words are the same for any thread count. */
 void bernoulli_matrix(const uint64_t *keys, size_t rows, size_t count,
                       uint64_t cut, uint64_t *out)
 {
     const size_t nwords = (count + 63) / 64;
-    if ((cut & ((1ULL << 33) - 1)) == 0)
+    if ((cut & ((1ULL << 33) - 1)) == 0) {
+        #pragma omp parallel for schedule(static)
         for (size_t r = 0; r < rows; r++)
             bernoulli_row(keys[r], count, cut, 0, out + r * nwords);
-    else
+    } else {
+        #pragma omp parallel for schedule(static)
         for (size_t r = 0; r < rows; r++)
             bernoulli_row(keys[r], count, cut, 1, out + r * nwords);
+    }
 }
 
 /* raw64_block_numpy: count words of the stream, from the first word's
@@ -249,7 +257,7 @@ def _build() -> tuple:
         try:
             # gcc defaults to 256-bit vectors even where the host has 512-bit ones.
             built = subprocess.run([cc, "-O3", "-march=native", "-mprefer-vector-width=512",
-                                    "-shared", "-fPIC", "-o", lib, src],
+                                    "-fopenmp", "-shared", "-fPIC", "-o", lib, src],
                                    capture_output=True, text=True, timeout=120)
         except (OSError, subprocess.SubprocessError) as exc:
             return None, f"numpy (cc could not run: {exc})"

@@ -122,6 +122,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"no directory to write {cfg.out!r} into")
     if cfg.out and os.path.isdir(cfg.out):
         raise ConfigError(f"{cfg.out!r} is a directory, not a file to write")
+    try:
+        params = params_for(cfg)
+    except (ValueError, OverflowError) as exc:  # an int past float range for k or s
+        raise ConfigError(str(exc)) from exc
     if cfg.dataset.kind == "planted":
         if not 0 <= cfg.dataset.plant_dist <= cfg.d:
             raise ConfigError("plant distance must lie in [0, d]")
@@ -129,10 +133,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("plant gap must be < d to leave room for far points")
         if cfg.dataset.plant_gap <= cfg.gamma * cfg.dataset.plant_dist:
             raise ConfigError("plant gap must exceed gamma * plant distance")
-    try:
-        params = params_for(cfg)
-    except (ValueError, OverflowError) as exc:  # an int past float range for k or s
-        raise ConfigError(str(exc)) from exc
     if params.scale_count > _MAX_SCALES:
         raise ConfigError(f"gamma={cfg.gamma!r} gives I={params.scale_count} scales at d={cfg.d}, "
                           "past the cap of 2^16 scales")
@@ -327,14 +327,25 @@ def _run_pool(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     The workers are spawned, not forked: Python 3.12 deprecates `fork()`
     in a process that runs threads, and numpy's OpenBLAS starts its threads
-    when numpy is imported.
+    when numpy is imported. Each worker gives the generator's OpenMP threads
+    its share of the cores, cpu_count // jobs, so that the workers' threads
+    do not outnumber the cores.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    threads = max(1, (os.cpu_count() or 1) // cfg.jobs)
     with ProcessPoolExecutor(max_workers=cfg.jobs,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_limit_threads, initargs=(threads,)) as pool:
         return list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+
+
+def _limit_threads(threads: int) -> None:
+    """Pool worker initializer: set this worker's OpenMP thread count. It runs
+    before the worker's first kernel call, and libgomp reads the variable
+    when the kernels' library loads."""
+    os.environ["OMP_NUM_THREADS"] = str(threads)
 
 
 def _cell(value: object) -> str:

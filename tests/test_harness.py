@@ -371,8 +371,9 @@ class TestRunExperiment:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers, mp_context):
-                seen.append((max_workers, mp_context.get_start_method(), dict(os.environ)))
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                seen.append((max_workers, mp_context.get_start_method(), initializer, initargs,
+                             dict(os.environ)))
 
             def __enter__(self):
                 return self
@@ -387,9 +388,23 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         before = dict(os.environ)
         par = run_experiment(small_cfg(trials=3, jobs=2))
-        assert seen == [(2, "spawn", before)]
+        # Two workers on 4 cores: each gets 2 OpenMP threads, set in the
+        # worker by the initializer and never in the parent.
+        assert seen == [(2, "spawn", harness._limit_threads, (2,), before)]
         assert csv_lines(par) == csv_lines(run_experiment(small_cfg(trials=3)))
         assert dict(os.environ) == before
+
+    def test_pool_initializer_sets_the_workers_thread_count(self, monkeypatch):
+        import multiprocessing
+
+        # The parent's value reaches a spawned worker, and the initializer
+        # replaces it there before any task runs.
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+                initializer=harness._limit_threads, initargs=(1,)) as pool:
+            assert pool.submit(os.getenv, "OMP_NUM_THREADS").result(timeout=300) == "1"
+        assert os.environ["OMP_NUM_THREADS"] == "5"
 
     def test_importing_the_package_loads_no_worker_pool(self):
         res = subprocess.run(
@@ -753,6 +768,18 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert out.read_text().splitlines()[0] == CSV_HEADER
         assert "success rate" in res.stdout
+
+    def test_gamma_is_checked_before_the_planted_dataset(self):
+        # An infinite gamma would also fail the plant-gap check; the message
+        # names the value the user got wrong.
+        res = self.run_cli(
+            "run", "--algo", "simple", "--n", "16", "--d", "64", "--gamma", "inf", "--k", "1",
+            "--trials", "2", "--seed", "1", "--dataset", "planted", "--plant-dist", "3",
+            "--plant-gap", "20",
+        )
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines() == ["config error: gamma must be finite"]
 
     def test_config_error_exit_code(self):
         res = self.run_cli(

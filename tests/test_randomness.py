@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -288,6 +289,36 @@ class TestNativeKernel:
         native.column_parities(m.packed, 70, 5, oracle._point_columns(_db_bits(db)), 1, counts)
         assert np.array_equal(counts[:20], _parity_product(_db_bits(db), _matrix_bits(m)).sum(1))
         assert not counts[20:].any()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_generator_words_do_not_depend_on_the_thread_count(self):
+        # The generator splits its rows across OpenMP threads. One thread,
+        # and 3 (more than a 2-core host has, and few on any host), give
+        # the numpy words.
+        code = textwrap.dedent("""
+            import numpy as np
+            from annsim import _native
+            from annsim.core import pack_words
+            from annsim.randomness import absorb_block, bernoulli_matrix, bernoulli_matrix_numpy
+            assert _native.status() == "native", _native.status()
+            print(_native.kernels().omp_get_max_threads())
+            for rows in (1, 2, 3, 9, 64):
+                keys = absorb_block(rows, np.arange(rows, dtype=np.uint64))
+                for count in (1, 63, 64, 130):
+                    for p in (0.25, 0.3):  # a cut that is a multiple of 2^33, and one that is not
+                        assert np.array_equal(bernoulli_matrix(keys, count, p),
+                                              pack_words(bernoulli_matrix_numpy(keys, count, p))), \\
+                            (rows, count, p)
+        """)
+        for threads in ("1", "3"):
+            env = {**os.environ, "OMP_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.split() == [threads]
+            res = subprocess.run([sys.executable, "-m", "annsim", "selftest"], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stdout + res.stderr
 
     @pytest.mark.parametrize("breakage", ["no cc on PATH", "compile error", "symbol missing",
                                           "only bernoulli_matrix", "no raw64_block",
